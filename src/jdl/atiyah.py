@@ -21,20 +21,18 @@ pairing that makes ϖ♭ ∘ J♯ the identity (ϖ♭(δ) = ϖ(·, δ)).
 from __future__ import annotations
 
 import itertools
-import time
 
 import numpy as np
 
-from .calculus import VectorField, exterior_d_form
+from .calculus import VectorField
 from .chart import tangent_map
-from .contact import ContactStructure, _dtheta_fields, _theta_comp
-from .errors import ZeroConformalFactor
-from .fields import Field, as_field, constant, coordinate
-from .jacobi import JacobiPair, bracket_field, hamiltonian_field, jacobi_bracket
-from .jets import Jet
-from .linalg import (BilinearForm, Subspace, annihilator, full_space, kernel,
-                     span_of, subspace_equal)
-from .report import CheckReport, residual_report
+from .contact import sharp_inverse_residual, varpi_entry_fields, varpi_matrix
+from .errors import OracleMismatch, ZeroConformalFactor
+from .fields import as_field, constant, coordinate
+from .jacobi import hamiltonian_field, jacobi_bidiff_matrix, jacobi_bracket
+from .linalg import (BilinearForm, annihilator, kernel, span_of,
+                     subspace_equal)
+from .report import residual_report
 
 
 class Derivation:
@@ -119,51 +117,8 @@ def der_bracket(d1, d2, p):
     return Derivation(p, Xc, gc)
 
 
-def varpi_matrix(C, p):
-    """Matrix of ϖ on the frame {(∂_i, 0)} ∪ {1} at p.
-
-    Entries ϖ((∂i,0),(∂j,0)) = dθ_ij, ϖ((∂i,0),1) = -θ_i, ϖ(1,·) = +θ.
-    """
-    n = C.chart.dim
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = C.dtheta_matrix(p)
-    th = C.theta_covector(p)
-    M[:n, n] = -th
-    M[n, :n] = th
-    return M
-
-
 def varpi_from_theta(C, p):
     return BilinearForm(varpi_matrix(C, p))
-
-
-def varpi_entry_fields(C):
-    """All entries of ϖ as jet-evaluable fields (for d_D-closedness)."""
-    n = C.chart.dim
-    d = _dtheta_fields(C)
-    theta = [_theta_comp(C, i) for i in range(n)]
-    zero = constant(n, 0.0)
-    entries = [[zero] * (n + 1) for _ in range(n + 1)]
-    for i in range(n):
-        for j in range(n):
-            entries[i][j] = d[i][j]
-        entries[i][n] = -theta[i]
-        entries[n][i] = theta[i]
-    return entries
-
-
-def jacobi_bidiff_matrix(J, p):
-    """Matrix of the bi-differential-operator pairing on jet coordinates.
-
-    J((α,c),(β,e)) = Π(α,β) + c·β(E) - e·α(E).
-    """
-    n = J.chart.dim
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = J.pi_matrix(p)
-    Ev = J.E.at(p)
-    M[n, :n] = Ev
-    M[:n, n] = -Ev
-    return M
 
 
 def jacobi_bidiff(J, j1, j2):
@@ -177,20 +132,9 @@ def bidiff_sharp(J, p):
     return jacobi_bidiff_matrix(J, p).T
 
 
-def varpi_flat(C, p):
-    """ϖ♭: derivation coordinates → jet coordinates, ϖ♭(δ) = ϖ(·, δ).
-
-    This slot makes ϖ♭ ∘ J♯ the identity for the pair induced by C.
-    """
-    return varpi_matrix(C, p)
-
-
 def check_sharp_inverse(C, J, pts, tol=1e-9):
-    """Operator-norm residual of ϖ♭ ∘ J♯ - id on jet coordinates."""
-    residuals = []
-    for p in pts:
-        M = varpi_flat(C, p) @ bidiff_sharp(J, p) - np.eye(C.chart.dim + 1)
-        residuals.append((p, float(np.abs(M).max())))
+    """Max-entry residual of ϖ♭ ∘ J♯ - id on jet coordinates."""
+    residuals = [(p, sharp_inverse_residual(C, J, p)) for p in pts]
     return residual_report(
         "sharp_inverse", "varpi_flat . J_sharp = id on jet coordinates",
         residuals, tol)
@@ -200,7 +144,8 @@ def gauge_pushforward(Phi, d, check_oracle=False, probes=None):
     """DΦ(X, g) = (Tφ·X, g + X(a)/a) at d.point, for a conformal map Phi.
 
     With ``check_oracle`` the closed form is validated against the
-    definitional action (DΦ δ)(μ) = Φ_x(δ(Φ*μ)) on probe functions μ.
+    definitional action (DΦ δ)(μ) = Φ_x(δ(Φ*μ)) on probe functions μ; a
+    disagreement raises OracleMismatch.
     """
     p = d.point
     a = Phi.factor.value(p)
@@ -218,7 +163,7 @@ def gauge_pushforward(Phi, d, check_oracle=False, probes=None):
             ju = as_field(Phi.map.target.dim, mu)(out.point, 1)
             rhs = float(out.X @ ju.grad) + out.g * ju.value
             if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
-                raise ZeroConformalFactor(
+                raise OracleMismatch(
                     f"pushforward closed form disagrees with oracle: "
                     f"{lhs} vs {rhs}")
     return out
@@ -256,7 +201,10 @@ def ker_DPhi(Phi, p):
 
 
 def hamiltonian_derivation(J, f, p, validate=False, probes=None):
-    """Δ_f = (X_f, -E(f)) at p; optionally validated by Δ_f(g) = {f,g}."""
+    """Δ_f = (X_f, -E(f)) at p; optionally validated by Δ_f(g) = {f,g}.
+
+    A validation failure raises OracleMismatch.
+    """
     f = as_field(J.chart.dim, f)
     X = hamiltonian_field(J, f).at(p)
     Ef = J.E.apply_field(f).value(p)
@@ -270,7 +218,7 @@ def hamiltonian_derivation(J, f, p, validate=False, probes=None):
             lhs = float(d.X @ jg.grad) + d.g * jg.value
             rhs = jacobi_bracket(J, f, g, p)
             if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
-                raise ZeroConformalFactor(
+                raise OracleMismatch(
                     f"hamiltonian derivation disagrees with bracket: "
                     f"{lhs} vs {rhs}")
     return d
@@ -374,7 +322,7 @@ class AtiyahForm:
 def theta_sigma_form(C):
     """θ∘σ as an Atiyah 1-form."""
     n = C.chart.dim
-    entries = [_theta_comp(C, i) for i in range(n)] + [constant(n, 0.0)]
+    entries = C.theta_fields() + [constant(n, 0.0)]
     return AtiyahForm(C.chart, 1, entries)
 
 

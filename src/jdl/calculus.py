@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from .errors import DegreeUnsupported, DimensionMismatch
-from .fields import Field, as_field, compose, constant
+from .fields import as_field, compose, constant
 from .jets import Jet
 
 
@@ -171,14 +171,6 @@ class VectorField:
         for t in terms[1:]:
             out = out + t
         return out
-
-
-def zero_vector_field(chart):
-    return VectorField(chart, [constant(chart.dim, 0.0)] * chart.dim)
-
-
-def const_vector_field(chart, v):
-    return VectorField(chart, [constant(chart.dim, vi) for vi in v])
 
 
 def lie_bracket(X, Y, p):
@@ -361,30 +353,7 @@ def _det_field(partials, rows, cols, dim):
     return acc if acc is not None else constant(dim, 0.0)
 
 
-def pushforward_vector(F, X, p):
-    """T_pF · X(p), a vector at F(p)."""
-    from .chart import tangent_map
-    return tangent_map(F, p) @ X.at(p)
-
-
 # -- Schouten-Nijenhuis bracket ----------------------------------------------
-
-def biv_pair(P, alpha, beta, p):
-    """Π(α, β) at p for a degree-2 multivector."""
-    return P.pair_forms(p, alpha, beta)
-
-
-def biv_sharp(P, alpha, p):
-    """Π^♯(α) = Π(α, ·) at p, as a coordinate vector."""
-    n = P.chart.dim
-    Pm = P.dense(p)
-    return Pm.T @ np.asarray(alpha, dtype=float)
-
-
-def biv_matrix(P, p):
-    """Dense component matrix Π^{ij}(p)."""
-    return P.dense(p)
-
 
 def schouten(P, Q, p):
     """Schouten-Nijenhuis bracket value at p for degrees (1,1), (1,2), (2,2).
@@ -410,14 +379,7 @@ def schouten(P, Q, p):
 def _lie_der_bivector(X, P, p):
     """(L_X Π)^{jk} = X(Π^{jk}) - Π^{lk} ∂_l X^j - Π^{jl} ∂_l X^k."""
     n = X.chart.dim
-    Pm = np.zeros((n, n))
-    dP = np.zeros((n, n, n))   # dP[l, j, k] = ∂_l Π^{jk}
-    for key in itertools.combinations(range(n), 2):
-        j = P.coeff_jet(key, p, 1)
-        Pm[key] = j.value
-        Pm[key[::-1]] = -j.value
-        dP[:, key[0], key[1]] = j.grad
-        dP[:, key[1], key[0]] = -j.grad
+    Pm, dP = _biv_jets(P, p)   # dP[l, j, k] = ∂_l Π^{jk}
     Xv = np.array([c.value(p) for c in X.comps])
     dX = np.stack([c(p, 1).grad for c in X.comps])   # dX[j, l] = ∂_l X^j
     out = (np.einsum("l,ljk->jk", Xv, dP)
@@ -469,9 +431,3 @@ def wedge_vec_biv(E, P, p):
         i, j, k = key
         out[key] = Ev[i] * Pm[j, k] - Ev[j] * Pm[i, k] + Ev[k] * Pm[i, j]
     return out
-
-
-def top_coefficient(omega, p):
-    """Coefficient of dx^1∧...∧dx^n for a top-degree form value."""
-    key = tuple(range(omega.chart.dim))
-    return omega.coeff(key, p)

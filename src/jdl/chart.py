@@ -9,8 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, SamplingExhausted
-from .fields import Field, as_field
-from .jets import Jet
+from .fields import as_field
 
 EXCLUSION_MARGIN = 1e-3
 
@@ -82,11 +81,6 @@ def sample_points(chart, n, seed):
     return out
 
 
-def exclude_zero_of(fn, margin=EXCLUSION_MARGIN):
-    """Predicate rejecting points where |fn(p)| < margin."""
-    return lambda p: abs(fn(p)) < margin
-
-
 class SmoothMap:
     """Map between charts given by one component field per target coordinate."""
 
@@ -137,9 +131,3 @@ def tangent_map(F, p):
     if not F.components:
         return np.zeros((0, F.source.dim))
     return np.stack([c(p, 1).grad for c in F.components])
-
-
-def constant_map(source, target, q):
-    from .fields import constant
-    q = np.asarray(q, dtype=float)
-    return SmoothMap(source, target, [constant(source.dim, qi) for qi in q])

@@ -2,21 +2,32 @@
 rendition, with both dictionaries into Jacobi pairs.
 
 A contact structure on an odd chart is a 1-form θ with θ∧(dθ)ⁿ nowhere
-zero.  Conventions, each pinned by a unit test on the darboux3 entry:
+zero.  Its Jacobi pair (Π, E) is the inverse of the symplectic Atiyah form:
+on the frame {(∂_0,0), ..., (∂_{n-1},0), 1} the (n+1)×(n+1) matrix ϖ has
+entries ϖ_ij = dθ_ij, ϖ_in = -θ_i and ϖ_nj = +θ_j, and the bi-differential
+operator matrix of the pair is ϖ^{-T}, so
 
-* Reeb field E: θ(E) = 1 and i_E dθ = 0, solved as a linear system.
+    Π^{ij} = (ϖ⁻¹)_{ji},    E^j = (ϖ⁻¹)_{jn}.
+
+:func:`contact_to_jacobi` computes this with one jet matrix inverse per
+(point, order) and validates ϖ♭∘J♯ = id at sample points from float dθ and θ
+matrices.  The consequences, each pinned by a unit test on the darboux3
+entry:
+
+* Reeb field E: θ(E) = 1 and i_E dθ = 0.
 * Curvature form on H = ker θ: c_H = -(dθ)|_H.
-* Hamiltonian field: X_f = f·E + c♯(df|_H), where c♯ inverts X ↦ c(X,·);
-  equivalently X_f is the unique contact field with θ(X_f) = f.
-* Bracket: {f,g} = X_f(g) - g·E(f).  (The bracket is implemented this way
-  rather than as a literal pairing of θ with two vector fields, which does
-  not typecheck for a 1-form; consistency with the Jacobi-pair formula is
-  enforced by test.)
+* Hamiltonian field X_f = Π♯(df) + f·E: the unique field with θ(X_f) = f
+  and i_{X_f} dθ = -df + E(f)·θ.
+* Bracket: {f,g} = X_f(g) - g·E(f).
+
+The defining equations are kept as an independent oracle in the tests,
+which extract a pair from the bracket they induce with
+:func:`jdl.jacobi.extract_pair_from_bracket` and compare it with the closed
+form.
 
 The l.c.s. dictionary uses d∇f = df - f·η and ω♯ inverting X ↦ ω(·, X);
 this slot choice makes the even transitive dictionary reproduce both the
-bracket and the Hamiltonian fields of the underlying Jacobi pair, and is
-re-pinned by the leaf-relation test on the hopf entry.
+bracket and the Hamiltonian fields of the underlying Jacobi pair.
 """
 from __future__ import annotations
 
@@ -24,16 +35,16 @@ import itertools
 
 import numpy as np
 
-from .calculus import (KForm, VectorField, exterior_d, exterior_d_form,
-                       interior_form, lie_derivative, wedge_form)
-from .errors import (DegenerateCurvature, EvenDimension, SingularOmega,
-                     SingularSystem)
-from .fields import Field, as_field, constant, coordinate, jet_inv, jet_solve
-from .jacobi import (JacobiPair, bracket_field, extract_pair_from_bracket,
-                     hamiltonian_field)
+from .calculus import (KForm, exterior_d, exterior_d_form, lie_derivative,
+                       wedge_form)
+from .errors import (DegenerateCurvature, EvenDimension, InconsistentOracle,
+                     SingularOmega, SingularSystem)
+from .fields import (Field, as_field, constant, jet_inv, jet_solve,
+                     point_memo)
+from .jacobi import JacobiPair, hamiltonian_field, jacobi_bidiff_matrix
 from .jets import Jet
-from .linalg import BilinearForm, Subspace, span_of
-from .report import CheckReport, residual_report, threshold_report
+from .linalg import BilinearForm, span_of
+from .report import residual_report, threshold_report
 
 CONTACT_IDENTITY = "theta ^ (d theta)^n is a volume form"
 LCS_IDENTITY = "d eta = 0, omega nondegenerate, d omega + omega ^ eta = 0"
@@ -52,7 +63,7 @@ class ContactStructure:
         self.n = (chart.dim - 1) // 2
         self._theta_fields = None
         self._d_fields = None
-        self._reeb_field = None
+        self._pair = None
 
     def theta_fields(self):
         if self._theta_fields is None:
@@ -110,51 +121,8 @@ def reeb(C, p):
 
 
 def reeb_field(C):
-    """Reeb field with jet-evaluable components (jet linear solve)."""
-    if C._reeb_field is not None:
-        return C._reeb_field
-    n = C.chart.dim
-    theta_fields = C.theta_fields()
-    d_fields = C.d_fields()
-    cache = {}
-
-    def solve(p, order):
-        key = (p.tobytes(), order)
-        if key in cache:
-            return cache[key]
-        A = np.empty((n + 1, n), dtype=object)
-        for j in range(n):
-            A[0, j] = theta_fields[j](p, order)
-        for r in range(n):
-            for j in range(n):
-                A[r + 1, j] = d_fields[j][r](p, order)  # dθ(e_j, e_r)
-        sq, rhs = _best_square(A, n, p, order)
-        sol = jet_solve(sq, rhs)
-        cache[key] = sol
-        return sol
-
-    C._reeb_field = VectorField(
-        C.chart, [Field(n, lambda p, o, i=i: solve(p, o)[i]) for i in range(n)])
-    return C._reeb_field
-
-
-def _best_square(A, n, p, order):
-    """Pick n rows of the (n+1)-row jet system with the best conditioning."""
-    vals = np.array([[x.value if isinstance(x, Jet) else float(x)
-                      for x in row] for row in A])
-    rhs_full = np.zeros(n + 1)
-    rhs_full[0] = 1.0
-    best, best_rows = None, None
-    for drop in range(1, n + 1):
-        rows = [r for r in range(n + 1) if r != drop]
-        M = vals[rows]
-        s = np.linalg.svd(M, compute_uv=False)
-        score = s[-1]
-        if best is None or score > best:
-            best, best_rows = score, rows
-    sq = [[A[r][j] for j in range(n)] for r in best_rows]
-    rhs = [Jet.constant(rhs_full[r], n, order) for r in best_rows]
-    return sq, rhs
+    """Reeb field with jet-evaluable components: the E of the Jacobi pair."""
+    return (C._pair or contact_to_jacobi(C)).E
 
 
 def _theta_comp(C, i):
@@ -183,6 +151,30 @@ def _dtheta_fields(C):
     return out
 
 
+def varpi_matrix(C, p):
+    """Matrix of ϖ on the frame {(∂_i, 0)} ∪ {1} at p.
+
+    Entries ϖ((∂i,0),(∂j,0)) = dθ_ij, ϖ((∂i,0),1) = -θ_i, ϖ(1,·) = +θ.
+    """
+    n = C.chart.dim
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = C.dtheta_matrix(p)
+    th = C.theta_covector(p)
+    M[:n, n] = -th
+    M[n, :n] = th
+    return M
+
+
+def varpi_entry_fields(C):
+    """All entries of ϖ as jet-evaluable fields, laid out as varpi_matrix."""
+    n = C.chart.dim
+    d = C.d_fields()
+    theta = C.theta_fields()
+    entries = [list(d[i]) + [-theta[i]] for i in range(n)]
+    entries.append(list(theta) + [constant(n, 0.0)])
+    return entries
+
+
 def curvature_form(C, p, tol=1e-10):
     """Basis of H = ker θ_p and the matrix of c = -(dθ)|_H in that basis."""
     theta_p = C.theta_covector(p)
@@ -197,84 +189,61 @@ def curvature_form(C, p, tol=1e-10):
 
 
 def contact_hamiltonian_vf(C, f, p):
-    """X_f(p) = f(p)·Reeb(p) + c♯(df|_H), the c♯ solve done in the H-basis."""
+    """X_f at p, the contact Hamiltonian field of f."""
     return contact_hamiltonian_field(C, f).at(p)
 
 
 def contact_hamiltonian_field(C, f):
-    """X_f as a jet-evaluable vector field.
-
-    Solved from the full-chart linear system [θ; dθ]·X = [f; -df + df(E)θ]
-    equivalent to θ(X) = f and (i_X dθ)|_H = -df|_H; implemented as the
-    regular square system θ(X) = f, i_X dθ = -df + E(f)·θ, whose unique
-    solution is the contact Hamiltonian field.
-    """
-    n = C.chart.dim
-    f = as_field(n, f)
-    theta_fields = C.theta_fields()
-    d_fields = C.d_fields()
-    Ef = _reeb_apply(C, f)
-    fpartials = [f.partial(r) for r in range(n)]
-    cache = {}
-
-    def solve(p, order):
-        key = (p.tobytes(), order)
-        if key in cache:
-            return cache[key]
-        A = np.empty((n + 1, n), dtype=object)
-        rhs = np.empty(n + 1, dtype=object)
-        for j in range(n):
-            A[0, j] = theta_fields[j](p, order)
-        rhs[0] = f(p, order)
-        efj = Ef(p, order)
-        for r in range(n):
-            for j in range(n):
-                A[r + 1, j] = d_fields[j][r](p, order)
-            rhs[r + 1] = -(fpartials[r](p, order)) + efj * theta_fields[r](p, order)
-        vals = np.array([[x.value if isinstance(x, Jet) else float(x)
-                          for x in row] for row in A])
-        best, best_rows = None, None
-        for drop in range(n + 1):
-            rows = [r for r in range(n + 1) if r != drop]
-            s = np.linalg.svd(vals[rows], compute_uv=False)
-            if best is None or s[-1] > best:
-                best, best_rows = s[-1], rows
-        sq = [[A[r][j] for j in range(n)] for r in best_rows]
-        b = [rhs[r] for r in best_rows]
-        sol = jet_solve(sq, b)
-        cache[key] = sol
-        return sol
-
-    return VectorField(
-        C.chart, [Field(n, lambda p, o, i=i: solve(p, o)[i]) for i in range(n)])
-
-
-def _reeb_apply(C, f):
-    """E(f) as a field."""
-    E = reeb_field(C)
-    return E.apply_field(f)
-
-
-def contact_bracket_field(C, f, g):
-    """{f,g} = X_f(g) - g·E(f) as a derived field."""
-    n = C.chart.dim
-    f = as_field(n, f)
-    g = as_field(n, g)
-    Xf = contact_hamiltonian_field(C, f)
-    return Xf.apply_field(g) - g * _reeb_apply(C, f)
+    """X_f as a jet-evaluable vector field: the Jacobi pair's X_f."""
+    return hamiltonian_field(C._pair or contact_to_jacobi(C), f)
 
 
 def contact_to_jacobi(C, pts=None, tol=1e-8):
-    """The nondegenerate Jacobi pair of a verified contact structure.
+    """The nondegenerate Jacobi pair of a contact structure, in closed form.
 
-    Extracted from the bracket oracle (f,g) ↦ X_f(g) - g·E(f); the returned
-    pair's Hamiltonian fields agree with the contact route (tested).
+    Π^{ij} = (ϖ⁻¹)_{ji} and E^j = (ϖ⁻¹)_{jn}, with ϖ⁻¹ one jet inverse of
+    the ϖ-entry fields per (point, order), shared by every entry.  The pair
+    is built once and kept on ``C``.  Each call validates ϖ♭∘J♯ = id at
+    ``pts`` (default: 5 points, seed 23) from the float dθ and θ matrices,
+    an evaluation path independent of the jet entries; a residual above
+    ``tol`` raises InconsistentOracle, and a singular ϖ raises
+    SingularSystem.  The defining-equation oracle, through bracket
+    extraction, lives in the tests.
     """
+    J = C._pair or _closed_form_pair(C)
     if pts is None:
         from .chart import sample_points
         pts = sample_points(C.chart, 5, seed=23)
-    oracle = lambda f, g: contact_bracket_field(C, f, g)
-    return extract_pair_from_bracket(oracle, C.chart, pts, tol)
+    worst = max((sharp_inverse_residual(C, J, p) for p in pts), default=0.0)
+    if worst > tol:
+        raise InconsistentOracle(
+            f"closed-form Jacobi pair fails varpi_flat . J_sharp = id "
+            f"(residual {worst:.2e})")
+    C._pair = J
+    return J
+
+
+def sharp_inverse_residual(C, J, p):
+    """max |ϖ♭∘J♯ - id| on jet coordinates at p, from float dθ and θ.
+
+    ϖ♭(δ) = ϖ(·, δ) is varpi_matrix and J♯ the transposed bi-DO matrix;
+    this slot choice makes ϖ♭∘J♯ the identity for the pair induced by C.
+    """
+    M = varpi_matrix(C, p) @ jacobi_bidiff_matrix(J, p).T
+    return float(np.abs(M - np.eye(C.chart.dim + 1)).max())
+
+
+def _closed_form_pair(C):
+    n = C.chart.dim
+    W = varpi_entry_fields(C)
+    inv = point_memo(lambda p, order: jet_inv(
+        [[w(p, order) for w in row] for row in W]))
+
+    def entry(i, j):
+        return Field(n, lambda p, o: inv(p, o)[i, j])
+
+    pi = {(i, j): entry(j, i) for i, j in itertools.combinations(range(n), 2)}
+    return JacobiPair(C.chart, pi, [entry(j, n) for j in range(n)])
 
 
 class LcsStructure:
@@ -349,9 +318,10 @@ def lcs_bracket(L, f, g, p):
 def lcs_from_even_pair(J):
     """The l.c.s. structure of a transitive even Jacobi pair.
 
-    ω = -(Π-matrix)⁻¹ entrywise (a jet-evaluable matrix inverse) and
-    η = -ω♭(E); then X_f and {f,g} agree with the pair's own Hamiltonian
-    fields and bracket, and (η, ω) satisfies the l.c.s. equations.
+    ω = -(Π-matrix)⁻¹ and η = -ω♭(E) = Π⁻¹E, both read off one jet solve of
+    Π against [id | E] per (point, order); then X_f and {f,g} agree with the
+    pair's own Hamiltonian fields and bracket, and (η, ω) satisfies the
+    l.c.s. equations.
     """
     n = J.chart.dim
     pi_fields = [[None] * n for _ in range(n)]
@@ -364,37 +334,29 @@ def lcs_from_even_pair(J):
                 f, sign = J.Pi.component((i, j))
                 pi_fields[i][j] = zero if f is None else (f if sign == 1 else -f)
 
-    def omega_entry(i, j):
-        def ev(p, order):
-            P = [[pi_fields[a][b](p, order) for b in range(n)] for a in range(n)]
-            W = jet_inv(P)
-            return -W[i][j]
-        return Field(n, ev)
+    def solve(p, order):
+        rhs = np.empty((n, n + 1), dtype=object)
+        for i in range(n):
+            for j in range(n):
+                rhs[i, j] = Jet.constant(1.0 if i == j else 0.0, n, order)
+            rhs[i, n] = J.E.comps[i](p, order)
+        return jet_solve([[pi_fields[a][b](p, order) for b in range(n)]
+                          for a in range(n)], rhs)
 
-    omega_comps = {(i, j): omega_entry(i, j)
-                   for i, j in itertools.combinations(range(n), 2)}
-    omega = KForm(J.chart, 2, omega_comps)
-
-    def eta_entry(j):
-        def ev(p, order):
-            P = [[pi_fields[a][b](p, order) for b in range(n)] for a in range(n)]
-            W = jet_inv(P)
-            Ej = [c(p, order) for c in J.E.comps]
-            acc = Jet.constant(0.0, n, order)
-            for i in range(n):
-                # η = -ω♭(E) with ω = -P⁻¹, i.e. η_j = Σ_i (P⁻¹)_{ji} E^i;
-                # pinned by X_1 = E in the route-agreement test
-                acc = acc + W[j][i] * Ej[i]
-            return acc
-        return Field(n, ev)
-
-    eta = KForm(J.chart, 1, {(j,): eta_entry(j) for j in range(n)})
+    solve = point_memo(solve)
+    omega = KForm(J.chart, 2, {
+        (i, j): Field(n, lambda p, o, i=i, j=j: -solve(p, o)[i, j])
+        for i, j in itertools.combinations(range(n), 2)})
+    # η_j = Σ_i (Π⁻¹)_{ji} E^i, pinned by X_1 = E in the route-agreement test
+    eta = KForm(J.chart, 1, {
+        (j,): Field(n, lambda p, o, j=j: solve(p, o)[j, n])
+        for j in range(n)})
     return LcsStructure(J.chart, eta, omega)
 
 
 def contact_field_property(C, f, p, tol=1e-10):
     """Rank-1 test on [θ_p; (L_{X_f}θ)_p]: X_f is a contact vector field."""
-    Xf = contact_hamiltonian_field(C, as_field(C.chart.dim, f))
+    Xf = contact_hamiltonian_field(C, f)
     L = lie_derivative(Xf, C.theta, p)
     row = np.array([L[(i,)] for i in range(C.chart.dim)])
     M = np.vstack([C.theta_covector(p), row])

@@ -14,20 +14,15 @@ verdict at every sampled point.
 """
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .atiyah import dphi_matrix, ker_DPhi, varpi_from_theta
+from .atiyah import ker_DPhi, varpi_from_theta
 from .chart import tangent_map
-from .contact import contact_to_jacobi, curvature_form, reeb
-from .errors import DimensionMismatch
+from .contact import contact_to_jacobi, curvature_form
 from .fields import as_field, constant, coordinate
-from .jacobi import (ConformalMap, bracket_field, check_jacobi_morphism,
-                     hamiltonian_field)
-from .linalg import (BilinearForm, Subspace, full_space, intersect, kernel,
-                     orth_complement_wrt, span_of, subspace_equal, sum_spaces,
-                     zero_space)
+from .jacobi import bracket_field, check_jacobi_morphism, hamiltonian_field
+from .linalg import (full_space, intersect, kernel, orth_complement_wrt,
+                     span_of, subspace_equal, sum_spaces, zero_space)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
                      residual_report)
 

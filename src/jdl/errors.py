@@ -61,26 +61,6 @@ class SingularOmega(JdlError):
     """The 2-form of an l.c.s. candidate is singular at the point."""
 
 
-class NonComposableSample(JdlError):
-    """A sampled groupoid pair is not composable."""
-
-
-class NotBasic(JdlError):
-    """A bracket of pullbacks varies along fibers beyond tolerance."""
-
-
-class NotABisection(JdlError):
-    """The supplied section fails the bisection preconditions."""
-
-
-class ZeroMomentCovector(JdlError):
-    """The moment covector vanishes (orbit-transversality failure)."""
-
-
-class NonInvariantBracket(JdlError):
-    """A quotient bracket varies along group orbits beyond tolerance."""
-
-
 class InconsistentConnection(JdlError):
     """The two leaf restriction conditions disagree on the overlap."""
 
@@ -91,12 +71,3 @@ class StepOutOfDomain(JdlError):
 
 class UnknownId(JdlError):
     """No catalog entry with the requested id."""
-
-
-class ExprError(JdlError):
-    """Expression parse error; carries line/column info."""
-
-    def __init__(self, message, line=1, col=1):
-        super().__init__(f"{message} (line {line}, col {col})")
-        self.line = line
-        self.col = col

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import jets
-from .jets import Jet, jet_lift, partial_jet, taylor_compose
+from .jets import Jet, jet_lift, taylor_compose
 
 
 class Field:
@@ -145,14 +144,6 @@ def compose(target_field, component_fields, source_dim=None):
     return Field(dim, ev)
 
 
-def from_values(dim, fn):
-    """Field from a plain float function; jets carry no derivative info.
-
-    Only for quantities known to be locally constant; prefer ScalarFieldSpec.
-    """
-    return Field(dim, lambda p, order: Jet.constant(fn(p), dim, order))
-
-
 def as_field(dim, obj):
     """Coerce a number, callable-on-jets, or Field to a Field."""
     if isinstance(obj, Field):
@@ -160,6 +151,26 @@ def as_field(dim, obj):
     if callable(obj):
         return ScalarFieldSpec(dim, obj)
     return constant(dim, obj)
+
+
+def point_memo(fn):
+    """Memoize ``fn(p, order)`` per (point, order), as :class:`Field` does.
+
+    For a per-point result that several fields share, such as a jet matrix
+    inverse whose entries are separate fields.
+    """
+    cache = {}
+
+    def ev(p, order):
+        key = (p.tobytes(), order)
+        hit = cache.get(key)
+        if hit is None:
+            if len(cache) > 4096:
+                cache.clear()
+            hit = cache[key] = fn(p, order)
+        return hit
+
+    return ev
 
 
 # -- jet-valued linear algebra ----------------------------------------------

@@ -20,14 +20,13 @@ import itertools
 
 import numpy as np
 
-from .calculus import Multivector, VectorField, schouten
+from .calculus import Multivector, schouten
 from .chart import Chart, SmoothMap, tangent_map
-from .errors import OracleMismatch, ZeroConformalFactor
-from .fields import Field, ScalarFieldSpec, as_field, compose, constant, coordinate
+from .errors import OracleMismatch
+from .fields import as_field, compose, constant, coordinate
 from .jacobi import JacobiPair, bracket_field
-from .jets import Jet
 from .linalg import BilinearForm, full_space, kernel, orth_complement_wrt, subspace_equal
-from .report import CheckReport, residual_report
+from .report import residual_report
 
 S_SLICES = (1.0, 2.0, -1.0)
 

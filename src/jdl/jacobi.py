@@ -22,7 +22,7 @@ from .errors import (ChartIndexInvalid, DimensionMismatch, InconsistentOracle,
                      ZeroConformalFactor)
 from .fields import Field, ScalarFieldSpec, as_field, compose, constant, coordinate
 from .jets import Jet
-from .report import CheckReport, residual_report
+from .report import residual_report
 
 JACOBI_IDENTITY = "[[Pi,Pi]] = 2 E^Pi and [[E,Pi]] = 0"
 MORPHISM_IDENTITY = "{a phi*f, a phi*g}_1 = a phi*{f,g}_2"
@@ -132,6 +132,20 @@ def hamiltonian_field(J, f):
         comps[j] = comps[j] + pij * f.partial(i)
         comps[i] = comps[i] - pij * f.partial(j)
     return VectorField(J.chart, comps)
+
+
+def jacobi_bidiff_matrix(J, p):
+    """Matrix of the bi-differential-operator pairing on jet coordinates.
+
+    J((α,c),(β,e)) = Π(α,β) + c·β(E) - e·α(E).
+    """
+    n = J.chart.dim
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = J.pi_matrix(p)
+    Ev = J.E.at(p)
+    M[n, :n] = Ev
+    M[:n, n] = -Ev
+    return M
 
 
 def default_test_functions(chart):

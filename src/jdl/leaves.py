@@ -16,14 +16,14 @@ import csv
 import numpy as np
 
 from .atiyah import bidiff_sharp, dphi_matrix, ker_DPhi, varpi_from_theta
-from .calculus import exterior_d, exterior_d_form, pullback_form
-from .chart import SmoothMap, compose_maps, tangent_map
+from .calculus import exterior_d_form, pullback_form
+from .chart import compose_maps, tangent_map
 from .errors import DimensionMismatch, InconsistentConnection, StepOutOfDomain
 from .fields import as_field, compose, constant, coordinate
-from .jacobi import hamiltonian_field, jacobi_bracket
-from .linalg import (Subspace, full_space, image, kernel, orth_complement_wrt,
-                     preimage, span_of, subspace_equal, sum_spaces)
-from .report import FAIL, PASS, CheckReport, residual_report
+from .jacobi import hamiltonian_field
+from .linalg import (full_space, image, kernel, orth_complement_wrt, preimage,
+                     span_of, subspace_equal, sum_spaces)
+from .report import residual_report
 
 
 def characteristic_frame(J):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jdl import atiyah
 from jdl.atiyah import (Derivation, DerivationField, JetElement,
                         bidiff_sharp, check_contracting_homotopy,
                         check_one_perp_is_horizontal, check_sharp_inverse,
@@ -12,6 +13,7 @@ from jdl.atiyah import (Derivation, DerivationField, JetElement,
 from jdl.calculus import VectorField
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
+from jdl.errors import OracleMismatch
 from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import ConformalMap, JacobiPair, jacobi_bracket
 from jdl.jets import exp
@@ -145,6 +147,19 @@ def test_gauge_pushforward_exponential_factor():
     assert abs(out.g - 1.0) < 1e-12     # X(a)/a = 1 for a = e^x
 
 
+def test_gauge_pushforward_oracle_mismatch():
+    # the oracle sees Φ* doubled, the closed form does not
+    class DoubledPullback(ConformalMap):
+        def pullback(self, g):
+            return 2.0 * super().pullback(g)
+
+    c = Chart("r2", 2, [(-1, 1)] * 2)
+    Phi = DoubledPullback(identity_map(c))
+    d = Derivation([0.2, 0.3], [1.0, 0.5], 0.7)
+    with pytest.raises(OracleMismatch):
+        gauge_pushforward(Phi, d, check_oracle=True)
+
+
 def test_pushforward_functoriality():
     a = Chart("a", 2, [(-1, 1)] * 2)
     b = Chart("b", 2, [(-1, 1)] * 2)
@@ -215,6 +230,15 @@ def test_hamiltonian_derivation_values(darboux3, pts):
         assert np.allclose(d.X, [0, 0, 1], atol=1e-10) and abs(d.g) < 1e-10
         d = hamiltonian_derivation(J, z, p, validate=True)
         assert abs(d.g + 1.0) < 1e-10     # -E(z) = -1
+
+
+def test_hamiltonian_derivation_oracle_mismatch(darboux3, pts, monkeypatch):
+    # the validating bracket is that of the opposite pair (-Π, -E)
+    J = contact_to_jacobi(darboux3)
+    monkeypatch.setattr(atiyah, "jacobi_bracket",
+                        lambda J, f, g, p: jacobi_bracket(J.negated(), f, g, p))
+    with pytest.raises(OracleMismatch):
+        hamiltonian_derivation(J, coordinate(3, 0), pts[0], validate=True)
 
 
 def test_technical_lemma_trivgpd(trivgpd):

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
+from jdl.calculus import VectorField
 from jdl.chart import Chart, sample_points
 from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          check_lcs, contact_field_property,
-                         contact_hamiltonian_vf, contact_to_jacobi,
-                         curvature_form, lcs_bracket, lcs_from_even_pair,
-                         lcs_hamiltonian_vf, reeb, reeb_field,
-                         volume_coefficient)
-from jdl.errors import EvenDimension, SingularSystem
-from jdl.fields import ScalarFieldSpec, constant, coordinate
-from jdl.jacobi import (JacobiPair, check_jacobi_pair, hamiltonian_vf,
+                         contact_hamiltonian_field, contact_hamiltonian_vf,
+                         contact_to_jacobi, curvature_form, lcs_bracket,
+                         lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
+                         reeb_field, volume_coefficient)
+from jdl.errors import EvenDimension, InconsistentOracle, SingularSystem
+from jdl.fields import (Field, ScalarFieldSpec, constant, coordinate,
+                        jet_solve, point_memo)
+from jdl.jacobi import (JacobiPair, check_jacobi_pair,
+                        extract_pair_from_bracket, hamiltonian_vf,
                         jacobi_bracket)
 
 
@@ -248,3 +251,118 @@ def test_lcs_from_even_pair_with_nonzero_e():
     for p in pts[:5]:
         assert np.abs(lcs_hamiltonian_vf(L, f, p)
                       - hamiltonian_vf(J, f, p)).max() < 1e-8
+
+
+# -- closed form against the defining equations -------------------------------
+
+def _defining_solve(C, f, Ef):
+    """X with θ(X) = f and i_X dθ = -df + E(f)·θ, as a jet vector field.
+
+    The (n+1)×n system has rank n; the square subsystem with the best
+    conditioned value part is solved in jet arithmetic.  Shares nothing with
+    the closed form beyond the θ and dθ component fields.
+    """
+    n = C.chart.dim
+    theta, d = C.theta_fields(), C.d_fields()
+    fpartials = [f.partial(r) for r in range(n)]
+
+    def solve(p, order):
+        A = [[theta[j](p, order) for j in range(n)]]
+        rhs = [f(p, order)]
+        efj = Ef(p, order)
+        for r in range(n):
+            A.append([d[j][r](p, order) for j in range(n)])
+            rhs.append(-fpartials[r](p, order) + efj * theta[r](p, order))
+        vals = np.array([[x.value for x in row] for row in A])
+        rows = max(([r for r in range(n + 1) if r != drop]
+                    for drop in range(n + 1)),
+                   key=lambda rows: np.linalg.svd(vals[rows],
+                                                  compute_uv=False)[-1])
+        return jet_solve([A[r] for r in rows], [rhs[r] for r in rows])
+
+    solve = point_memo(solve)
+    return VectorField(C.chart, [Field(n, lambda p, o, i=i: solve(p, o)[i])
+                                 for i in range(n)])
+
+
+def _defining_pair(C, pts):
+    """The pair extracted from {f,g} = X_f(g) - g·E(f) on the defining X_f."""
+    n = C.chart.dim
+    E = _defining_solve(C, constant(n, 1.0), constant(n, 0.0))
+
+    def oracle(f, g):
+        Ef = E.apply_field(f)
+        return _defining_solve(C, f, Ef).apply_field(g) - g * Ef
+
+    return extract_pair_from_bracket(oracle, C.chart, pts)
+
+
+def _darboux5():
+    chart = Chart("darboux5", 5, [(-2, 2)] * 5)
+    return ContactStructure(chart, {
+        (0,): lambda x1, y1, x2, y2, z: -y1,
+        (2,): lambda x1, y1, x2, y2, z: -y2,
+        (4,): 1.0})
+
+
+def _conformal_darboux3():
+    # e^{0.3x + 0.2z}(dz - y dx): curved coefficients, so Hessians are nonzero
+    from jdl.jets import exp
+    chart = Chart("darboux3e", 3, [(-2, 2)] * 3)
+    return ContactStructure(chart, {
+        (0,): lambda x, y, z: -y * exp(0.3 * x + 0.2 * z),
+        (2,): lambda x, y, z: exp(0.3 * x + 0.2 * z)})
+
+
+def _jet_gap(a, b):
+    return max(np.abs(np.asarray(x) - np.asarray(y)).max()
+               for x, y in ((a.value, b.value), (a.grad, b.grad),
+                            (a.hess, b.hess)))
+
+
+@pytest.mark.parametrize("name", ["darboux3", "trivgpd", "darboux5",
+                                  "darboux3e"])
+def test_closed_form_matches_extraction_oracle(name, request):
+    C = {"darboux5": _darboux5, "darboux3e": _conformal_darboux3}.get(
+        name, lambda: request.getfixturevalue(name))()
+    pts = sample_points(C.chart, 3, seed=43)
+    J = contact_to_jacobi(C)
+    K = _defining_pair(C, pts)
+    gap = 0.0
+    for p in pts:
+        for key, f in J.Pi.comps.items():
+            gap = max(gap, _jet_gap(f(p, 2), K.Pi.comps[key](p, 2)))
+        for a, b in zip(J.E.comps, K.E.comps):
+            gap = max(gap, _jet_gap(a(p, 2), b(p, 2)))
+    assert gap <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["darboux3", "trivgpd"])
+def test_pair_fields_satisfy_defining_equations(name, request):
+    C = request.getfixturevalue(name)
+    f = ScalarFieldSpec(3, lambda x, y, z: x * y * z + x - 0.3 * z * z)
+    Xf = contact_hamiltonian_field(C, f)
+    E = reeb_field(C)
+    assert E is contact_to_jacobi(C).E
+    for p in sample_points(C.chart, 10, seed=44):
+        th, dth = C.theta_covector(p), C.dtheta_matrix(p)
+        fj = f(p, 1)
+        e, x = E.at(p), Xf.at(p)
+        assert abs(th @ e - 1.0) < 1e-12
+        assert np.abs(e @ dth).max() < 1e-12
+        assert abs(th @ x - fj.value) < 1e-12
+        assert np.abs(x @ dth + fj.grad - (fj.grad @ e) * th).max() < 1e-12
+
+
+def test_contact_to_jacobi_singular_varpi():
+    chart = Chart("flat", 3, [(-2, 2)] * 3)
+    C = ContactStructure(chart, {(2,): 1.0})   # θ = dz: ϖ is singular
+    with pytest.raises(SingularSystem):
+        contact_to_jacobi(C)
+
+
+def test_contact_to_jacobi_rejects_tampered_varpi(darboux3):
+    # the jet entries see 2·dθ, the float validation sees the true dθ
+    darboux3._d_fields = [[2.0 * f for f in row] for row in darboux3.d_fields()]
+    with pytest.raises(InconsistentOracle):
+        contact_to_jacobi(darboux3)
