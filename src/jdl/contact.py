@@ -354,8 +354,12 @@ def lcs_from_even_pair(J):
     return LcsStructure(J.chart, eta, omega)
 
 
-def contact_field_property(C, f, p, tol=1e-10):
-    """Rank-1 test on [θ_p; (L_{X_f}θ)_p]: X_f is a contact vector field."""
+def contact_field_property(C, f, p):
+    """Rank-1 test on [θ_p; (L_{X_f}θ)_p]: X_f is a contact vector field.
+
+    Returns the singular-value ratio s₁/s₀, which is 0 for a contact field;
+    the caller compares it with its own tolerance.
+    """
     Xf = contact_hamiltonian_field(C, f)
     L = lie_derivative(Xf, C.theta, p)
     row = np.array([L[(i,)] for i in range(C.chart.dim)])

@@ -32,8 +32,12 @@ S_SLICES = (1.0, 2.0, -1.0)
 
 
 def slit_chart(chart, name=None):
-    """chart × R^×, the fiber coordinate s last, 0 < 0.5 ≤ |s| ≤ 2 sampled."""
-    box = list(chart.box) + [(0.5, 2.0)]
+    """chart × R^×, the fiber coordinate s last.
+
+    s is sampled from the box [-2, 2] with |s| < 0.5 excluded, so both
+    components [-2, -0.5] and [0.5, 2] are exercised.
+    """
+    box = list(chart.box) + [(-2.0, 2.0)]
     base_excl = chart.excluded
 
     def excl(p):

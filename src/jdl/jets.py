@@ -292,33 +292,14 @@ def jet_lift(f, p, order=2):
     return res
 
 
-def jet_compose(g, components):
-    """Jet of g composed with a tuple of jets sharing point/dim/order.
-
-    Forward-mode composition: g is evaluated directly on the component jets,
-    so the multivariate chain rule to second (or third) order is automatic.
-    """
-    components = list(components)
-    if not components:
-        raise DimensionMismatch("composition needs at least one component jet")
-    first = components[0]
-    for c in components[1:]:
-        if not isinstance(c, Jet) or c.dim != first.dim or c.order != first.order:
-            raise DimensionMismatch("component jets must share dim and order")
-    res = g(*components)
-    if not isinstance(res, Jet):
-        res = Jet.constant(float(res), first.dim, first.order)
-    return res
-
-
 def taylor_compose(gjet, fjets):
     """Chain rule for g∘F from the jet of g at F(p) and jets of F at p.
 
     ``gjet`` is a Jet in m target coordinates evaluated at F(p); ``fjets``
     are the m component jets of F in the source coordinates at p, all of the
-    same order as gjet.  Returns the jet of g∘F at p.  Unlike
-    :func:`jet_compose` this needs only the Taylor data of g, not a callable,
-    so it composes derived fields (pullbacks, pointwise solves) exactly.
+    same order as gjet.  Returns the jet of g∘F at p.  It needs only the
+    Taylor data of g, not a callable, so it composes derived fields
+    (pullbacks, pointwise solves) exactly.
     """
     fjets = list(fjets)
     if len(fjets) != gjet.dim:
@@ -342,20 +323,4 @@ def taylor_compose(gjet, fjets):
         out.third = (np.einsum("j,jabc->abc", g1, thirds)
                      + mixed + mixed.transpose(1, 0, 2) + mixed.transpose(2, 1, 0)
                      + np.einsum("jlm,ja,lb,mc->abc", gjet.third, grads, grads, grads))
-    return out
-
-
-def partial_jet(f, i, p, order=2):
-    """Jet of the partial derivative ∂_i f at p, one order lower inside.
-
-    Evaluates f at order+1 and shifts indices; exact, no finite differences.
-    Requires order <= 2 so that the inner evaluation stays within order 3.
-    """
-    if order > 2:
-        raise OrderUnsupported("partial_jet supports output order <= 2")
-    full = jet_lift(f, p, order + 1)
-    out = Jet(full.dim, order, full.grad[i], full.hess[i])
-    if order == 2:
-        out.third = None
-        out.hess = full.third[i]
     return out

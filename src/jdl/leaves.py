@@ -3,15 +3,18 @@ distribution identity, and leaf-correspondence checks.
 
 The characteristic distribution of a Jacobi pair is spanned pointwise by
 the Hamiltonian fields of the constant 1 and the coordinates (this family
-realizes the full image of the structure map at a point).  Leaves are
-explored numerically by composing Hamiltonian flows (fixed-step RK4 with a
-half-step Richardson drift estimate); rank constancy along traces is the
-Stefan-Sussmann witness, and the dimension parity classifies a leaf as
-contact (odd) or locally conformal symplectic (even).
+realizes the full image of the structure map at a point).  Since
+X_f = Π♯(df) + f E, that frame is read in closed form from the dense pair
+at the point: X_1 = E and X_{x_i} = Π[i, :] + x_i E, with no derived field
+trees.  Leaves are explored numerically by composing Hamiltonian flows
+(fixed-step RK4 with a half-step Richardson drift estimate); rank constancy
+along traces is the Stefan-Sussmann witness, and the dimension parity
+classifies a leaf as contact (odd) or locally conformal symplectic (even).
 """
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 
 import numpy as np
 
@@ -19,35 +22,39 @@ from .atiyah import bidiff_sharp, dphi_matrix, ker_DPhi, varpi_from_theta
 from .calculus import exterior_d_form, pullback_form
 from .chart import compose_maps, tangent_map
 from .errors import DimensionMismatch, InconsistentConnection, StepOutOfDomain
-from .fields import as_field, compose, constant, coordinate
-from .jacobi import hamiltonian_field
+from .fields import as_field, compose
 from .linalg import (full_space, image, kernel, orth_complement_wrt, preimage,
                      span_of, subspace_equal, sum_spaces)
 from .report import residual_report
 
 
-def characteristic_frame(J):
-    """Hamiltonian fields of 1 and the coordinates."""
-    n = J.chart.dim
-    fns = [constant(n, 1.0)] + [coordinate(n, i) for i in range(n)]
-    return [hamiltonian_field(J, f) for f in fns]
+def characteristic_vectors(J, p):
+    """X_1(p), X_{x_0}(p), …, X_{x_{n-1}}(p) as the columns of an (n, n+1)
+    matrix: X_1 = E and X_{x_i} = Π[i, :] + p_i E, where Π[i, :] is row i
+    of ``J.pi_matrix(p)``."""
+    p = np.asarray(p, dtype=float)
+    E = J.E.at(p)
+    return np.column_stack([E, J.pi_matrix(p).T + np.outer(E, p)])
 
 
-def characteristic_subspace(J, p, frame=None, tol=1e-9):
+def characteristic_subspace(J, p, tol=1e-9):
     """span{X_f(p) : f in {1, coordinates}} as a Subspace."""
-    if frame is None:
-        frame = characteristic_frame(J)
-    return span_of([X.at(p) for X in frame], ambient=J.chart.dim, tol=tol)
+    return span_of(characteristic_vectors(J, p).T, ambient=J.chart.dim,
+                   tol=tol)
 
 
 class LeafProbe:
-    """Trace of Hamiltonian flows from a seed point."""
+    """Trace of Hamiltonian flows from a seed point.
 
-    def __init__(self, seed_point, points, ranks, drift_estimate,
+    ``ranks[k]`` is the characteristic rank at ``points[rank_steps[k]]``.
+    """
+
+    def __init__(self, seed_point, points, ranks, rank_steps, drift_estimate,
                  casimir_drift, aborted):
         self.seed_point = np.asarray(seed_point, dtype=float)
         self.points = points
         self.ranks = ranks
+        self.rank_steps = rank_steps
         self.drift_estimate = drift_estimate
         self.casimir_drift = casimir_drift
         self.aborted = aborted
@@ -63,6 +70,10 @@ class LeafProbe:
     @property
     def parity(self):
         return "odd" if self.dimension % 2 == 1 else "even"
+
+    def rank_at(self, step):
+        """The rank last sampled at or before ``step``."""
+        return self.ranks[bisect_right(self.rank_steps, step) - 1]
 
 
 def _rk4_step(vf, p, dt):
@@ -82,7 +93,6 @@ def leaf_trace(J, p0, n_steps=1000, dt=1e-3, seed=0, casimirs=None,
     functions.  Aborts (flagged, not raised) on chart-box exit.
     """
     rng = np.random.default_rng(seed)
-    frame = characteristic_frame(J)
     n = J.chart.dim
     p = np.asarray(p0, dtype=float)
     if not J.chart.in_box(p):
@@ -90,22 +100,20 @@ def leaf_trace(J, p0, n_steps=1000, dt=1e-3, seed=0, casimirs=None,
     casimirs = [as_field(n, c) for c in (casimirs or [])]
     c0 = [c.value(p) for c in casimirs]
     points = [p.copy()]
-    ranks = [characteristic_subspace(J, p, frame).dim]
+    ranks = [characteristic_subspace(J, p).dim]
+    rank_steps = [0]
     casimir_drift = 0.0
     drift_estimate = 0.0
     aborted = False
-    coeffs = rng.normal(size=len(frame))
+    coeffs = rng.normal(size=n + 1)
 
     def vf(q):
-        out = np.zeros(n)
-        for c, X in zip(coeffs, frame):
-            out += c * X.at(q)
-        return out
+        return characteristic_vectors(J, q) @ coeffs
 
     half_p = p.copy()
     for step in range(1, n_steps + 1):
         if step % switch_every == 0:
-            coeffs = rng.normal(size=len(frame))
+            coeffs = rng.normal(size=n + 1)
             half_p = p.copy()
         p = _rk4_step(vf, p, dt)
         half_p = _rk4_step(vf, _rk4_step(vf, half_p, dt / 2), dt / 2)
@@ -116,16 +124,21 @@ def leaf_trace(J, p0, n_steps=1000, dt=1e-3, seed=0, casimirs=None,
             break
         points.append(p.copy())
         if step % rank_every == 0:
-            ranks.append(characteristic_subspace(J, p, frame).dim)
+            ranks.append(characteristic_subspace(J, p).dim)
+            rank_steps.append(step)
         for c, v0 in zip(casimirs, c0):
             casimir_drift = max(casimir_drift, abs(c.value(p) - v0))
-    ranks.append(characteristic_subspace(J, p if not aborted else points[-1],
-                                         frame).dim)
-    return LeafProbe(p0, points, ranks, drift_estimate, casimir_drift, aborted)
+    ranks.append(characteristic_subspace(J, points[-1]).dim)
+    rank_steps.append(len(points) - 1)
+    return LeafProbe(p0, points, ranks, rank_steps, drift_estimate,
+                     casimir_drift, aborted)
 
 
-def trace_to_csv(probe, path, casimir_fields=None, chart=None):
-    """Columns: step, coordinates..., rank, casimir values."""
+def trace_to_csv(probe, path, casimir_fields=None):
+    """Columns: step, coordinates..., rank, casimir values.
+
+    The rank of a row is the one last sampled at or before its step.
+    """
     casimir_fields = casimir_fields or []
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -134,8 +147,8 @@ def trace_to_csv(probe, path, casimir_fields=None, chart=None):
         header += [f"casimir{i}" for i in range(len(casimir_fields))]
         w.writerow(header)
         for step, p in enumerate(probe.points):
-            row = [step] + [f"{v!r}" for v in p] + [probe.dimension]
-            row += [f"{c.value(p)!r}" for c in casimir_fields]
+            row = [step] + [repr(float(v)) for v in p] + [probe.rank_at(step)]
+            row += [repr(float(c.value(p))) for c in casimir_fields]
             w.writerow(row)
 
 
@@ -147,14 +160,13 @@ def check_pullback_distribution(dp, pts, angle_tol=1e-7):
     """
     residuals = []
     n = dp.source.chart.dim
-    frames = [characteristic_frame(dp.J1), characteristic_frame(dp.J2)]
     for p in pts:
         r = 0.0
         K1 = kernel(tangent_map(dp.Phi1.map, p))
         K2 = kernel(tangent_map(dp.Phi2.map, p))
         D = sum_spaces(K1, K2)
         W = varpi_from_theta(dp.source, p)
-        for leg, (J, Phi, _) in enumerate(dp.legs()):
+        for J, Phi, _ in dp.legs():
             q = Phi.map(p)
             # derivation level
             DP = dphi_matrix(Phi, p)
@@ -167,7 +179,7 @@ def check_pullback_distribution(dp, pts, angle_tol=1e-7):
             same, ang = subspace_equal(lhs, rhs, angle_tol)
             r = max(r, ang if same else np.pi / 2)
             # tangent level
-            C = characteristic_subspace(J, q, frames[leg])
+            C = characteristic_subspace(J, q)
             lhs_t = preimage(tangent_map(Phi.map, p), C)
             same, ang = subspace_equal(lhs_t, D, angle_tol)
             r = max(r, ang if same else np.pi / 2)
@@ -186,14 +198,13 @@ def verify_leaf_correspondence(dp, seeds, expected_parities=None):
     subspaces at the image points; the preimage leaf upstairs is the
     integral leaf of ker Tφ1 + ker Tφ2 through the seed.
     """
-    frames = [characteristic_frame(dp.J1), characteristic_frame(dp.J2)]
     rows = []
     ok = True
     for p in seeds:
         q1 = dp.Phi1.map(p)
         q2 = dp.Phi2.map(p)
-        d1 = characteristic_subspace(dp.J1, q1, frames[0]).dim
-        d2 = characteristic_subspace(dp.J2, q2, frames[1]).dim
+        d1 = characteristic_subspace(dp.J1, q1).dim
+        d2 = characteristic_subspace(dp.J2, q2).dim
         codim1 = dp.J1.chart.dim - d1
         codim2 = dp.J2.chart.dim - d2
         parity_match = (d1 % 2) == (d2 % 2)

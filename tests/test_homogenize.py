@@ -191,3 +191,11 @@ def test_homogeneous_sdp_equivalence_broken():
     rep = check_homogeneous_sdp_equivalence(dp, pts)
     # fails upstairs and downstairs consistently: verdicts agree
     assert rep.passed
+
+
+def test_slit_chart_samples_both_components():
+    base = Chart("plane", 2, [(-2, 2)] * 2)
+    s = np.array([p[-1] for p in sample_points(slit_chart(base), 200,
+                                               seed=74)])
+    assert (s < 0).any() and (s > 0).any()
+    assert np.abs(s).min() >= 0.5 and np.abs(s).max() <= 2.0

@@ -5,8 +5,8 @@ import pytest
 
 from jdl import jets
 from jdl.errors import DimensionMismatch, DomainViolation, OrderUnsupported
-from jdl.jets import (Jet, coordinate_jets, jet_compose, jet_lift,
-                      partial_jet, taylor_compose)
+from jdl.fields import ScalarFieldSpec, compose
+from jdl.jets import Jet, coordinate_jets, jet_lift, taylor_compose
 
 from conftest import fd_gradient, fd_hessian
 
@@ -29,17 +29,21 @@ def test_constant_and_identity():
 
 def test_compose_square_of_sum():
     F = jet_lift(lambda x, y: x + y, [1.0, 2.0], 2)
-    g = jet_compose(lambda u: u * u, [F])
+    g = F * F
     assert g.value == 9.0
     assert np.allclose(g.grad, [6.0, 6.0])
     assert np.allclose(g.hess, [[2.0, 2.0], [2.0, 2.0]])
 
 
 def test_compose_identity_and_constant():
-    F = jet_lift(lambda x, y: x * y + y, [1.5, -0.5], 2)
-    same = jet_compose(lambda u: u, [F])
+    # through fields.compose, since a constant g called directly on a jet
+    # returns a plain number
+    p = [1.5, -0.5]
+    comp = [ScalarFieldSpec(2, lambda x, y: x * y + y)]
+    F = comp[0](p, 2)
+    same = compose(ScalarFieldSpec(1, lambda u: u), comp)(p, 2)
     assert same.value == F.value and np.allclose(same.grad, F.grad)
-    const = jet_compose(lambda u: 7.0, [F])
+    const = compose(ScalarFieldSpec(1, lambda u: 7.0), comp)(p, 2)
     assert const.value == 7.0 and np.all(const.grad == 0)
 
 
@@ -107,8 +111,10 @@ def test_composition_associativity():
         def g(v):
             return jets.log(v)
 
-        via_two = jet_compose(g, [jet_compose(h, [F])])
-        direct = jet_compose(lambda u: g(h(u)), [F])
+        # two chain-rule steps against evaluating g(h(F)) directly
+        hF = taylor_compose(jet_lift(h, [F.value], 2), [F])
+        via_two = taylor_compose(jet_lift(g, [hF.value], 2), [hF])
+        direct = g(h(F))
         assert abs(via_two.value - direct.value) < 1e-12
         assert np.abs(via_two.grad - direct.grad).max() < 1e-12
         assert np.abs(via_two.hess - direct.hess).max() < 1e-12
@@ -181,7 +187,7 @@ def test_third_order_symbolic():
 
 def test_partial_jet_shift():
     # ∂_x (x^2 y) = 2xy with grad (2y, 2x)
-    j = partial_jet(lambda x, y: x * x * y, 0, [2.0, 3.0], 1)
+    j = ScalarFieldSpec(2, lambda x, y: x * x * y).partial(0)([2.0, 3.0], 1)
     assert j.value == 12.0
     assert np.allclose(j.grad, [6.0, 4.0])
 
@@ -199,7 +205,7 @@ def test_taylor_compose_matches_direct():
         q = np.array([comp[0].value, comp[1].value])
         gj = jet_lift(g, q, order)
         via_taylor = taylor_compose(gj, comp)
-        direct = jet_compose(g, comp)
+        direct = g(*comp)
         assert abs(via_taylor.value - direct.value) < 1e-12
         assert np.abs(via_taylor.grad - direct.grad).max() < 1e-11
         if order >= 2:
