@@ -30,7 +30,7 @@ from .contact import sharp_inverse_residual, varpi_entry_fields, varpi_matrix
 from .errors import OracleMismatch, ZeroConformalFactor
 from .fields import as_field, constant, coordinate
 from .jacobi import hamiltonian_field, jacobi_bidiff_matrix, jacobi_bracket
-from .linalg import (BilinearForm, annihilator, kernel, span_of,
+from .linalg import (BilinearForm, annihilator, image, kernel, span_of,
                      subspace_equal)
 from .report import residual_report
 
@@ -48,9 +48,6 @@ class Derivation:
     @property
     def coords(self):
         return np.append(self.X, self.g)
-
-    def symbol(self):
-        return self.X
 
     def __repr__(self):
         return f"Derivation(X={self.X}, g={self.g})"
@@ -238,7 +235,7 @@ def check_one_perp_is_horizontal(C, pts, tol=1e-7):
     n = C.chart.dim
     for p in pts:
         lhs = one_perp_varpi(C, p)
-        th = np.append(C.theta_covector(p), 0.0)
+        th = np.append(C.theta.dense(p), 0.0)
         rhs = kernel(th.reshape(1, -1))
         same, ang = subspace_equal(lhs, rhs, angle_tol=tol)
         residuals.append((p, ang if same else max(ang, np.pi / 2)))
@@ -288,8 +285,7 @@ def check_technical_lemma(Phi, J, pts, frames=None, tol=1e-7):
         jet_span = pullback_jet_span(Phi, p, frames)
         same1, ang1 = subspace_equal(ann, jet_span, angle_tol=tol)
         sharp = bidiff_sharp(J, p)
-        perp = span_of([sharp @ ann.basis[:, k] for k in range(ann.dim)],
-                       ambient=J.chart.dim + 1)
+        perp = image(sharp @ ann.basis)
         ham_span = hamiltonian_derivation_span(J, Phi, p, frames)
         same2, ang2 = subspace_equal(perp, ham_span, angle_tol=tol)
         bad = 0.0 if (same1 and same2) else np.pi / 2
@@ -311,18 +307,11 @@ class AtiyahForm:
         self.degree = degree
         self.entries = entries  # k=1: list of n+1 fields; k=2: (n+1)x(n+1)
 
-    def value_matrix(self, p):
-        n = self.chart.dim
-        if self.degree == 1:
-            return np.array([e.value(p) for e in self.entries])
-        return np.array([[self.entries[i][j].value(p) for j in range(n + 1)]
-                         for i in range(n + 1)])
-
 
 def theta_sigma_form(C):
     """θ∘σ as an Atiyah 1-form."""
     n = C.chart.dim
-    entries = C.theta_fields() + [constant(n, 0.0)]
+    entries = C.theta.field_matrix() + [constant(n, 0.0)]
     return AtiyahForm(C.chart, 1, entries)
 
 

@@ -49,6 +49,7 @@ class _Antisym:
         for k in self.comps:
             if list(k) != sorted(k) or len(set(k)) != len(k):
                 raise DimensionMismatch(f"component index {k} not increasing")
+        self._field_matrix = None
 
     def component(self, idx):
         key, sign = _sorted_key(idx)
@@ -77,6 +78,25 @@ class _Antisym:
                 sgn = _perm_sign(perm)
                 out[tuple(key[a] for a in perm)] = sgn * v
         return out
+
+    def field_matrix(self):
+        """The component fields laid out as :meth:`dense`, zero-filled and
+        signed: a list for degree 1, n×n rows for degree 2.  Built once."""
+        if self._field_matrix is None:
+            n = self.chart.dim
+            zero = constant(n, 0.0)
+            if self.degree == 1:
+                out = [self.comps.get((i,), zero) for i in range(n)]
+            elif self.degree == 2:
+                out = [[zero] * n for _ in range(n)]
+                for (i, j), f in self.comps.items():
+                    out[i][j] = f
+                    out[j][i] = -f
+            else:
+                raise DegreeUnsupported(
+                    f"field_matrix needs degree 1 or 2, got {self.degree}")
+            self._field_matrix = out
+        return self._field_matrix
 
     def keys_all(self, dim=None):
         n = self.chart.dim if dim is None else dim
@@ -119,20 +139,9 @@ class KForm(_Antisym):
 class Multivector(_Antisym):
     """Multivector field of degree 1..3 with field components."""
 
-    def pair_forms(self, p, *covectors):
-        val = 0.0
-        for key, f in self.comps.items():
-            val += f.value(p) * _det_minor_rows(covectors, key)
-        return val
-
 
 def _det_minor(vectors, key):
     M = np.array([[np.asarray(v)[i] for v in vectors] for i in key])
-    return float(np.linalg.det(M))
-
-
-def _det_minor_rows(covectors, key):
-    M = np.array([[np.asarray(a)[i] for i in key] for a in covectors])
     return float(np.linalg.det(M))
 
 
@@ -147,20 +156,6 @@ class VectorField:
 
     def at(self, p):
         return np.array([c.value(p) for c in self.comps])
-
-    def jets(self, p, order=1):
-        return [c(p, order) for c in self.comps]
-
-    def apply(self, f, p, order=1):
-        """Directional derivative X(f) as a jet at p."""
-        xj = [c(p, order) for c in self.comps]
-        fj = f(p, order + 1)
-        out = Jet(self.chart.dim, order, 0.0)
-        for i, xi in enumerate(xj):
-            gi = Jet(self.chart.dim, order, fj.grad[i], fj.hess[i],
-                     fj.third[i] if order >= 2 else None)
-            out = out + xi * gi
-        return out
 
     def apply_field(self, f):
         """X(f) as a derived field."""

@@ -99,12 +99,6 @@ class SmoothMap:
             return np.zeros(0)
         return np.array([c.value(p) for c in self.components])
 
-    def jets(self, p, order=2):
-        return [c(p, order) for c in self.components]
-
-    def component_values(self, p):
-        return self(p)
-
     def __repr__(self):
         return f"SmoothMap({self.source.name!r} -> {self.target.name!r})"
 

@@ -21,9 +21,8 @@ entry:
 * Bracket: {f,g} = X_f(g) - g·E(f).
 
 The defining equations are kept as an independent oracle in the tests,
-which extract a pair from the bracket they induce with
-:func:`jdl.jacobi.extract_pair_from_bracket` and compare it with the closed
-form.
+which extract a pair from the bracket they induce with the bracket
+extraction in ``tests/conftest.py`` and compare it with the closed form.
 
 The l.c.s. dictionary uses d∇f = df - f·η and ω♯ inverting X ↦ ω(·, X);
 this slot choice makes the even transitive dictionary reproduce both the
@@ -60,34 +59,9 @@ class ContactStructure:
         if isinstance(theta, dict):
             theta = KForm(chart, 1, theta)
         self.theta = theta
+        self.dtheta = exterior_d_form(theta)
         self.n = (chart.dim - 1) // 2
-        self._theta_fields = None
-        self._d_fields = None
         self._pair = None
-
-    def theta_fields(self):
-        if self._theta_fields is None:
-            self._theta_fields = [_theta_comp(self, i)
-                                  for i in range(self.chart.dim)]
-        return self._theta_fields
-
-    def d_fields(self):
-        if self._d_fields is None:
-            self._d_fields = _dtheta_fields(self)
-        return self._d_fields
-
-    def theta_covector(self, p):
-        return np.array([self.theta.coeff((i,), p)
-                         for i in range(self.chart.dim)])
-
-    def dtheta_matrix(self, p):
-        d = exterior_d(self.theta, p)
-        n = self.chart.dim
-        M = np.zeros((n, n))
-        for (i, j), v in d.items():
-            M[i, j] = v
-            M[j, i] = -v
-        return M
 
     def __repr__(self):
         return f"ContactStructure(chart={self.chart.name!r})"
@@ -96,9 +70,8 @@ class ContactStructure:
 def volume_coefficient(C, p):
     """Top coefficient of θ∧(dθ)ⁿ at p."""
     form = C.theta
-    dtheta = exterior_d_form(C.theta)
     for _ in range(C.n):
-        form = wedge_form(form, dtheta)
+        form = wedge_form(form, C.dtheta)
     return form.coeff(tuple(range(C.chart.dim)), p)
 
 
@@ -111,7 +84,7 @@ def check_contact(C, pts, tol=1e-8):
 def reeb(C, p):
     """The unique E with θ(E) = 1 and i_E dθ = 0, by a linear solve."""
     n = C.chart.dim
-    A = np.vstack([C.theta_covector(p), C.dtheta_matrix(p).T])
+    A = np.vstack([C.theta.dense(p), C.dtheta.dense(p).T])
     b = np.zeros(n + 1)
     b[0] = 1.0
     sol, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
@@ -125,32 +98,6 @@ def reeb_field(C):
     return (C._pair or contact_to_jacobi(C)).E
 
 
-def _theta_comp(C, i):
-    f, sign = C.theta.component((i,))
-    if f is None:
-        return constant(C.chart.dim, 0.0)
-    return f if sign == 1 else -f
-
-
-def _dtheta_fields(C):
-    """dθ(e_i, e_j) as fields, full matrix of them."""
-    d = exterior_d_form(C.theta)
-    n = C.chart.dim
-    out = [[None] * n for _ in range(n)]
-    zero = constant(n, 0.0)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                out[i][j] = zero
-                continue
-            f, sign = d.component((i, j)) if i < j else d.component((j, i))
-            if f is None:
-                out[i][j] = zero
-            else:
-                out[i][j] = f if (sign if i < j else -sign) == 1 else -f
-    return out
-
-
 def varpi_matrix(C, p):
     """Matrix of ϖ on the frame {(∂_i, 0)} ∪ {1} at p.
 
@@ -158,8 +105,8 @@ def varpi_matrix(C, p):
     """
     n = C.chart.dim
     M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = C.dtheta_matrix(p)
-    th = C.theta_covector(p)
+    M[:n, :n] = C.dtheta.dense(p)
+    th = C.theta.dense(p)
     M[:n, n] = -th
     M[n, :n] = th
     return M
@@ -168,21 +115,21 @@ def varpi_matrix(C, p):
 def varpi_entry_fields(C):
     """All entries of ϖ as jet-evaluable fields, laid out as varpi_matrix."""
     n = C.chart.dim
-    d = C.d_fields()
-    theta = C.theta_fields()
-    entries = [list(d[i]) + [-theta[i]] for i in range(n)]
-    entries.append(list(theta) + [constant(n, 0.0)])
+    d = C.dtheta.field_matrix()
+    theta = C.theta.field_matrix()
+    entries = [d[i] + [-theta[i]] for i in range(n)]
+    entries.append(theta + [constant(n, 0.0)])
     return entries
 
 
 def curvature_form(C, p, tol=1e-10):
     """Basis of H = ker θ_p and the matrix of c = -(dθ)|_H in that basis."""
-    theta_p = C.theta_covector(p)
+    theta_p = C.theta.dense(p)
     H = span_of([v for v in np.linalg.svd(theta_p.reshape(1, -1))[2][1:]],
                 ambient=C.chart.dim)
     # svd row trick above returns an orthonormal basis of ker θ_p
     B = H.basis
-    c = -(B.T @ C.dtheta_matrix(p) @ B)
+    c = -(B.T @ C.dtheta.dense(p) @ B)
     if abs(np.linalg.det(c)) < tol:
         raise DegenerateCurvature(f"curvature degenerate at {p}")
     return H, BilinearForm(c)
@@ -205,7 +152,8 @@ def contact_to_jacobi(C, pts=None, tol=1e-8):
     the ϖ-entry fields per (point, order), shared by every entry.  The pair
     is built once and kept on ``C``.  Each call validates ϖ♭∘J♯ = id at
     ``pts`` (default: 5 points, seed 23) from the float dθ and θ matrices,
-    an evaluation path independent of the jet entries; a residual above
+    which read the stored components and not the jet inverse or the
+    ``field_matrix`` layout it is built from; a residual above
     ``tol`` raises InconsistentOracle, and a singular ϖ raises
     SingularSystem.  The defining-equation oracle, through bracket
     extraction, lives in the tests.
@@ -258,18 +206,6 @@ class LcsStructure:
         self.eta = eta
         self.omega = omega
 
-    def omega_matrix(self, p):
-        n = self.chart.dim
-        M = np.zeros((n, n))
-        for (i, j), f in self.omega.comps.items():
-            v = f.value(p)
-            M[i, j] = v
-            M[j, i] = -v
-        return M
-
-    def eta_covector(self, p):
-        return np.array([self.eta.coeff((i,), p) for i in range(self.chart.dim)])
-
 
 def check_lcs(L, pts, tol=1e-8):
     """Residuals of dη, det ω (threshold), and dω + ω∧η."""
@@ -284,7 +220,7 @@ def check_lcs(L, pts, tol=1e-8):
         r = 0.0
         deta = exterior_d(L.eta, p)
         r = max(r, max((abs(v) for v in deta.values()), default=0.0))
-        if abs(np.linalg.det(L.omega_matrix(p))) < tol:
+        if abs(np.linalg.det(L.omega.dense(p))) < tol:
             raise SingularOmega(f"omega singular at {p}")
         if n >= 3:
             for key in itertools.combinations(range(n), 3):
@@ -299,9 +235,9 @@ def check_lcs(L, pts, tol=1e-8):
 def lcs_hamiltonian_vf(L, f, p):
     """X_f = ω♯(d∇f) with d∇f = df - f·η and ω♯ inverting X ↦ ω(·,X)."""
     f = as_field(L.chart.dim, f)
-    W = L.omega_matrix(p)
+    W = L.omega.dense(p)
     fj = f(p, 1)
-    rhs = fj.grad - fj.value * L.eta_covector(p)
+    rhs = fj.grad - fj.value * L.eta.dense(p)
     try:
         return np.linalg.solve(W, rhs)
     except np.linalg.LinAlgError as exc:
@@ -312,7 +248,7 @@ def lcs_bracket(L, f, g, p):
     """{f,g} = ω(X_f, X_g)."""
     Xf = lcs_hamiltonian_vf(L, f, p)
     Xg = lcs_hamiltonian_vf(L, g, p)
-    return float(Xf @ L.omega_matrix(p) @ Xg)
+    return float(Xf @ L.omega.dense(p) @ Xg)
 
 
 def lcs_from_even_pair(J):
@@ -324,15 +260,7 @@ def lcs_from_even_pair(J):
     l.c.s. equations.
     """
     n = J.chart.dim
-    pi_fields = [[None] * n for _ in range(n)]
-    zero = constant(n, 0.0)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                pi_fields[i][j] = zero
-            else:
-                f, sign = J.Pi.component((i, j))
-                pi_fields[i][j] = zero if f is None else (f if sign == 1 else -f)
+    pi_fields = J.Pi.field_matrix()
 
     def solve(p, order):
         rhs = np.empty((n, n + 1), dtype=object)
@@ -363,6 +291,6 @@ def contact_field_property(C, f, p):
     Xf = contact_hamiltonian_field(C, f)
     L = lie_derivative(Xf, C.theta, p)
     row = np.array([L[(i,)] for i in range(C.chart.dim)])
-    M = np.vstack([C.theta_covector(p), row])
+    M = np.vstack([C.theta.dense(p), row])
     s = np.linalg.svd(M, compute_uv=False)
     return s[1] / max(s[0], 1e-30)

@@ -21,8 +21,8 @@ from .chart import tangent_map
 from .contact import contact_to_jacobi, curvature_form
 from .fields import as_field, constant, coordinate
 from .jacobi import bracket_field, check_jacobi_morphism, hamiltonian_field
-from .linalg import (full_space, intersect, kernel, orth_complement_wrt,
-                     span_of, subspace_equal, sum_spaces, zero_space)
+from .linalg import (full_space, image, intersect, kernel, orth_complement_wrt,
+                     span_of, subspace_equal, sum_spaces)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
                      residual_report)
 
@@ -78,31 +78,20 @@ class DualPairSpec:
 
 def horizontal_space(C, p):
     """H = ker θ_p as a Subspace."""
-    th = C.theta_covector(p)
-    return kernel(th.reshape(1, -1))
+    return kernel(C.theta.dense(p).reshape(1, -1))
 
 
-def transversality_ok(dp, p):
+def _missing_dimensions(dp, p):
+    """max over i of dim M - dim(H_p + ker Tφ_i); 0 iff transversal at p."""
     H = horizontal_space(dp.source, p)
     n = dp.source.chart.dim
-    ok = True
-    for _, Phi, _ in dp.legs():
-        K = kernel(tangent_map(Phi.map, p))
-        ok = ok and sum_spaces(H, K).dim == n
-    return ok
+    return max(n - sum_spaces(H, kernel(tangent_map(Phi.map, p))).dim
+               for _, Phi, _ in dp.legs())
 
 
 def check_transversality(dp, pts):
     """rank(H_p + ker Tφ_i) = dim M at each point, i = 1, 2."""
-    residuals = []
-    n = dp.source.chart.dim
-    for p in pts:
-        H = horizontal_space(dp.source, p)
-        worst = 0
-        for _, Phi, _ in dp.legs():
-            K = kernel(tangent_map(Phi.map, p))
-            worst = max(worst, n - sum_spaces(H, K).dim)
-        residuals.append((p, float(worst)))
+    residuals = [(p, float(_missing_dimensions(dp, p))) for p in pts]
     return residual_report("transversality", "H + ker T phi_i = TM",
                            residuals, tolerance=0.5,
                            notes="residual counts missing dimensions")
@@ -115,9 +104,7 @@ def _commutation_fields(dp):
     return [bracket_field(J, f, g) for f in P1 for g in P2]
 
 
-def commutation_residual(dp, p, fields=None):
-    if fields is None:
-        fields = _commutation_fields(dp)
+def commutation_residual(fields, p):
     return max(abs(f.value(p)) for f in fields)
 
 
@@ -132,7 +119,7 @@ def check_commutation(dp, pts, tol=1e-8):
     X2 = hamiltonian_field(J, a2)
     residuals = []
     for p in pts:
-        r = commutation_residual(dp, p, fields)
+        r = commutation_residual(fields, p)
         r = max(r, abs(a_bracket.value(p)))
         T2 = tangent_map(dp.Phi2.map, p)
         T1 = tangent_map(dp.Phi1.map, p)
@@ -152,9 +139,7 @@ def _vertical_in_H(dp, p, H, leg):
     _, Phi, _ = dp.legs()[leg]
     K = kernel(tangent_map(Phi.map, p))
     Hi = intersect(H, K)
-    coords = H.basis.T @ Hi.basis
-    return span_of([coords[:, j] for j in range(Hi.dim)],
-                   ambient=H.dim)
+    return image(H.basis.T @ Hi.basis)
 
 
 def curvature_orthogonality_at(dp, p, angle_tol=1e-7):
@@ -197,6 +182,16 @@ def check_varpi_orthogonality(dp, pts, angle_tol=1e-7):
                            notes="residual is the worst principal angle")
 
 
+def three_condition_verdicts(dp, pts, tol=1e-8, angle_tol=1e-7):
+    """Per point: do transversality, commutation (residual below ``tol``)
+    and curvature orthogonality all hold there?"""
+    fields = _commutation_fields(dp)
+    return [_missing_dimensions(dp, p) == 0
+            and commutation_residual(fields, p) < tol
+            and curvature_orthogonality_at(dp, p, angle_tol)[0]
+            for p in pts]
+
+
 def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
     """All three defining conditions, the ϖ-orthogonality equivalent, and
     the pointwise agreement flag between the two verdicts."""
@@ -207,15 +202,9 @@ def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
             dp, pts, angle_tol),
         "varpi_orthogonality": check_varpi_orthogonality(dp, pts, angle_tol),
     }
-    fields = _commutation_fields(dp)
-    mismatches = 0
-    for p in pts:
-        v3 = (transversality_ok(dp, p)
-              and commutation_residual(dp, p, fields) < tol
-              and curvature_orthogonality_at(dp, p, angle_tol)[0])
-        vw = varpi_orthogonality_at(dp, p, angle_tol)[0]
-        if v3 != vw:
-            mismatches += 1
+    verdicts = three_condition_verdicts(dp, pts, tol, angle_tol)
+    mismatches = sum(v3 != varpi_orthogonality_at(dp, p, angle_tol)[0]
+                     for p, v3 in zip(pts, verdicts))
     status = PASS if mismatches == 0 else FAIL
     reports["equivalence"] = CheckReport(
         "equivalence",
@@ -285,9 +274,7 @@ def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
             K = kernel(tangent_map(Phi.map, p))
             Hother = _vertical_in_H(dp, p, H, other)
             comp_in_H = orth_complement_wrt(c, Hother, full_space(H.dim))
-            comp_ambient = span_of(
-                [H.basis @ comp_in_H.basis[:, j] for j in range(comp_in_H.dim)],
-                ambient=n) if comp_in_H.dim else zero_space(n)
+            comp_ambient = image(H.basis @ comp_in_H.basis)
             line = span_of([X[other].at(p)], ambient=n)
             if intersect(line, comp_ambient).dim != 0:
                 r = max(r, np.pi / 2)

@@ -5,11 +5,12 @@ A Jacobi pair (Π, E) on a chart M lifts to the homogeneous bivector
 
     P = s⁻¹ Π + ∂s ∧ E
 
-on M × R^×, with s the extra fiber coordinate (last slot).  The closed form
-is re-derived here from the defining oracle {s·f∘π, s·g∘π}_P = s·({f,g}∘π)
-and that oracle test ships permanently.  A contact form θ lifts to the
-exact symplectic form ω~ = d(s·π*θ), and inverting ω~ pointwise reproduces
-the Poissonization of the induced Jacobi pair (two independent routes).
+on M × R^×, with s the extra fiber coordinate (last slot), as the Jacobi
+pair (P, 0) on the slit chart.  The closed form is re-derived here from the
+defining oracle {s·f∘π, s·g∘π}_P = s·({f,g}∘π) and that oracle test ships
+permanently.  A contact form θ lifts to the exact symplectic form
+ω~ = d(s·π*θ), and inverting ω~ pointwise reproduces the Poissonization of
+the induced Jacobi pair (two independent routes).
 
 R^× is modeled as the punctured fiber coordinate s, sampled in
 [-2, -0.5] ∪ [0.5, 2] so both components are exercised.
@@ -20,13 +21,13 @@ import itertools
 
 import numpy as np
 
-from .calculus import Multivector, schouten
+from .calculus import schouten
 from .chart import Chart, SmoothMap, tangent_map
 from .errors import OracleMismatch
 from .fields import as_field, compose, constant, coordinate
 from .jacobi import JacobiPair, bracket_field
 from .linalg import BilinearForm, full_space, kernel, orth_complement_wrt, subspace_equal
-from .report import residual_report
+from .report import FAIL, residual_report
 
 S_SLICES = (1.0, 2.0, -1.0)
 
@@ -55,28 +56,9 @@ def _lift_field(f, n):
     return compose(f, base_slots, source_dim=n + 1)
 
 
-class HomogeneousBivector:
-    """Bivector on a slit chart, homogeneous of bidegree t^{-1}."""
-
-    def __init__(self, chart, P):
-        self.chart = chart
-        self.P = P if isinstance(P, Multivector) else Multivector(chart, 2, P)
-
-    def matrix(self, p):
-        return self.P.dense(p)
-
-    def bracket_field(self, f, g):
-        J = JacobiPair(self.chart, self.P.comps,
-                       [constant(self.chart.dim, 0.0)] * self.chart.dim)
-        return bracket_field(J, f, g)
-
-    def as_pair(self):
-        return JacobiPair(self.chart, self.P.comps,
-                          [constant(self.chart.dim, 0.0)] * self.chart.dim)
-
-
 def poissonize(J, pts=None, tol=1e-9):
-    """P = s⁻¹Π + ∂s∧E on the slit chart, certified against its oracle.
+    """The pair (P, 0), P = s⁻¹Π + ∂s∧E, on the slit chart, certified
+    against its oracle.
 
     Raises OracleMismatch if {s·f∘π, s·g∘π}_P deviates from s·({f,g}_J∘π)
     on coordinate test functions at the sample points.
@@ -89,7 +71,7 @@ def poissonize(J, pts=None, tol=1e-9):
         comps[(i, j)] = _lift_field(f, n) / s_field
     for i in range(n):
         comps[(i, n)] = -_lift_field(J.E.comps[i], n)   # (∂s∧E)^{i,s} = -E^i
-    P = HomogeneousBivector(big, comps)
+    P = JacobiPair(big, comps, [constant(n + 1, 0.0)] * (n + 1))
     if pts is None:
         from .chart import sample_points
         pts = sample_points(big, 5, seed=61)
@@ -108,8 +90,8 @@ def check_poissonization_oracle(P, J, pts, tol=1e-9, test_fns=None):
         test_fns = [constant(n, 1.0)] + [coordinate(n, i) for i in range(n)]
     fields = []
     for f, g in itertools.combinations_with_replacement(test_fns, 2):
-        lhs = P.bracket_field(s_field * _lift_field(f, n),
-                              s_field * _lift_field(g, n))
+        lhs = bracket_field(P, s_field * _lift_field(f, n),
+                            s_field * _lift_field(g, n))
         rhs = s_field * _lift_field(bracket_field(J, f, g), n)
         fields.append(lhs - rhs)
     residuals = []
@@ -134,8 +116,8 @@ def check_homogeneity(P, pts, ts=(2.0, 1.0 / 3.0, -1.0), tol=1e-9):
         for t in ts:
             q = np.array(p, dtype=float)
             q[-1] *= t
-            M = P.matrix(p)
-            Mq = P.matrix(q)
+            M = P.pi_matrix(p)
+            Mq = P.pi_matrix(q)
             for i in range(n):
                 for j in range(n):
                     r = max(r, abs(Mq[i, j] - M[i, j] / t))
@@ -157,7 +139,7 @@ def dehomogenize(P, base_chart):
 
     pi_comps = {}
     e_comps = [constant(n, 0.0)] * n
-    for (i, j), f in P.P.comps.items():
+    for (i, j), f in P.Pi.comps.items():
         if j < n:
             pi_comps[(i, j)] = at_slice(f)
         else:
@@ -167,28 +149,16 @@ def dehomogenize(P, base_chart):
 
 def symplectize(C):
     """ω~ = d(s·π*θ) = ds∧π*θ + s·π*dθ on the slit chart."""
-    from .calculus import KForm, exterior_d_form
+    from .calculus import KForm
     n = C.chart.dim
     big = slit_chart(C.chart)
     s_field = coordinate(n + 1, n)
-    d_theta = exterior_d_form(C.theta)
     comps = {}
-    for (i, j), f in d_theta.comps.items():
+    for (i, j), f in C.dtheta.comps.items():
         comps[(i, j)] = s_field * _lift_field(f, n)
-    for i in range(n):
-        th = C.theta_fields()[i]
+    for (i,), th in C.theta.comps.items():
         comps[(i, n)] = -_lift_field(th, n)   # ds∧θ has ω~(e_i, e_s) = -θ_i
     return KForm(big, 2, comps), big
-
-
-def symplectic_matrix(omega, p):
-    n = omega.chart.dim
-    M = np.zeros((n, n))
-    for (i, j), f in omega.comps.items():
-        v = f.value(p)
-        M[i, j] = v
-        M[j, i] = -v
-    return M
 
 
 def check_symplectization(C, pts, tol=1e-9):
@@ -200,13 +170,13 @@ def check_symplectization(C, pts, tol=1e-9):
         r = 0.0
         d = exterior_d(omega, p)
         r = max(r, max((abs(v) for v in d.values()), default=0.0))
-        M = symplectic_matrix(omega, p)
+        M = omega.dense(p)
         if abs(np.linalg.det(M)) < tol:
             r = max(r, 1.0)
         for t in (2.0, -1.0):
             q = np.array(p, dtype=float)
             q[-1] *= t
-            Mq = symplectic_matrix(omega, q)
+            Mq = omega.dense(q)
             n = C.chart.dim
             for i in range(n):
                 for j in range(n):
@@ -229,9 +199,8 @@ def check_symplectization_consistency(C, pts, tol=1e-8, source_pair=None):
     P = poissonize(J)
     residuals = []
     for p in pts:
-        W = symplectic_matrix(omega, p)
-        P_from_omega = -np.linalg.inv(W)
-        r = float(np.abs(P_from_omega - P.matrix(p)).max())
+        P_from_omega = -np.linalg.inv(omega.dense(p))
+        r = float(np.abs(P_from_omega - P.pi_matrix(p)).max())
         residuals.append((p, r))
     return residual_report(
         "symplectization_consistency",
@@ -285,8 +254,8 @@ def check_lifted_poisson_map(Phi, J_source, J_target, pts, tol=1e-8):
     for F, G in itertools.combinations(tests, 2):
         pullF = compose(F, lifted.components)
         pullG = compose(G, lifted.components)
-        lhs = P1.bracket_field(pullF, pullG)
-        rhs = compose(P2.bracket_field(F, G), lifted.components)
+        lhs = bracket_field(P1, pullF, pullG)
+        rhs = compose(bracket_field(P2, F, G), lifted.components)
         fields.append(lhs - rhs)
     residuals = [(p, max(abs(f.value(p)) for f in fields)) for p in pts]
     return residual_report(
@@ -302,23 +271,19 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
     At each lifted point (x, s): ker TΦ~1 = (ker TΦ~2)^⊥ω~, compared with
     the base dual-pair verdict of verify_dual_pair at x.
     """
-    from .dualpair import (commutation_residual, _commutation_fields,
-                           curvature_orthogonality_at, transversality_ok)
+    from .dualpair import three_condition_verdicts
     omega, big = symplectize(dp.source)
     lift1 = homogenize_map(dp.Phi1, source_slit=big)
     lift2 = homogenize_map(dp.Phi2, source_slit=big)
-    fields = _commutation_fields(dp)
     residuals = []
     mismatches = 0
-    for p in pts:
-        base_ok = (transversality_ok(dp, p)
-                   and commutation_residual(dp, p, fields) < 1e-8
-                   and curvature_orthogonality_at(dp, p, angle_tol)[0])
+    verdicts = three_condition_verdicts(dp, pts, angle_tol=angle_tol)
+    for p, base_ok in zip(pts, verdicts):
         worst = 0.0
         lifted_ok = True
         for s in s_slices:
             q = np.append(p, s)
-            W = BilinearForm(symplectic_matrix(omega, q))
+            W = BilinearForm(omega.dense(q))
             K1 = kernel(tangent_map(lift1, q))
             K2 = kernel(tangent_map(lift2, q))
             comp = orth_complement_wrt(W, K2, full_space(big.dim))
@@ -333,7 +298,7 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
         "ker T Phi~1 = (ker T Phi~2)^perp-omega~ at lifted points iff the "
         "base spec is a dual pair", residuals, angle_tol)
     if mismatches:
-        rep.status = "fail"
+        rep.status = FAIL
         rep.notes = f"{mismatches} points with upstairs/downstairs mismatch"
     return rep
 
@@ -342,7 +307,7 @@ def check_schouten_square(P, pts, tol=1e-9):
     """[[P,P]] = 0 for the lifted bivector (it is Poisson)."""
     residuals = []
     for p in pts:
-        out = schouten(P.P, P.P, p)
+        out = schouten(P.Pi, P.Pi, p)
         r = max((abs(v) for v in out.values()), default=0.0)
         residuals.append((p, r))
     return residual_report("lifted_poisson", "[[P,P]] = 0 on the slit chart",

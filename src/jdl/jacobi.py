@@ -18,8 +18,7 @@ import numpy as np
 
 from .calculus import (Multivector, VectorField, schouten, wedge_vec_biv)
 from .chart import Chart, tangent_map
-from .errors import (ChartIndexInvalid, DimensionMismatch, InconsistentOracle,
-                     ZeroConformalFactor)
+from .errors import ChartIndexInvalid, DimensionMismatch, ZeroConformalFactor
 from .fields import Field, ScalarFieldSpec, as_field, compose, constant, coordinate
 from .jets import Jet
 from .report import residual_report
@@ -297,54 +296,11 @@ def projectivized_bracket(g, k, b1, b2, p):
     return projectivized_bracket_field(g, k, b1, b2).value(p)
 
 
-def extract_pair_from_bracket(oracle, chart, pts, tol=1e-8):
-    """Tabulate (Π, E) from a bracket oracle on fields.
-
-    ``oracle(f, g)`` must return the bracket {f,g} as a field on the chart.
-    Components come from E(g) = {1,g} and Π(df,dg) = {f,g} - fE(g) + gE(f)
-    on coordinate functions; the reconstruction is validated against the
-    oracle on quadratic test functions at the given points.
-    """
-    n = chart.dim
-    one = constant(n, 1.0)
-    xs = [coordinate(n, i) for i in range(n)]
-    E_fields = [oracle(one, xs[i]) for i in range(n)]
-    E = VectorField(chart, E_fields)
-    pi_comps = {}
-    for i, j in itertools.combinations(range(n), 2):
-        pi_comps[(i, j)] = (oracle(xs[i], xs[j])
-                            - xs[i] * E_fields[j] + xs[j] * E_fields[i])
-    J = JacobiPair(chart, pi_comps, E_fields)
-
-    # polarization / first-order validation on quadratic functions
-    tests = [one] + xs + [xs[i] * xs[j] for i, j in
-             itertools.combinations_with_replacement(range(n), 2)]
-    triples = [(oracle(f, g), oracle(g, f), bracket_field(J, f, g))
-               for f, g in itertools.combinations(tests, 2)]
-    worst = 0.0
-    for lhs_f, anti_f, rhs_f in triples:
-        for p in pts:
-            lhs = lhs_f.value(p)
-            worst = max(worst, abs(lhs - rhs_f.value(p)),
-                        abs(lhs + anti_f.value(p)))
-    if worst > tol:
-        raise InconsistentOracle(
-            f"bracket oracle is not first-order/antisymmetric "
-            f"(residual {worst:.2e})")
-    return J
-
-
-def conformal_change(J, c, pts=None, tol=1e-8):
+def conformal_change(J, c):
     """The unique pair J' with {cf, cg}_J = c {f,g}_J' for nowhere-zero c.
 
-    Computed by extracting from the oracle (f,g) ↦ c⁻¹ {cf, cg}_J.
+    In closed form J' = (cΠ, X_c), with X_c the Hamiltonian field of c.
     """
     c = as_field(J.chart.dim, c)
-    if pts is None:
-        from .chart import sample_points
-        pts = sample_points(J.chart, 5, seed=101)
-
-    def oracle(f, g):
-        return bracket_field(J, c * f, c * g) / c
-
-    return extract_pair_from_bracket(oracle, J.chart, pts, tol)
+    return JacobiPair(J.chart, {k: c * f for k, f in J.Pi.comps.items()},
+                      hamiltonian_field(J, c).comps)

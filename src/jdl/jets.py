@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, OrderUnsupported
 
-MAX_ORDER = 3
-
 
 def _check_order(order: int) -> None:
     if order not in (1, 2, 3):

@@ -24,7 +24,7 @@ from .chart import compose_maps, tangent_map
 from .errors import DimensionMismatch, InconsistentConnection, StepOutOfDomain
 from .fields import as_field, compose
 from .linalg import (full_space, image, kernel, orth_complement_wrt, preimage,
-                     span_of, subspace_equal, sum_spaces)
+                     subspace_equal, sum_spaces)
 from .report import residual_report
 
 
@@ -39,8 +39,7 @@ def characteristic_vectors(J, p):
 
 def characteristic_subspace(J, p, tol=1e-9):
     """span{X_f(p) : f in {1, coordinates}} as a Subspace."""
-    return span_of(characteristic_vectors(J, p).T, ambient=J.chart.dim,
-                   tol=tol)
+    return image(characteristic_vectors(J, p), tol=tol)
 
 
 class LeafProbe:

@@ -40,30 +40,25 @@ class Subspace:
         return all(self.contains_vector(other.basis[:, j], tol)
                    for j in range(other.dim))
 
-    def project(self, v):
-        return self.basis @ (self.basis.T @ np.asarray(v, dtype=float))
-
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
 def span_of(vectors, ambient=None, tol=RANK_TOL):
-    """Orthonormalized span of the given vectors (columns or list)."""
+    """Orthonormalized span of a sequence of vectors.
+
+    A matrix is a sequence of its rows; for the span of its columns use
+    :func:`image`.
+    """
     vs = [np.asarray(v, dtype=float) for v in vectors]
     if not vs:
         if ambient is None:
             raise DimensionMismatch("empty span needs an explicit ambient dim")
         return Subspace(ambient, np.zeros((ambient, 0)), tol)
     A = np.stack(vs, axis=1)
-    if ambient is None:
-        ambient = A.shape[0]
-    if A.shape[0] != ambient:
+    if ambient is not None and A.shape[0] != ambient:
         raise DimensionMismatch("vector length differs from ambient dim")
-    u, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(ambient, np.zeros((ambient, 0)), tol)
-    r = int(np.sum(s > tol * s[0]))
-    return Subspace(ambient, u[:, :r], tol)
+    return image(A, tol)
 
 
 def full_space(ambient):
@@ -77,9 +72,7 @@ def zero_space(ambient):
 def sum_spaces(U, V):
     if U.ambient != V.ambient:
         raise DimensionMismatch("ambient dims differ")
-    cols = [U.basis[:, j] for j in range(U.dim)] + \
-           [V.basis[:, j] for j in range(V.dim)]
-    return span_of(cols, ambient=U.ambient, tol=min(U.tol, V.tol))
+    return image(np.hstack([U.basis, V.basis]), tol=min(U.tol, V.tol))
 
 
 def annihilator(U):
@@ -116,8 +109,11 @@ def kernel(A, tol=RANK_TOL):
 def image(A, tol=RANK_TOL):
     """Column space of a matrix as a Subspace of its row codomain."""
     A = np.asarray(A, dtype=float)
-    return span_of([A[:, j] for j in range(A.shape[1])],
-                   ambient=A.shape[0], tol=tol)
+    u, s, _ = np.linalg.svd(A, full_matrices=False)
+    if s.size == 0 or s[0] == 0.0:
+        return Subspace(A.shape[0], np.zeros((A.shape[0], 0)), tol)
+    r = int(np.sum(s > tol * s[0]))
+    return Subspace(A.shape[0], u[:, :r], tol)
 
 
 def preimage(A, S, tol=RANK_TOL):
@@ -162,13 +158,24 @@ def orth_complement_wrt(B, U, within):
 
 
 def principal_angles(U, V):
+    """Principal angles between U and V, ascending.
+
+    Cosines lose small angles (cos θ = 1 - θ²/2 rounds to 1 below ~1e-8),
+    so angles below π/4 come from the sines, the singular values of the
+    part of V's basis outside U (Knyazev & Argentati, SIAM J. Sci. Comput.
+    23, 2002).
+    """
     if U.dim == 0 and V.dim == 0:
         return np.zeros(0)
     if U.dim == 0 or V.dim == 0:
         return np.array([np.pi / 2])
-    s = np.linalg.svd(U.basis.T @ V.basis, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return np.arccos(s)
+    if U.dim < V.dim:
+        U, V = V, U
+    UtV = U.basis.T @ V.basis
+    cos = np.clip(np.linalg.svd(UtV, compute_uv=False), -1.0, 1.0)
+    sin = np.clip(np.linalg.svd(V.basis - U.basis @ UtV, compute_uv=False),
+                  0.0, 1.0)[::-1]
+    return np.where(cos * cos < 0.5, np.arccos(cos), np.arcsin(sin))
 
 
 def subspace_equal(U, V, angle_tol=ANGLE_TOL):

@@ -8,7 +8,6 @@ import numpy as np
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
-SKIPPED = "skipped"
 
 
 @dataclass

@@ -1,5 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+
+from jdl.errors import InconsistentOracle
+from jdl.fields import constant, coordinate
+from jdl.jacobi import JacobiPair, bracket_field
 
 
 @pytest.fixture
@@ -31,3 +37,40 @@ def fd_hessian(f, p, h=1e-4):
             H[i, j] = (f(p + ei + ej) - f(p + ei - ej)
                        - f(p - ei + ej) + f(p - ei - ej)) / (4 * h * h)
     return H
+
+
+def extract_pair_from_bracket(oracle, chart, pts, tol=1e-8):
+    """Tabulate (Π, E) from a bracket oracle on fields; the independent
+    oracle for closed-form pairs.
+
+    ``oracle(f, g)`` must return the bracket {f,g} as a field on the chart.
+    Components come from E(g) = {1,g} and Π(df,dg) = {f,g} - fE(g) + gE(f)
+    on coordinate functions; the reconstruction is validated against the
+    oracle on quadratic test functions at the given points.
+    """
+    n = chart.dim
+    one = constant(n, 1.0)
+    xs = [coordinate(n, i) for i in range(n)]
+    E_fields = [oracle(one, xs[i]) for i in range(n)]
+    pi_comps = {}
+    for i, j in itertools.combinations(range(n), 2):
+        pi_comps[(i, j)] = (oracle(xs[i], xs[j])
+                            - xs[i] * E_fields[j] + xs[j] * E_fields[i])
+    J = JacobiPair(chart, pi_comps, E_fields)
+
+    # polarization / first-order validation on quadratic functions
+    tests = [one] + xs + [xs[i] * xs[j] for i, j in
+                          itertools.combinations_with_replacement(range(n), 2)]
+    triples = [(oracle(f, g), oracle(g, f), bracket_field(J, f, g))
+               for f, g in itertools.combinations(tests, 2)]
+    worst = 0.0
+    for lhs_f, anti_f, rhs_f in triples:
+        for p in pts:
+            lhs = lhs_f.value(p)
+            worst = max(worst, abs(lhs - rhs_f.value(p)),
+                        abs(lhs + anti_f.value(p)))
+    if worst > tol:
+        raise InconsistentOracle(
+            f"bracket oracle is not first-order/antisymmetric "
+            f"(residual {worst:.2e})")
+    return J

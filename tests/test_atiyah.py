@@ -72,7 +72,7 @@ def test_varpi_trivgpd_values(trivgpd, pts):
     for p in pts[:5]:
         W = varpi_matrix(trivgpd, p)
         assert abs(W[0, 1] + 1.0) < 1e-12
-        th = trivgpd.theta_covector(p)
+        th = trivgpd.theta.dense(p)
         assert np.allclose(W[3, :3], th, atol=1e-12)
         assert abs(np.linalg.det(W)) > 1e-8
 

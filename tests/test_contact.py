@@ -12,9 +12,10 @@ from jdl.contact import (ContactStructure, LcsStructure, check_contact,
 from jdl.errors import EvenDimension, InconsistentOracle, SingularSystem
 from jdl.fields import (Field, ScalarFieldSpec, constant, coordinate,
                         jet_solve, point_memo)
-from jdl.jacobi import (JacobiPair, check_jacobi_pair,
-                        extract_pair_from_bracket, hamiltonian_vf,
+from jdl.jacobi import (JacobiPair, check_jacobi_pair, hamiltonian_vf,
                         jacobi_bracket)
+
+from conftest import extract_pair_from_bracket
 
 
 @pytest.fixture
@@ -128,7 +129,7 @@ def test_theta_of_hamiltonian_is_f(darboux3, pts):
     f = ScalarFieldSpec(3, lambda x, y, z: x * y + z * z - 0.5)
     for p in pts:
         X = contact_hamiltonian_vf(darboux3, f, p)
-        assert abs(darboux3.theta_covector(p) @ X - f.value(p)) < 1e-10
+        assert abs(darboux3.theta.dense(p) @ X - f.value(p)) < 1e-10
 
 
 def test_contact_field_property(darboux3, pts):
@@ -246,7 +247,7 @@ def test_lcs_from_even_pair_with_nonzero_e():
     L = lcs_from_even_pair(J)
     assert check_lcs(L, pts, tol=1e-8).passed
     # η is nonzero here
-    assert np.abs(L.eta_covector(pts[0])).max() > 1e-3
+    assert np.abs(L.eta.dense(pts[0])).max() > 1e-3
     f = ScalarFieldSpec(2, lambda x, y: x * y + 1.0)
     for p in pts[:5]:
         assert np.abs(lcs_hamiltonian_vf(L, f, p)
@@ -263,7 +264,7 @@ def _defining_solve(C, f, Ef):
     the closed form beyond the θ and dθ component fields.
     """
     n = C.chart.dim
-    theta, d = C.theta_fields(), C.d_fields()
+    theta, d = C.theta.field_matrix(), C.dtheta.field_matrix()
     fpartials = [f.partial(r) for r in range(n)]
 
     def solve(p, order):
@@ -345,7 +346,7 @@ def test_pair_fields_satisfy_defining_equations(name, request):
     E = reeb_field(C)
     assert E is contact_to_jacobi(C).E
     for p in sample_points(C.chart, 10, seed=44):
-        th, dth = C.theta_covector(p), C.dtheta_matrix(p)
+        th, dth = C.theta.dense(p), C.dtheta.dense(p)
         fj = f(p, 1)
         e, x = E.at(p), Xf.at(p)
         assert abs(th @ e - 1.0) < 1e-12
@@ -363,6 +364,7 @@ def test_contact_to_jacobi_singular_varpi():
 
 def test_contact_to_jacobi_rejects_tampered_varpi(darboux3):
     # the jet entries see 2·dθ, the float validation sees the true dθ
-    darboux3._d_fields = [[2.0 * f for f in row] for row in darboux3.d_fields()]
+    darboux3.dtheta._field_matrix = [[2.0 * f for f in row]
+                                     for row in darboux3.dtheta.field_matrix()]
     with pytest.raises(InconsistentOracle):
         contact_to_jacobi(darboux3)

@@ -11,7 +11,7 @@ from jdl.homogenize import (check_equivariance, check_homogeneity,
                             check_symplectization,
                             check_symplectization_consistency, dehomogenize,
                             homogenize_map, poissonize, slit_chart,
-                            symplectic_matrix, symplectize)
+                            symplectize)
 from jdl.jacobi import ConformalMap, JacobiPair, lie_poisson, so3, zero_pair
 from jdl.jets import exp
 
@@ -32,7 +32,7 @@ def darboux3_pair():
 def test_poissonize_darboux3_components(darboux3_pair):
     P = poissonize(darboux3_pair)
     p = np.array([0.3, -0.4, 0.8, 1.5])
-    M = P.matrix(p)
+    M = P.pi_matrix(p)
     s = p[3]
     assert abs(M[0, 1] - 1.0 / s) < 1e-12          # s^{-1} Π^{xy}
     assert abs(M[1, 2] + p[1] / s) < 1e-12         # s^{-1} Π^{yz}
@@ -43,7 +43,7 @@ def test_poissonize_darboux3_components(darboux3_pair):
 def test_poissonize_zero_pair():
     chart = Chart("r2", 2, [(-1, 1)] * 2)
     P = poissonize(zero_pair(chart))
-    assert np.abs(P.matrix([0.3, 0.2, 1.2])).max() == 0.0
+    assert np.abs(P.pi_matrix([0.3, 0.2, 1.2])).max() == 0.0
 
 
 def test_poissonize_oracle_random_pairs(darboux3_pair):
@@ -97,7 +97,7 @@ def test_symplectize_darboux3(darboux3):
     omega, big = symplectize(darboux3)
     # ω~ = ds∧dz - y ds∧dx - s dy∧dx
     p = np.array([0.2, 0.7, -0.3, 1.3])
-    M = symplectic_matrix(omega, p)
+    M = omega.dense(p)
     assert abs(M[3, 2] - 1.0) < 1e-12        # ds∧dz
     assert abs(M[3, 0] + p[1]) < 1e-12       # -y ds∧dx
     assert abs(M[0, 1] - p[3]) < 1e-12       # s dx∧dy
@@ -110,7 +110,7 @@ def test_symplectize_trivgpd_form():
     C = ContactStructure(chart, {(0,): lambda q, p, u: p, (2,): 1.0})
     omega, big = symplectize(C)
     p = np.array([0.1, 0.5, 0.9, -1.2])
-    M = symplectic_matrix(omega, p)
+    M = omega.dense(p)
     # ω~ = ds∧du + p ds∧dq + s dp∧dq
     assert abs(M[3, 2] - 1.0) < 1e-12
     assert abs(M[3, 0] - p[1]) < 1e-12

@@ -6,11 +6,12 @@ from jdl.errors import ChartIndexInvalid, InconsistentOracle
 from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import (ConformalMap, JacobiPair, aff1, abelian,
                         bracket_field, check_jacobi_morphism,
-                        check_jacobi_pair, conformal_change,
-                        extract_pair_from_bracket, hamiltonian_vf,
+                        check_jacobi_pair, conformal_change, hamiltonian_vf,
                         jacobi_bracket, lie_poisson, projectivized_bracket,
                         projectivized_bracket_field, projective_chart, so3,
                         zero_pair)
+
+from conftest import extract_pair_from_bracket
 
 
 @pytest.fixture
@@ -263,7 +264,7 @@ def test_extract_rejects_inconsistent_oracle():
 
 
 def test_conformal_change_identity(darboux3, pts):
-    J = conformal_change(darboux3, constant(3, 1.0), pts[:5])
+    J = conformal_change(darboux3, constant(3, 1.0))
     p = pts[0]
     assert np.abs(J.pi_matrix(p) - darboux3.pi_matrix(p)).max() < 1e-12
 
@@ -272,7 +273,7 @@ def test_conformal_change_by_two(darboux3, pts):
     # constant factor c rescales the whole pair: J' = (cΠ, cE), since
     # E' = cE + Π♯(dc) and dc = 0; validated by the round-trip morphism
     two = constant(3, 2.0)
-    J = conformal_change(darboux3, two, pts[:5])
+    J = conformal_change(darboux3, two)
     p = pts[0]
     assert np.abs(J.pi_matrix(p) - 2.0 * darboux3.pi_matrix(p)).max() < 1e-10
     assert np.abs(J.E.at(p) - 2.0 * darboux3.E.at(p)).max() < 1e-10
@@ -283,7 +284,21 @@ def test_conformal_change_by_two(darboux3, pts):
 
 def test_conformal_change_defining_property(darboux3, pts):
     c = ScalarFieldSpec(3, lambda x, y, z: 1.0 + 0.25 * x * x + 0.5 * z)
-    J = conformal_change(darboux3, c, pts[:5])
+    J = conformal_change(darboux3, c)
     from jdl.chart import identity_map
     Phi = ConformalMap(identity_map(darboux3.chart), c)
     assert check_jacobi_morphism(darboux3, J, Phi, pts[:10]).passed
+
+
+def test_conformal_change_matches_extraction(darboux3, pts):
+    # the closed form (cΠ, X_c) against the pair extracted from the oracle
+    # (f, g) ↦ c⁻¹ {cf, cg}_J, for a non-constant c
+    from jdl.jets import exp, sin
+    c = ScalarFieldSpec(3, lambda x, y, z: 2.0 + sin(x * y) + 0.3 * exp(z))
+    J = conformal_change(darboux3, c)
+    K = extract_pair_from_bracket(
+        lambda f, g: bracket_field(darboux3, c * f, c * g) / c,
+        darboux3.chart, pts[:5])
+    for p in pts:
+        assert np.abs(J.pi_matrix(p) - K.pi_matrix(p)).max() <= 1e-12
+        assert np.abs(J.E.at(p) - K.E.at(p)).max() <= 1e-12

@@ -3,8 +3,9 @@ import pytest
 
 from jdl.errors import NotContained
 from jdl.linalg import (BilinearForm, Subspace, annihilator, full_space,
-                        intersect, kernel, orth_complement_wrt, preimage,
-                        span_of, subspace_equal, sum_spaces, zero_space)
+                        image, intersect, kernel, orth_complement_wrt,
+                        preimage, principal_angles, span_of, subspace_equal,
+                        sum_spaces, zero_space)
 
 
 def e(i, n):
@@ -120,3 +121,26 @@ def test_kernel_image_preimage():
     pre = preimage(A, S)
     assert pre.dim == 2
     assert pre.contains_vector(e(0, 3)) and pre.contains_vector(e(2, 3))
+
+
+def test_image_spans_columns():
+    # a 2x3 matrix has three columns in R^2, which span it
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    im = image(A)
+    assert im.ambient == 2 and im.dim == 2
+    assert subspace_equal(im, full_space(2))[0]
+
+
+@pytest.mark.parametrize("theta", [1e-10, 1e-6, 0.3, 1.2])
+def test_principal_angles_small_and_large(theta):
+    # a line rotated by theta in R^3 and a plane tilted by theta
+    line = span_of([e(0, 3)])
+    turned = span_of([np.cos(theta) * e(0, 3) + np.sin(theta) * e(1, 3)])
+    ang = principal_angles(line, turned)
+    assert abs(ang[0] - theta) <= 0.1 * theta
+    plane = span_of([e(0, 3), e(1, 3)])
+    tilted = span_of([e(0, 3), np.cos(theta) * e(1, 3) + np.sin(theta) * e(2, 3)])
+    ang = principal_angles(plane, tilted)
+    assert ang[0] < 1e-15
+    assert abs(ang[-1] - theta) <= 0.1 * theta
+    assert abs(principal_angles(line, plane)[0]) < 1e-15
