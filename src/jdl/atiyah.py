@@ -24,14 +24,14 @@ import itertools
 
 import numpy as np
 
-from .calculus import VectorField
+from .calculus import VectorField, lie_bracket
 from .chart import tangent_map
 from .contact import sharp_inverse_residual, varpi_entry_fields, varpi_matrix
 from .errors import OracleMismatch, ZeroConformalFactor
-from .fields import as_field, constant, coordinate
-from .jacobi import hamiltonian_field, jacobi_bidiff_matrix, jacobi_bracket
-from .linalg import (BilinearForm, annihilator, image, kernel, span_of,
-                     subspace_equal)
+from .fields import as_field, constant
+from .jacobi import (bracket_field, default_test_functions, hamiltonian_field,
+                     jacobi_bidiff_matrix)
+from .linalg import annihilator, image, kernel, span_of, subspace_equal
 from .report import residual_report
 
 
@@ -51,10 +51,6 @@ class Derivation:
 
     def __repr__(self):
         return f"Derivation(X={self.X}, g={self.g})"
-
-
-def identity_derivation(point, dim):
-    return Derivation(point, np.zeros(dim), 1.0)
 
 
 class JetElement:
@@ -108,25 +104,15 @@ class DerivationField:
 
 def der_bracket(d1, d2, p):
     """[(X,g),(Y,h)] = ([X,Y], X(h) - Y(g)) at p, for derivation fields."""
-    from .calculus import lie_bracket
     Xc = lie_bracket(d1.X, d2.X, p)
     gc = d1.X.apply_field(d2.g).value(p) - d2.X.apply_field(d1.g).value(p)
     return Derivation(p, Xc, gc)
-
-
-def varpi_from_theta(C, p):
-    return BilinearForm(varpi_matrix(C, p))
 
 
 def jacobi_bidiff(J, j1, j2):
     """Evaluate the bi-DO on two jet elements at the same point."""
     M = jacobi_bidiff_matrix(J, j1.point)
     return float(j1.coords @ M @ j2.coords)
-
-
-def bidiff_sharp(J, p):
-    """J♯: jet coordinates → derivation coordinates, ⟨J♯α, β⟩ = J(α,β)."""
-    return jacobi_bidiff_matrix(J, p).T
 
 
 def check_sharp_inverse(C, J, pts, tol=1e-9):
@@ -137,12 +123,12 @@ def check_sharp_inverse(C, J, pts, tol=1e-9):
         residuals, tol)
 
 
-def gauge_pushforward(Phi, d, check_oracle=False, probes=None):
+def gauge_pushforward(Phi, d, check_oracle=False):
     """DΦ(X, g) = (Tφ·X, g + X(a)/a) at d.point, for a conformal map Phi.
 
     With ``check_oracle`` the closed form is validated against the
-    definitional action (DΦ δ)(μ) = Φ_x(δ(Φ*μ)) on probe functions μ; a
-    disagreement raises OracleMismatch.
+    definitional action (DΦ δ)(μ) = Φ_x(δ(Φ*μ)) on the target test sections
+    μ; a disagreement raises OracleMismatch.
     """
     p = d.point
     a = Phi.factor.value(p)
@@ -152,12 +138,9 @@ def gauge_pushforward(Phi, d, check_oracle=False, probes=None):
     T = tangent_map(Phi.map, p)
     out = Derivation(Phi.map(p), T @ d.X, d.g + float(d.X @ da) / a)
     if check_oracle:
-        if probes is None:
-            m = Phi.map.target.dim
-            probes = [constant(m, 1.0)] + [coordinate(m, i) for i in range(m)]
-        for mu in probes:
+        for mu in default_test_functions(Phi.map.target):
             lhs = _pushforward_action(Phi, d, mu)
-            ju = as_field(Phi.map.target.dim, mu)(out.point, 1)
+            ju = mu(out.point, 1)
             rhs = float(out.X @ ju.grad) + out.g * ju.value
             if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
                 raise OracleMismatch(
@@ -197,8 +180,9 @@ def ker_DPhi(Phi, p):
     return kernel(dphi_matrix(Phi, p))
 
 
-def hamiltonian_derivation(J, f, p, validate=False, probes=None):
-    """Δ_f = (X_f, -E(f)) at p; optionally validated by Δ_f(g) = {f,g}.
+def hamiltonian_derivation(J, f, p, validate=False):
+    """Δ_f = (X_f, -E(f)) at p; optionally validated by Δ_f(g) = {f,g} on
+    the test sections g.
 
     A validation failure raises OracleMismatch.
     """
@@ -207,13 +191,10 @@ def hamiltonian_derivation(J, f, p, validate=False, probes=None):
     Ef = J.E.apply_field(f).value(p)
     d = Derivation(p, X, -Ef)
     if validate:
-        if probes is None:
-            n = J.chart.dim
-            probes = [constant(n, 1.0)] + [coordinate(n, i) for i in range(n)]
-        for g in probes:
-            jg = as_field(J.chart.dim, g)(p, 1)
+        for g in default_test_functions(J.chart):
+            jg = g(p, 1)
             lhs = float(d.X @ jg.grad) + d.g * jg.value
-            rhs = jacobi_bracket(J, f, g, p)
+            rhs = bracket_field(J, f, g).value(p)
             if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
                 raise OracleMismatch(
                     f"hamiltonian derivation disagrees with bracket: "
@@ -232,7 +213,6 @@ def one_perp_varpi(C, p):
 def check_one_perp_is_horizontal(C, pts, tol=1e-7):
     """Subspace equality ⟨1⟩^⊥ϖ = σ⁻¹(H) at each point."""
     residuals = []
-    n = C.chart.dim
     for p in pts:
         lhs = one_perp_varpi(C, p)
         th = np.append(C.theta.dense(p), 0.0)
@@ -244,35 +224,23 @@ def check_one_perp_is_horizontal(C, pts, tol=1e-7):
         residuals, tol)
 
 
-def pullback_jet_span(Phi, p, frames=None):
-    """span{j¹(Φ*λ) : λ ∈ frames} at p, in jet coordinates.
-
-    Defaults to the constant section 1 and the target coordinates; this
-    family supplies a frame plus all first-order variation.
-    """
-    m = Phi.map.target.dim
-    if frames is None:
-        frames = [constant(m, 1.0)] + [coordinate(m, i) for i in range(m)]
-    vecs = []
-    for lam in frames:
-        j = jet_of(Phi.pullback(lam), p)
-        vecs.append(j.coords)
+def pullback_jet_span(Phi, p):
+    """span{j¹(Φ*λ)} at p over the target test sections λ, in jet
+    coordinates."""
+    vecs = [jet_of(Phi.pullback(lam), p).coords
+            for lam in default_test_functions(Phi.map.target)]
     return span_of(vecs, ambient=Phi.map.source.dim + 1)
 
 
-def hamiltonian_derivation_span(J, Phi, p, frames=None):
-    """span{Δ_{Φ*λ} : λ ∈ frames} at p, in derivation coordinates."""
-    m = Phi.map.target.dim
-    if frames is None:
-        frames = [constant(m, 1.0)] + [coordinate(m, i) for i in range(m)]
-    vecs = []
-    for lam in frames:
-        d = hamiltonian_derivation(J, Phi.pullback(lam), p)
-        vecs.append(d.coords)
+def hamiltonian_derivation_span(J, Phi, p):
+    """span{Δ_{Φ*λ}} at p over the target test sections λ, in derivation
+    coordinates."""
+    vecs = [hamiltonian_derivation(J, Phi.pullback(lam), p).coords
+            for lam in default_test_functions(Phi.map.target)]
     return span_of(vecs, ambient=J.chart.dim + 1)
 
 
-def check_technical_lemma(Phi, J, pts, frames=None, tol=1e-7):
+def check_technical_lemma(Phi, J, pts, tol=1e-7):
     """(ker DΦ)° = span{j¹(Φ*λ)} and (ker DΦ)^⊥ϖ = span{Δ_{Φ*λ}}.
 
     The second subspace equality is computed with the bi-DO route, i.e.
@@ -282,11 +250,11 @@ def check_technical_lemma(Phi, J, pts, frames=None, tol=1e-7):
     for p in pts:
         K = ker_DPhi(Phi, p)
         ann = annihilator(K)
-        jet_span = pullback_jet_span(Phi, p, frames)
+        jet_span = pullback_jet_span(Phi, p)
         same1, ang1 = subspace_equal(ann, jet_span, angle_tol=tol)
-        sharp = bidiff_sharp(J, p)
+        sharp = jacobi_bidiff_matrix(J, p).T   # J♯: ⟨J♯α, β⟩ = J(α, β)
         perp = image(sharp @ ann.basis)
-        ham_span = hamiltonian_derivation_span(J, Phi, p, frames)
+        ham_span = hamiltonian_derivation_span(J, Phi, p)
         same2, ang2 = subspace_equal(perp, ham_span, angle_tol=tol)
         bad = 0.0 if (same1 and same2) else np.pi / 2
         residuals.append((p, max(ang1, ang2, bad)))

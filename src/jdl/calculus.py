@@ -170,7 +170,6 @@ class VectorField:
 
 def lie_bracket(X, Y, p):
     """[X,Y] at p: X(Y^i) - Y(X^i) via order-1 jets."""
-    n = X.chart.dim
     xj = [c(p, 1) for c in X.comps]
     yj = [c(p, 1) for c in Y.comps]
     xv = np.array([j.value for j in xj])
@@ -180,32 +179,7 @@ def lie_bracket(X, Y, p):
     return yg @ xv - xg @ yv
 
 
-def lie_bracket_field(X, Y):
-    """[X,Y] as a derived VectorField."""
-    comps = []
-    for i in range(X.chart.dim):
-        comps.append(X.apply_field(Y.comps[i]) - Y.apply_field(X.comps[i]))
-    return VectorField(X.chart, comps)
-
-
 # -- exterior derivative ------------------------------------------------------
-
-def exterior_d(omega, p):
-    """Value of dω at p as a dict over increasing (k+1)-tuples."""
-    n = omega.chart.dim
-    k = omega.degree
-    out = {}
-    jets_cache = {}
-    for key in itertools.combinations(range(n), k + 1):
-        total = 0.0
-        for a in range(k + 1):
-            sub = key[:a] + key[a + 1:]
-            if sub not in jets_cache:
-                jets_cache[sub] = omega.coeff_jet(sub, p, 1)
-            total += (-1) ** a * jets_cache[sub].grad[key[a]]
-        out[key] = total
-    return out
-
 
 def exterior_d_form(omega):
     """dω as a derived KForm with exact component fields."""
@@ -249,12 +223,6 @@ def interior_form(X, omega):
     return KForm(omega.chart, k - 1, comps)
 
 
-def interior(X, omega, p):
-    """Value dict of i_X ω at p."""
-    form = interior_form(X, omega)
-    return {key: form.coeff(key, p) for key in form.keys_all()}
-
-
 def wedge_form(alpha, beta):
     """α ∧ β as a derived form, convention (dx∧dy)(∂x,∂y) = 1."""
     n = alpha.chart.dim
@@ -276,11 +244,6 @@ def wedge_form(alpha, beta):
                 acc = acc + fa * fb * s
             comps[key] = acc
     return KForm(alpha.chart, k + l, comps)
-
-
-def wedge(alpha, beta, p):
-    form = wedge_form(alpha, beta)
-    return {key: form.coeff(key, p) for key in form.keys_all()}
 
 
 def _shuffle_sign(pick, rest):

@@ -9,21 +9,20 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, SamplingExhausted
-from .fields import as_field
-
-EXCLUSION_MARGIN = 1e-3
+from .fields import as_field, compose, coordinate
 
 
 class Chart:
     """A named coordinate box with an optional excluded locus.
 
     ``box`` is a list of (lo, hi) sampling intervals, one per coordinate.
-    ``excluded`` is a predicate marking singular/forbidden points; it should
-    reject only a measure-zero-intent locus, fattened by ``margin`` to keep
-    downstream linear solves well conditioned.
+    ``excluded`` is a predicate marking singular/forbidden points; the
+    sampler and ``contains`` reject exactly the points it marks, so a
+    predicate that should keep samples away from a singular locus must
+    include that margin itself.
     """
 
-    def __init__(self, name, dim, box=None, excluded=None, margin=EXCLUSION_MARGIN):
+    def __init__(self, name, dim, box=None, excluded=None):
         self.name = name
         self.dim = dim          # dim 0 is legal: a point chart
         if box is None:
@@ -35,7 +34,6 @@ class Chart:
                 raise DomainViolation(f"empty box interval ({lo}, {hi})")
         self.box = [(float(lo), float(hi)) for lo, hi in box]
         self.excluded = excluded
-        self.margin = margin
 
     def contains(self, p):
         p = np.asarray(p, dtype=float)
@@ -104,7 +102,6 @@ class SmoothMap:
 
 
 def identity_map(chart):
-    from .fields import coordinate
     return SmoothMap(chart, chart,
                      [coordinate(chart.dim, i) for i in range(chart.dim)])
 
@@ -113,7 +110,6 @@ def compose_maps(G, F):
     """G∘F as a SmoothMap (components composed via exact jets)."""
     if G.source.dim != F.target.dim:
         raise DimensionMismatch("inner target dim must match outer source dim")
-    from .fields import compose
     comps = [compose(c, F.components) for c in G.components]
     return SmoothMap(F.source, G.target, comps)
 

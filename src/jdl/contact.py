@@ -34,15 +34,13 @@ import itertools
 
 import numpy as np
 
-from .calculus import (KForm, exterior_d, exterior_d_form, lie_derivative,
-                       wedge_form)
+from .calculus import KForm, exterior_d_form, lie_derivative, wedge_form
+from .chart import sample_points
 from .errors import (DegenerateCurvature, EvenDimension, InconsistentOracle,
                      SingularOmega, SingularSystem)
-from .fields import (Field, as_field, constant, jet_inv, jet_solve,
-                     point_memo)
+from .fields import Field, as_field, constant, jet_solve, point_memo
 from .jacobi import JacobiPair, hamiltonian_field, jacobi_bidiff_matrix
-from .jets import Jet
-from .linalg import BilinearForm, span_of
+from .linalg import BilinearForm, kernel
 from .report import residual_report, threshold_report
 
 CONTACT_IDENTITY = "theta ^ (d theta)^n is a volume form"
@@ -93,11 +91,6 @@ def reeb(C, p):
     return sol
 
 
-def reeb_field(C):
-    """Reeb field with jet-evaluable components: the E of the Jacobi pair."""
-    return (C._pair or contact_to_jacobi(C)).E
-
-
 def varpi_matrix(C, p):
     """Matrix of ϖ on the frame {(∂_i, 0)} ∪ {1} at p.
 
@@ -122,27 +115,19 @@ def varpi_entry_fields(C):
     return entries
 
 
+def horizontal_space(C, p):
+    """H = ker θ_p as a Subspace with an orthonormal basis."""
+    return kernel(C.theta.dense(p).reshape(1, -1))
+
+
 def curvature_form(C, p, tol=1e-10):
-    """Basis of H = ker θ_p and the matrix of c = -(dθ)|_H in that basis."""
-    theta_p = C.theta.dense(p)
-    H = span_of([v for v in np.linalg.svd(theta_p.reshape(1, -1))[2][1:]],
-                ambient=C.chart.dim)
-    # svd row trick above returns an orthonormal basis of ker θ_p
+    """H = ker θ_p and the matrix of c = -(dθ)|_H in the basis of H."""
+    H = horizontal_space(C, p)
     B = H.basis
     c = -(B.T @ C.dtheta.dense(p) @ B)
     if abs(np.linalg.det(c)) < tol:
         raise DegenerateCurvature(f"curvature degenerate at {p}")
     return H, BilinearForm(c)
-
-
-def contact_hamiltonian_vf(C, f, p):
-    """X_f at p, the contact Hamiltonian field of f."""
-    return contact_hamiltonian_field(C, f).at(p)
-
-
-def contact_hamiltonian_field(C, f):
-    """X_f as a jet-evaluable vector field: the Jacobi pair's X_f."""
-    return hamiltonian_field(C._pair or contact_to_jacobi(C), f)
 
 
 def contact_to_jacobi(C, pts=None, tol=1e-8):
@@ -160,7 +145,6 @@ def contact_to_jacobi(C, pts=None, tol=1e-8):
     """
     J = C._pair or _closed_form_pair(C)
     if pts is None:
-        from .chart import sample_points
         pts = sample_points(C.chart, 5, seed=23)
     worst = max((sharp_inverse_residual(C, J, p) for p in pts), default=0.0)
     if worst > tol:
@@ -184,8 +168,9 @@ def sharp_inverse_residual(C, J, p):
 def _closed_form_pair(C):
     n = C.chart.dim
     W = varpi_entry_fields(C)
-    inv = point_memo(lambda p, order: jet_inv(
-        [[w(p, order) for w in row] for row in W]))
+    eye = np.eye(n + 1)
+    inv = point_memo(lambda p, order: jet_solve(
+        [[w(p, order) for w in row] for row in W], eye))
 
     def entry(i, j):
         return Field(n, lambda p, o: inv(p, o)[i, j])
@@ -211,15 +196,13 @@ def check_lcs(L, pts, tol=1e-8):
     """Residuals of dη, det ω (threshold), and dω + ω∧η."""
     residuals = []
     notes = ""
-    domega_plus = None
     n = L.chart.dim
+    d_eta = exterior_d_form(L.eta)
     if n >= 3:
         d_omega = exterior_d_form(L.omega)
         wedge_oe = wedge_form(L.omega, L.eta)
     for p in pts:
-        r = 0.0
-        deta = exterior_d(L.eta, p)
-        r = max(r, max((abs(v) for v in deta.values()), default=0.0))
+        r = max((abs(f.value(p)) for f in d_eta.comps.values()), default=0.0)
         if abs(np.linalg.det(L.omega.dense(p))) < tol:
             raise SingularOmega(f"omega singular at {p}")
         if n >= 3:
@@ -261,13 +244,10 @@ def lcs_from_even_pair(J):
     """
     n = J.chart.dim
     pi_fields = J.Pi.field_matrix()
+    eye = np.eye(n)
 
     def solve(p, order):
-        rhs = np.empty((n, n + 1), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                rhs[i, j] = Jet.constant(1.0 if i == j else 0.0, n, order)
-            rhs[i, n] = J.E.comps[i](p, order)
+        rhs = [list(row) + [e(p, order)] for row, e in zip(eye, J.E.comps)]
         return jet_solve([[pi_fields[a][b](p, order) for b in range(n)]
                           for a in range(n)], rhs)
 
@@ -288,7 +268,7 @@ def contact_field_property(C, f, p):
     Returns the singular-value ratio s₁/s₀, which is 0 for a contact field;
     the caller compares it with its own tolerance.
     """
-    Xf = contact_hamiltonian_field(C, f)
+    Xf = hamiltonian_field(contact_to_jacobi(C), f)
     L = lie_derivative(Xf, C.theta, p)
     row = np.array([L[(i,)] for i in range(C.chart.dim)])
     M = np.vstack([C.theta.dense(p), row])

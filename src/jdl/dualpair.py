@@ -1,52 +1,56 @@
 """The contact-dual-pair verifier.
 
 A dual-pair candidate is a contact source together with two conformal
-Jacobi-morphism legs onto Jacobi-pair targets.  The three defining
-conditions are checked pointwise:
+Jacobi-morphism legs Φ_i = (φ_i, a_i) onto Jacobi-pair targets.  The three
+defining conditions are checked pointwise:
 
-1. transversality:  H + ker Tφ_i = TM for i = 1, 2,
-2. commutation:     {Φ1* λ1, Φ2* λ2} = 0 for all pullback sections,
+1. transversality:  H + ker Tφ_i = TM for i = 1, 2, where H = ker θ,
+2. commutation:     {Φ1* λ1, Φ2* λ2} = 0 for λ_i in the test sections
+                    {1, coordinates} of the targets,
 3. orthogonality:   (H ∩ ker Tφ1)^⊥c = H ∩ ker Tφ2 w.r.t. the curvature c,
 
 together with the equivalent single condition on the gauge algebroid,
 (ker DΦ1)^⊥ϖ = ker DΦ2, whose verdict must agree with the 3-condition
 verdict at every sampled point.
+
+Condition 2 already contains the relations of the conformal factors.
+Since Φ_i* 1 = a_i, it includes {a1, a2} = 0; and since
+{a1, a2·y∘φ2} = a2·dy(Tφ2 X_{a1}) + (y∘φ2)·{a1, a2} for every target
+coordinate y, with a2 nowhere zero, it gives X_{a1} ∈ ker Tφ2, and
+symmetrically X_{a2} ∈ ker Tφ1.
+
+Each condition has one residual at a point.  Its report and both pointwise
+verdicts read that residual, and the condition holds at p when the residual
+is below the tolerance of its report.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .atiyah import ker_DPhi, varpi_from_theta
+from .atiyah import ker_DPhi
 from .chart import tangent_map
-from .contact import contact_to_jacobi, curvature_form
-from .fields import as_field, constant, coordinate
-from .jacobi import bracket_field, check_jacobi_morphism, hamiltonian_field
-from .linalg import (full_space, image, intersect, kernel, orth_complement_wrt,
-                     span_of, subspace_equal, sum_spaces)
+from .contact import (contact_to_jacobi, curvature_form, horizontal_space,
+                      varpi_matrix)
+from .fields import as_field
+from .jacobi import (bracket_field, check_jacobi_morphism,
+                     default_test_functions, hamiltonian_field)
+from .linalg import (BilinearForm, full_space, image, intersect, kernel,
+                     orth_complement_wrt, span_of, subspace_equal, sum_spaces)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
                      residual_report)
 
 
-def default_frames(chart):
-    """Target test sections: the constant 1 and the coordinates."""
-    return [constant(chart.dim, 1.0)] + \
-        [coordinate(chart.dim, i) for i in range(chart.dim)]
-
-
 class DualPairSpec:
-    """Contact source, two (JacobiPair, ConformalMap) legs, test frames."""
+    """Contact source and two (JacobiPair, ConformalMap) legs."""
 
-    def __init__(self, source, leg1, leg2, frames1=None, frames2=None,
-                 source_pair=None, name=""):
+    def __init__(self, source, leg1, leg2, name=""):
         self.source = source
         self.J1, self.Phi1 = leg1
         self.J2, self.Phi2 = leg2
-        self.frames1 = frames1 if frames1 is not None \
-            else default_frames(self.J1.chart)
-        self.frames2 = frames2 if frames2 is not None \
-            else default_frames(self.J2.chart)
-        self._source_pair = source_pair
         self.name = name
+        self._source_pair = None
+        self._frames = [default_test_functions(J.chart)
+                        for J, _ in self.legs()]
 
     @property
     def source_pair(self):
@@ -55,19 +59,18 @@ class DualPairSpec:
         return self._source_pair
 
     def legs(self):
-        return ((self.J1, self.Phi1, self.frames1),
-                (self.J2, self.Phi2, self.frames2))
+        return (self.J1, self.Phi1), (self.J2, self.Phi2)
 
     def pullback_fields(self, leg):
-        J, Phi, frames = self.legs()[leg]
-        return [Phi.pullback(lam) for lam in frames]
+        """Φ*λ over the target test sections λ of leg 0 or 1."""
+        Phi = self.legs()[leg][1]
+        return [Phi.pullback(lam) for lam in self._frames[leg]]
 
     def check_morphisms(self, pts, tol=1e-8):
         """Both legs must be Jacobi morphisms before dual-pair checks run."""
         reps = []
-        for i, (J, Phi, frames) in enumerate(self.legs()):
-            rep = check_jacobi_morphism(self.source_pair, J, Phi, pts,
-                                        test_fns=frames, tol=tol)
+        for i, (J, Phi) in enumerate(self.legs()):
+            rep = check_jacobi_morphism(self.source_pair, J, Phi, pts, tol=tol)
             rep.check_id = f"morphism_leg{i + 1}"
             reps.append(rep)
         return reps
@@ -76,135 +79,144 @@ class DualPairSpec:
         return f"DualPairSpec({self.name or self.source.chart.name!r})"
 
 
-def horizontal_space(C, p):
-    """H = ker θ_p as a Subspace."""
-    return kernel(C.theta.dense(p).reshape(1, -1))
+# Each condition is a function of the spec that returns its residual as a
+# function of the point.  Per-spec set-up, such as the bracket fields and
+# their memos, is then built once per check and freed with it rather than
+# kept on the spec.
 
-
-def _missing_dimensions(dp, p):
-    """max over i of dim M - dim(H_p + ker Tφ_i); 0 iff transversal at p."""
-    H = horizontal_space(dp.source, p)
+def _transversality(dp):
+    """p -> max over i of dim M - dim(H_p + ker Tφ_i); 0 iff transversal."""
     n = dp.source.chart.dim
-    return max(n - sum_spaces(H, kernel(tangent_map(Phi.map, p))).dim
-               for _, Phi, _ in dp.legs())
+
+    def residual(p):
+        H = horizontal_space(dp.source, p)
+        return float(max(n - sum_spaces(H, kernel(tangent_map(Phi.map, p))).dim
+                         for _, Phi in dp.legs()))
+    return residual
 
 
-def check_transversality(dp, pts):
-    """rank(H_p + ker Tφ_i) = dim M at each point, i = 1, 2."""
-    residuals = [(p, float(_missing_dimensions(dp, p))) for p in pts]
-    return residual_report("transversality", "H + ker T phi_i = TM",
-                           residuals, tolerance=0.5,
-                           notes="residual counts missing dimensions")
-
-
-def _commutation_fields(dp):
-    P1 = dp.pullback_fields(0)
-    P2 = dp.pullback_fields(1)
+def _commutation(dp):
+    """p -> max |{Φ1*λ1, Φ2*λ2}(p)| over the test sections."""
     J = dp.source_pair
-    return [bracket_field(J, f, g) for f in P1 for g in P2]
-
-
-def commutation_residual(fields, p):
-    return max(abs(f.value(p)) for f in fields)
-
-
-def check_commutation(dp, pts, tol=1e-8):
-    """Residuals of {Φ1-pullbacks, Φ2-pullbacks}, plus the conformal-factor
-    commutator {a1, a2} and the memberships X_{a1} ∈ ker Tφ2, X_{a2} ∈ ker Tφ1."""
-    fields = _commutation_fields(dp)
-    J = dp.source_pair
-    a1, a2 = dp.Phi1.factor, dp.Phi2.factor
-    a_bracket = bracket_field(J, a1, a2)
-    X1 = hamiltonian_field(J, a1)
-    X2 = hamiltonian_field(J, a2)
-    residuals = []
-    for p in pts:
-        r = commutation_residual(fields, p)
-        r = max(r, abs(a_bracket.value(p)))
-        T2 = tangent_map(dp.Phi2.map, p)
-        T1 = tangent_map(dp.Phi1.map, p)
-        push1 = T2 @ X1.at(p)
-        push2 = T1 @ X2.at(p)
-        r = max(r, float(np.abs(push1).max()) if push1.size else 0.0)
-        r = max(r, float(np.abs(push2).max()) if push2.size else 0.0)
-        residuals.append((p, r))
-    return residual_report(
-        "commutation",
-        "{a1 phi1*f, a2 phi2*g} = 0; {a1,a2} = 0; X_{a_i} in ker T phi_j",
-        residuals, tol)
+    brackets = [bracket_field(J, f, g) for f in dp.pullback_fields(0)
+                for g in dp.pullback_fields(1)]
+    return lambda p: max(abs(f.value(p)) for f in brackets)
 
 
 def _vertical_in_H(dp, p, H, leg):
     """H_i = H ∩ ker Tφ_i expressed in H-basis coordinates."""
-    _, Phi, _ = dp.legs()[leg]
+    _, Phi = dp.legs()[leg]
     K = kernel(tangent_map(Phi.map, p))
     Hi = intersect(H, K)
     return image(H.basis.T @ Hi.basis)
 
 
-def curvature_orthogonality_at(dp, p, angle_tol=1e-7):
-    H, c = curvature_form(dp.source, p)
-    H1 = _vertical_in_H(dp, p, H, 0)
-    H2 = _vertical_in_H(dp, p, H, 1)
-    comp = orth_complement_wrt(c, H1, full_space(H.dim))
-    return subspace_equal(comp, H2, angle_tol=angle_tol)
+def _curvature_orthogonality(dp):
+    """p -> worst principal angle between (H_1)^⊥c and H_2 (π/2 if their
+    dimensions differ)."""
+    def residual(p):
+        H, c = curvature_form(dp.source, p)
+        H1 = _vertical_in_H(dp, p, H, 0)
+        H2 = _vertical_in_H(dp, p, H, 1)
+        comp = orth_complement_wrt(c, H1, full_space(H.dim))
+        return subspace_equal(comp, H2)[1]
+    return residual
+
+
+def _varpi_orthogonality(dp):
+    """p -> worst principal angle between (ker DΦ1)^⊥ϖ and ker DΦ2 (π/2 if
+    their dimensions differ)."""
+    ambient = full_space(dp.source.chart.dim + 1)
+
+    def residual(p):
+        W = BilinearForm(varpi_matrix(dp.source, p))
+        comp = orth_complement_wrt(W, ker_DPhi(dp.Phi1, p), ambient)
+        return subspace_equal(comp, ker_DPhi(dp.Phi2, p))[1]
+    return residual
+
+
+# check id -> (residual of a spec, identity, notes)
+_CONDITIONS = {
+    "transversality": (_transversality, "H + ker T phi_i = TM",
+                       "residual counts missing dimensions"),
+    "commutation": (_commutation,
+                    "{Phi_1* f, Phi_2* g} = 0 for f, g in {1, coordinates}",
+                    ""),
+    "curvature_orthogonality": (
+        _curvature_orthogonality,
+        "(H cap ker T phi_1)^perp-c = H cap ker T phi_2",
+        "residual is the worst principal angle"),
+    "varpi_orthogonality": (_varpi_orthogonality,
+                            "(ker D Phi_1)^perp-varpi = ker D Phi_2",
+                            "residual is the worst principal angle"),
+}
+_DEFINING = ("transversality", "commutation", "curvature_orthogonality")
+
+
+def _tolerances(tol, angle_tol):
+    """Report tolerance per condition: missing dimensions are counted,
+    brackets compared with ``tol`` and angles with ``angle_tol``."""
+    return {"transversality": 0.5, "commutation": tol,
+            "curvature_orthogonality": angle_tol,
+            "varpi_orthogonality": angle_tol}
+
+
+def _evaluate(check_id, dp, pts, tolerance):
+    """The condition's report, and whether it holds, point by point."""
+    residual_of, identity, notes = _CONDITIONS[check_id]
+    residual = residual_of(dp)
+    residuals = [(p, residual(p)) for p in pts]
+    rep = residual_report(check_id, identity, residuals, tolerance,
+                          notes=notes)
+    return rep, [r < tolerance for _, r in residuals]
+
+
+def _check(check_id, dp, pts, tol=1e-8, angle_tol=1e-7):
+    return _evaluate(check_id, dp, pts,
+                     _tolerances(tol, angle_tol)[check_id])[0]
+
+
+def _defining_conditions_hold(dp, pts, tol=1e-8, angle_tol=1e-7):
+    """Per point: do conditions 1-3 all hold there?"""
+    tolerances = _tolerances(tol, angle_tol)
+    tests = [(_CONDITIONS[c][0](dp), tolerances[c]) for c in _DEFINING]
+    return [all(residual(p) < t for residual, t in tests) for p in pts]
+
+
+def check_transversality(dp, pts):
+    """rank(H_p + ker Tφ_i) = dim M at each point, i = 1, 2."""
+    return _check("transversality", dp, pts)
+
+
+def check_commutation(dp, pts, tol=1e-8):
+    """{Φ1*λ1, Φ2*λ2} = 0 at each point, over the test sections."""
+    return _check("commutation", dp, pts, tol=tol)
 
 
 def check_curvature_orthogonality(dp, pts, angle_tol=1e-7):
     """(H_1)^⊥c = H_2 at each point, as a principal-angle equality."""
-    residuals = []
-    for p in pts:
-        same, ang = curvature_orthogonality_at(dp, p, angle_tol)
-        residuals.append((p, ang if same else max(ang, np.pi / 2)))
-    return residual_report("curvature_orthogonality",
-                           "(H cap ker T phi_1)^perp-c = H cap ker T phi_2",
-                           residuals, angle_tol,
-                           notes="residual is the worst principal angle")
-
-
-def varpi_orthogonality_at(dp, p, angle_tol=1e-7):
-    W = varpi_from_theta(dp.source, p)
-    K1 = ker_DPhi(dp.Phi1, p)
-    K2 = ker_DPhi(dp.Phi2, p)
-    comp = orth_complement_wrt(W, K1, full_space(dp.source.chart.dim + 1))
-    return subspace_equal(comp, K2, angle_tol=angle_tol)
+    return _check("curvature_orthogonality", dp, pts, angle_tol=angle_tol)
 
 
 def check_varpi_orthogonality(dp, pts, angle_tol=1e-7):
     """(ker DΦ1)^⊥ϖ = ker DΦ2 at each point."""
-    residuals = []
-    for p in pts:
-        same, ang = varpi_orthogonality_at(dp, p, angle_tol)
-        residuals.append((p, ang if same else max(ang, np.pi / 2)))
-    return residual_report("varpi_orthogonality",
-                           "(ker D Phi_1)^perp-varpi = ker D Phi_2",
-                           residuals, angle_tol,
-                           notes="residual is the worst principal angle")
-
-
-def three_condition_verdicts(dp, pts, tol=1e-8, angle_tol=1e-7):
-    """Per point: do transversality, commutation (residual below ``tol``)
-    and curvature orthogonality all hold there?"""
-    fields = _commutation_fields(dp)
-    return [_missing_dimensions(dp, p) == 0
-            and commutation_residual(fields, p) < tol
-            and curvature_orthogonality_at(dp, p, angle_tol)[0]
-            for p in pts]
+    return _check("varpi_orthogonality", dp, pts, angle_tol=angle_tol)
 
 
 def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
     """All three defining conditions, the ϖ-orthogonality equivalent, and
-    the pointwise agreement flag between the two verdicts."""
-    reports = {
-        "transversality": check_transversality(dp, pts),
-        "commutation": check_commutation(dp, pts, tol),
-        "curvature_orthogonality": check_curvature_orthogonality(
-            dp, pts, angle_tol),
-        "varpi_orthogonality": check_varpi_orthogonality(dp, pts, angle_tol),
-    }
-    verdicts = three_condition_verdicts(dp, pts, tol, angle_tol)
-    mismatches = sum(v3 != varpi_orthogonality_at(dp, p, angle_tol)[0]
-                     for p, v3 in zip(pts, verdicts))
+    the pointwise agreement flag between the two verdicts.
+
+    Each condition is evaluated once per point; its report and the
+    verdicts read the same residuals.
+    """
+    reports, holds = {}, {}
+    for check_id, tolerance in _tolerances(tol, angle_tol).items():
+        reports[check_id], holds[check_id] = _evaluate(check_id, dp, pts,
+                                                       tolerance)
+    three = [all(v) for v in zip(*(holds[c] for c in _DEFINING))]
+    mismatches = sum(v3 != v for v3, v in
+                     zip(three, holds["varpi_orthogonality"]))
     status = PASS if mismatches == 0 else FAIL
     reports["equivalence"] = CheckReport(
         "equivalence",
@@ -270,7 +282,7 @@ def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
         r = 0.0
         for leg in (0, 1):
             other = 1 - leg
-            _, Phi, _ = dp.legs()[leg]
+            _, Phi = dp.legs()[leg]
             K = kernel(tangent_map(Phi.map, p))
             Hother = _vertical_in_H(dp, p, H, other)
             comp_in_H = orth_complement_wrt(c, Hother, full_space(H.dim))

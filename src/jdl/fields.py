@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DimensionMismatch, SingularSystem
 from .jets import Jet, jet_lift, taylor_compose
 
 
@@ -62,7 +63,6 @@ class Field:
     def _lift2(self, other, op):
         if isinstance(other, Field):
             if other.dim != self.dim:
-                from .errors import DimensionMismatch
                 raise DimensionMismatch("field dims differ")
             return Field(self.dim, lambda p, o: op(self(p, o), other(p, o)))
         c = float(other)
@@ -178,15 +178,21 @@ def point_memo(fn):
 def jet_solve(A, b):
     """Solve A x = b by Gaussian elimination in jet arithmetic.
 
-    A is an (n, n) array of Jets (or numbers), b an (n,) or (n, m) array.
-    Pivoting is by the value part.  Keeps the solution differentiable.
+    A is an (n, n) array of Jets (or numbers), b an (n,) or (n, m) array;
+    plain-number entries of b are lifted to constant jets once, so
+    ``jet_solve(A, np.eye(n))`` is the jet inverse of A.  Pivoting is by
+    the value part.  Keeps the solution differentiable.
     """
     A = [list(row) for row in A]
     b = np.asarray(b, dtype=object)
     vec = b.ndim == 1
     B = [[b[i]] for i in range(len(b))] if vec else [list(row) for row in b]
     n = len(A)
-    from .errors import SingularSystem
+    first = next((x for row in A for x in row if isinstance(x, Jet)), None)
+    if first is not None:
+        B = [[x if isinstance(x, Jet)
+              else Jet.constant(float(x), first.dim, first.order)
+              for x in row] for row in B]
 
     def val(x):
         return x.value if isinstance(x, Jet) else float(x)
@@ -214,14 +220,3 @@ def jet_solve(A, b):
         for c in range(len(B[0])):
             out[i, c] = B[i][c] * inv
     return out[:, 0] if vec else out
-
-
-def jet_inv(A):
-    """Inverse of a square matrix of Jets via jet Gaussian elimination."""
-    n = len(A)
-    eye = np.empty((n, n), dtype=object)
-    first = next(x for row in A for x in row if isinstance(x, Jet))
-    for i in range(n):
-        for j in range(n):
-            eye[i, j] = Jet.constant(1.0 if i == j else 0.0, first.dim, first.order)
-    return jet_solve(A, eye)

@@ -21,11 +21,13 @@ import itertools
 
 import numpy as np
 
-from .calculus import schouten
-from .chart import Chart, SmoothMap, tangent_map
+from .calculus import KForm, exterior_d_form, schouten
+from .chart import Chart, SmoothMap, sample_points, tangent_map
+from .contact import contact_to_jacobi
+from .dualpair import _defining_conditions_hold
 from .errors import OracleMismatch
 from .fields import as_field, compose, constant, coordinate
-from .jacobi import JacobiPair, bracket_field
+from .jacobi import JacobiPair, bracket_field, default_test_functions
 from .linalg import BilinearForm, full_space, kernel, orth_complement_wrt, subspace_equal
 from .report import FAIL, residual_report
 
@@ -73,7 +75,6 @@ def poissonize(J, pts=None, tol=1e-9):
         comps[(i, n)] = -_lift_field(J.E.comps[i], n)   # (∂s∧E)^{i,s} = -E^i
     P = JacobiPair(big, comps, [constant(n + 1, 0.0)] * (n + 1))
     if pts is None:
-        from .chart import sample_points
         pts = sample_points(big, 5, seed=61)
     rep = check_poissonization_oracle(P, J, pts, tol)
     if not rep.passed:
@@ -87,7 +88,7 @@ def check_poissonization_oracle(P, J, pts, tol=1e-9, test_fns=None):
     n = J.chart.dim
     s_field = coordinate(n + 1, n)
     if test_fns is None:
-        test_fns = [constant(n, 1.0)] + [coordinate(n, i) for i in range(n)]
+        test_fns = default_test_functions(J.chart)
     fields = []
     for f, g in itertools.combinations_with_replacement(test_fns, 2):
         lhs = bracket_field(P, s_field * _lift_field(f, n),
@@ -149,7 +150,6 @@ def dehomogenize(P, base_chart):
 
 def symplectize(C):
     """ω~ = d(s·π*θ) = ds∧π*θ + s·π*dθ on the slit chart."""
-    from .calculus import KForm
     n = C.chart.dim
     big = slit_chart(C.chart)
     s_field = coordinate(n + 1, n)
@@ -163,13 +163,12 @@ def symplectize(C):
 
 def check_symplectization(C, pts, tol=1e-9):
     """dω~ = 0, nondegeneracy, and h_t-homogeneity of ω~ (degree +1)."""
-    from .calculus import exterior_d
     omega, big = symplectize(C)
+    d_omega = exterior_d_form(omega)
     residuals = []
     for p in pts:
-        r = 0.0
-        d = exterior_d(omega, p)
-        r = max(r, max((abs(v) for v in d.values()), default=0.0))
+        r = max((abs(f.value(p)) for f in d_omega.comps.values()),
+                default=0.0)
         M = omega.dense(p)
         if abs(np.linalg.det(M)) < tol:
             r = max(r, 1.0)
@@ -190,13 +189,11 @@ def check_symplectization(C, pts, tol=1e-9):
         residuals, tol)
 
 
-def check_symplectization_consistency(C, pts, tol=1e-8, source_pair=None):
+def check_symplectization_consistency(C, pts, tol=1e-8):
     """Invert ω~ pointwise and compare with the Poissonization of the
     induced Jacobi pair: the two routes must agree componentwise."""
     omega, big = symplectize(C)
-    J = source_pair if source_pair is not None else \
-        __import__("jdl.contact", fromlist=["contact_to_jacobi"]).contact_to_jacobi(C)
-    P = poissonize(J)
+    P = poissonize(contact_to_jacobi(C))
     residuals = []
     for p in pts:
         P_from_omega = -np.linalg.inv(omega.dense(p))
@@ -211,7 +208,6 @@ def check_symplectization_consistency(C, pts, tol=1e-8, source_pair=None):
 def homogenize_map(Phi, source_slit=None, target_slit=None):
     """Lift (φ, a) to the slit charts: (x, s) ↦ (φ(x), a(x)·s)."""
     n = Phi.map.source.dim
-    m = Phi.map.target.dim
     if source_slit is None:
         source_slit = slit_chart(Phi.map.source)
     if target_slit is None:
@@ -269,15 +265,15 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
     """Lifted symplectic orthogonality agrees with the base verdict.
 
     At each lifted point (x, s): ker TΦ~1 = (ker TΦ~2)^⊥ω~, compared with
-    the base dual-pair verdict of verify_dual_pair at x.
+    the base 3-condition verdict at x, read from the same per-point
+    residuals as verify_dual_pair.
     """
-    from .dualpair import three_condition_verdicts
     omega, big = symplectize(dp.source)
     lift1 = homogenize_map(dp.Phi1, source_slit=big)
     lift2 = homogenize_map(dp.Phi2, source_slit=big)
     residuals = []
     mismatches = 0
-    verdicts = three_condition_verdicts(dp, pts, angle_tol=angle_tol)
+    verdicts = _defining_conditions_hold(dp, pts, angle_tol=angle_tol)
     for p, base_ok in zip(pts, verdicts):
         worst = 0.0
         lifted_ok = True

@@ -99,26 +99,15 @@ def check_jacobi_pair(J, pts, tol=1e-10):
     return rep
 
 
-def jacobi_bracket(J, f, g, p):
-    """{f,g} at p."""
-    return bracket_field(J, f, g).value(p)
-
-
 def bracket_field(J, f, g):
     """{f,g} as a derived field (exact jets; supports nesting)."""
     f = as_field(J.chart.dim, f)
     g = as_field(J.chart.dim, g)
-    n = J.chart.dim
     acc = f * J.E.apply_field(g) - g * J.E.apply_field(f)
     for (i, j), comp in J.Pi.comps.items():
         acc = acc + comp * (f.partial(i) * g.partial(j)
                             - f.partial(j) * g.partial(i))
     return acc
-
-
-def hamiltonian_vf(J, f, p):
-    """X_f(p) = Π♯(df)(p) + f(p) E(p)."""
-    return hamiltonian_field(J, f).at(p)
 
 
 def hamiltonian_field(J, f):
@@ -148,20 +137,24 @@ def jacobi_bidiff_matrix(J, p):
 
 
 def default_test_functions(chart):
-    """The constant 1 and the coordinates: enough first-order variation."""
-    fns = [constant(chart.dim, 1.0)]
-    fns += [coordinate(chart.dim, i) for i in range(chart.dim)]
-    return fns
+    """The test sections of every check: the constant 1 and the coordinates.
+
+    One family suffices because at every point p their 1-jets (0, 1) and
+    (e_i, x_i(p)) span J¹ at p, so an identity that is first order in each
+    argument (a bracket, a Hamiltonian field, a pullback jet) holds on all
+    sections at p once it holds on these.
+    """
+    return [constant(chart.dim, 1.0)] + \
+        [coordinate(chart.dim, i) for i in range(chart.dim)]
 
 
-def check_jacobi_morphism(J1, J2, Phi, pts, test_fns=None, tol=1e-9):
+def check_jacobi_morphism(J1, J2, Phi, pts, tol=1e-9):
     """Bracket compatibility and Hamiltonian pushforward along (φ, a).
 
-    Residuals of {aφ*f, aφ*g}_1 - aφ*({f,g}_2) for all test-function pairs,
-    plus Tφ·X_{aφ*g}(p) - X_g(φ(p)).
+    Residuals of {aφ*f, aφ*g}_1 - aφ*({f,g}_2) for all pairs of target test
+    sections, plus Tφ·X_{aφ*g}(p) - X_g(φ(p)).
     """
-    if test_fns is None:
-        test_fns = default_test_functions(J2.chart)
+    test_fns = default_test_functions(J2.chart)
     residuals = []
     push_fields = [(g, hamiltonian_field(J1, Phi.pullback(g)),
                     hamiltonian_field(J2, g)) for g in test_fns]
@@ -206,7 +199,6 @@ class LieAlgebraData:
 def so3():
     c = np.zeros((3, 3, 3))
     for i, j, k in itertools.permutations(range(3)):
-        sign = 1.0
         perm = (i, j, k)
         # Levi-Civita sign
         sign = {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
@@ -290,10 +282,6 @@ def projectivized_bracket_field(g, k, b1, b2):
         else:
             slot_fields.append(coordinate(n - 1, others.index(i)))
     return compose(big, slot_fields)
-
-
-def projectivized_bracket(g, k, b1, b2, p):
-    return projectivized_bracket_field(g, k, b1, b2).value(p)
 
 
 def conformal_change(J, c):

@@ -18,13 +18,15 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .atiyah import bidiff_sharp, dphi_matrix, ker_DPhi, varpi_from_theta
+from .atiyah import dphi_matrix, ker_DPhi
 from .calculus import exterior_d_form, pullback_form
 from .chart import compose_maps, tangent_map
+from .contact import varpi_matrix
 from .errors import DimensionMismatch, InconsistentConnection, StepOutOfDomain
 from .fields import as_field, compose
-from .linalg import (full_space, image, kernel, orth_complement_wrt, preimage,
-                     subspace_equal, sum_spaces)
+from .jacobi import jacobi_bidiff_matrix
+from .linalg import (BilinearForm, full_space, image, kernel,
+                     orth_complement_wrt, preimage, subspace_equal, sum_spaces)
 from .report import residual_report
 
 
@@ -48,9 +50,8 @@ class LeafProbe:
     ``ranks[k]`` is the characteristic rank at ``points[rank_steps[k]]``.
     """
 
-    def __init__(self, seed_point, points, ranks, rank_steps, drift_estimate,
+    def __init__(self, points, ranks, rank_steps, drift_estimate,
                  casimir_drift, aborted):
-        self.seed_point = np.asarray(seed_point, dtype=float)
         self.points = points
         self.ranks = ranks
         self.rank_steps = rank_steps
@@ -129,7 +130,7 @@ def leaf_trace(J, p0, n_steps=1000, dt=1e-3, seed=0, casimirs=None,
             casimir_drift = max(casimir_drift, abs(c.value(p) - v0))
     ranks.append(characteristic_subspace(J, points[-1]).dim)
     rank_steps.append(len(points) - 1)
-    return LeafProbe(p0, points, ranks, rank_steps, drift_estimate,
+    return LeafProbe(points, ranks, rank_steps, drift_estimate,
                      casimir_drift, aborted)
 
 
@@ -164,13 +165,12 @@ def check_pullback_distribution(dp, pts, angle_tol=1e-7):
         K1 = kernel(tangent_map(dp.Phi1.map, p))
         K2 = kernel(tangent_map(dp.Phi2.map, p))
         D = sum_spaces(K1, K2)
-        W = varpi_from_theta(dp.source, p)
-        for J, Phi, _ in dp.legs():
+        W = BilinearForm(varpi_matrix(dp.source, p))
+        for J, Phi in dp.legs():
             q = Phi.map(p)
             # derivation level
             DP = dphi_matrix(Phi, p)
-            sharp = bidiff_sharp(J, q)
-            im = image(sharp)
+            im = image(jacobi_bidiff_matrix(J, q).T)   # im J♯
             lhs = preimage(DP, im)
             KD = ker_DPhi(Phi, p)
             perp = orth_complement_wrt(W, KD, full_space(n + 1))

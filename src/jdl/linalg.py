@@ -126,18 +126,17 @@ def preimage(A, S, tol=RANK_TOL):
 
 
 class BilinearForm:
-    """A bilinear form on R^ambient given by its Gram matrix."""
+    """An antisymmetric bilinear form on R^ambient given by its Gram matrix."""
 
-    def __init__(self, matrix, antisymmetric=True):
+    def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionMismatch("bilinear form matrix must be square")
-        if antisymmetric:
-            resid = np.max(np.abs(matrix + matrix.T))
-            scale = max(1.0, np.max(np.abs(matrix)))
-            if resid > 1e-10 * scale:
-                raise DimensionMismatch(
-                    f"matrix not antisymmetric (residual {resid:.2e})")
+        resid = np.max(np.abs(matrix + matrix.T))
+        scale = max(1.0, np.max(np.abs(matrix)))
+        if resid > 1e-10 * scale:
+            raise DimensionMismatch(
+                f"matrix not antisymmetric (residual {resid:.2e})")
         self.matrix = matrix
         self.ambient = matrix.shape[0]
 

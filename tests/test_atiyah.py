@@ -3,19 +3,19 @@ import pytest
 
 from jdl import atiyah
 from jdl.atiyah import (Derivation, DerivationField, JetElement,
-                        bidiff_sharp, check_contracting_homotopy,
+                        check_contracting_homotopy,
                         check_one_perp_is_horizontal, check_sharp_inverse,
                         check_technical_lemma, check_varpi_closed,
                         der_bracket, dphi_matrix, gauge_pushforward,
-                        hamiltonian_derivation, identity_derivation,
-                        jacobi_bidiff, jet_of, ker_DPhi, pairing,
-                        theta_sigma_form, varpi_form, varpi_matrix)
+                        hamiltonian_derivation, jacobi_bidiff, jet_of,
+                        ker_DPhi, pairing, theta_sigma_form, varpi_form,
+                        varpi_matrix)
 from jdl.calculus import VectorField
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.errors import OracleMismatch
 from jdl.fields import ScalarFieldSpec, constant, coordinate
-from jdl.jacobi import ConformalMap, JacobiPair, jacobi_bracket
+from jdl.jacobi import ConformalMap, JacobiPair, bracket_field
 from jdl.jets import exp
 from jdl.linalg import span_of, subspace_equal
 
@@ -95,7 +95,7 @@ def test_bidiff_reproduces_bracket(darboux3, pts):
     g = ScalarFieldSpec(3, lambda x, y, z: y * z - x)
     for p in pts[:10]:
         lhs = jacobi_bidiff(J, jet_of(f, p), jet_of(g, p))
-        rhs = jacobi_bracket(J, f, g, p)
+        rhs = bracket_field(J, f, g).value(p)
         assert abs(lhs - rhs) < 1e-10
 
 
@@ -134,7 +134,7 @@ def test_gauge_pushforward_closed_form():
     out = gauge_pushforward(Phi, d, check_oracle=True)
     assert np.allclose(out.X, [1.0, 0.0]) and abs(out.g - 0.7) < 1e-14
     # DΦ(1) = 1 always
-    one = identity_derivation([0.2, 0.3], 2)
+    one = Derivation([0.2, 0.3], np.zeros(2), 1.0)
     out = gauge_pushforward(Phi, one, check_oracle=True)
     assert np.abs(out.X).max() < 1e-14 and abs(out.g - 1.0) < 1e-14
 
@@ -235,8 +235,8 @@ def test_hamiltonian_derivation_values(darboux3, pts):
 def test_hamiltonian_derivation_oracle_mismatch(darboux3, pts, monkeypatch):
     # the validating bracket is that of the opposite pair (-Π, -E)
     J = contact_to_jacobi(darboux3)
-    monkeypatch.setattr(atiyah, "jacobi_bracket",
-                        lambda J, f, g, p: jacobi_bracket(J.negated(), f, g, p))
+    monkeypatch.setattr(atiyah, "bracket_field",
+                        lambda J, f, g: bracket_field(J.negated(), f, g))
     with pytest.raises(OracleMismatch):
         hamiltonian_derivation(J, coordinate(3, 0), pts[0], validate=True)
 

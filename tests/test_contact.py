@@ -5,15 +5,14 @@ from jdl.calculus import VectorField
 from jdl.chart import Chart, sample_points
 from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          check_lcs, contact_field_property,
-                         contact_hamiltonian_field, contact_hamiltonian_vf,
                          contact_to_jacobi, curvature_form, lcs_bracket,
                          lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
-                         reeb_field, volume_coefficient)
+                         volume_coefficient)
 from jdl.errors import EvenDimension, InconsistentOracle, SingularSystem
 from jdl.fields import (Field, ScalarFieldSpec, constant, coordinate,
                         jet_solve, point_memo)
-from jdl.jacobi import (JacobiPair, check_jacobi_pair, hamiltonian_vf,
-                        jacobi_bracket)
+from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
+                        hamiltonian_field)
 
 from conftest import extract_pair_from_bracket
 
@@ -60,7 +59,7 @@ def test_even_dim_guard():
 def test_reeb_darboux(darboux3, pts):
     for p in pts[:5]:
         assert np.allclose(reeb(darboux3, p), [0, 0, 1], atol=1e-12)
-    E = reeb_field(darboux3)
+    E = contact_to_jacobi(darboux3).E
     assert np.allclose(E.at(pts[0]), [0, 0, 1], atol=1e-12)
 
 
@@ -116,19 +115,21 @@ def test_hamiltonian_fields_darboux(darboux3, pts):
     x = coordinate(3, 0)
     y = coordinate(3, 1)
     one = constant(3, 1.0)
+    J = contact_to_jacobi(darboux3)
     for p in pts[:5]:
-        assert np.allclose(contact_hamiltonian_vf(darboux3, x, p),
+        assert np.allclose(hamiltonian_field(J, x).at(p),
                            [0.0, 1.0, p[0]], atol=1e-10)
-        assert np.allclose(contact_hamiltonian_vf(darboux3, one, p),
+        assert np.allclose(hamiltonian_field(J, one).at(p),
                            [0, 0, 1], atol=1e-10)
-        assert np.allclose(contact_hamiltonian_vf(darboux3, y, p),
+        assert np.allclose(hamiltonian_field(J, y).at(p),
                            [-1.0, 0.0, 0.0], atol=1e-10)
 
 
 def test_theta_of_hamiltonian_is_f(darboux3, pts):
     f = ScalarFieldSpec(3, lambda x, y, z: x * y + z * z - 0.5)
+    Xf = hamiltonian_field(contact_to_jacobi(darboux3), f)
     for p in pts:
-        X = contact_hamiltonian_vf(darboux3, f, p)
+        X = Xf.at(p)
         assert abs(darboux3.theta.dense(p) @ X - f.value(p)) < 1e-10
 
 
@@ -162,14 +163,17 @@ def test_contact_to_jacobi_trivgpd(trivgpd):
 
 
 def test_route_agreement(darboux3):
-    # contact_hamiltonian_vf == hamiltonian_vf(contact_to_jacobi(C), ·)
-    J = contact_to_jacobi(darboux3)
-    pts = sample_points(darboux3.chart, 100, seed=25)
+    # the pair's X_f equals the float least-squares solution of
+    # θ(X) = f and i_X dθ = -df + E(f)·θ, with E from reeb
     f = ScalarFieldSpec(3, lambda x, y, z: x * z + y)
-    for p in pts:
-        a = contact_hamiltonian_vf(darboux3, f, p)
-        b = hamiltonian_vf(J, f, p)
-        assert np.abs(a - b).max() < 1e-9
+    Xf = hamiltonian_field(contact_to_jacobi(darboux3), f)
+    for p in sample_points(darboux3.chart, 100, seed=25):
+        th, dth = darboux3.theta.dense(p), darboux3.dtheta.dense(p)
+        fj = f(p, 1)
+        E = reeb(darboux3, p)
+        b = np.append(fj.value, -fj.grad + (fj.grad @ E) * th)
+        X = np.linalg.lstsq(np.vstack([th, dth.T]), b, rcond=None)[0]
+        assert np.abs(Xf.at(p) - X).max() < 1e-9
 
 
 def test_transitive(darboux3, pts):
@@ -202,7 +206,7 @@ def test_lcs_bracket_matches_pair_bracket():
     for _ in range(5):
         p = rng.uniform(-1, 1, 2)
         assert abs(lcs_bracket(L, f, g, p)
-                   - jacobi_bracket(J, f, g, p)) < 1e-10
+                   - bracket_field(J, f, g).value(p)) < 1e-10
 
 
 def test_lcs_exponential_example():
@@ -227,9 +231,9 @@ def test_lcs_from_even_pair_round_trip():
     g = ScalarFieldSpec(2, lambda x, y: x * y)
     for p in pts[:5]:
         assert np.abs(lcs_hamiltonian_vf(L, f, p)
-                      - hamiltonian_vf(J, f, p)).max() < 1e-9
+                      - hamiltonian_field(J, f).at(p)).max() < 1e-9
         assert abs(lcs_bracket(L, f, g, p)
-                   - jacobi_bracket(J, f, g, p)) < 1e-9
+                   - bracket_field(J, f, g).value(p)) < 1e-9
 
 
 def test_lcs_from_even_pair_with_nonzero_e():
@@ -251,7 +255,7 @@ def test_lcs_from_even_pair_with_nonzero_e():
     f = ScalarFieldSpec(2, lambda x, y: x * y + 1.0)
     for p in pts[:5]:
         assert np.abs(lcs_hamiltonian_vf(L, f, p)
-                      - hamiltonian_vf(J, f, p)).max() < 1e-8
+                      - hamiltonian_field(J, f).at(p)).max() < 1e-8
 
 
 # -- closed form against the defining equations -------------------------------
@@ -342,9 +346,8 @@ def test_closed_form_matches_extraction_oracle(name, request):
 def test_pair_fields_satisfy_defining_equations(name, request):
     C = request.getfixturevalue(name)
     f = ScalarFieldSpec(3, lambda x, y, z: x * y * z + x - 0.3 * z * z)
-    Xf = contact_hamiltonian_field(C, f)
-    E = reeb_field(C)
-    assert E is contact_to_jacobi(C).E
+    J = contact_to_jacobi(C)
+    Xf, E = hamiltonian_field(J, f), J.E
     for p in sample_points(C.chart, 10, seed=44):
         th, dth = C.theta.dense(p), C.dtheta.dense(p)
         fj = f(p, 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from jdl.chart import Chart, SmoothMap, sample_points
+from jdl.chart import Chart, SmoothMap, sample_points, tangent_map
 from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.dualpair import (DualPairSpec, centralizer_membership,
                           check_commutation, check_corollary_decomposition,
@@ -9,7 +9,7 @@ from jdl.dualpair import (DualPairSpec, centralizer_membership,
                           check_transversality, check_varpi_orthogonality,
                           check_vertical_dim_sum, verify_dual_pair)
 from jdl.fields import ScalarFieldSpec, constant, coordinate
-from jdl.jacobi import ConformalMap, JacobiPair, zero_pair
+from jdl.jacobi import ConformalMap, JacobiPair, hamiltonian_field, zero_pair
 from jdl.jets import exp
 from jdl.report import HYPOTHESIS_NOT_MET
 
@@ -144,6 +144,23 @@ def test_commutation_broken():
     # but transversality and curvature orthogonality still hold
     assert check_transversality(dp, pts).passed
     assert check_curvature_orthogonality(dp, pts).passed
+
+
+@pytest.mark.parametrize("make, holds", [(trivgpd_spec, True),
+                                         (darboux5_spec, True),
+                                         (broken_comm_spec, False)])
+def test_factor_fields_lie_in_the_other_kernel(make, holds):
+    # X_{a_i}(p) ∈ ker Tφ_j(p): check_commutation evaluates only the
+    # pullback brackets, from which this follows
+    dp = make()
+    J = dp.source_pair
+    (_, Phi1), (_, Phi2) = dp.legs()
+    worst = 0.0
+    for p in sample_points(dp.source.chart, 10, seed=59):
+        for Phi, other in ((Phi1, Phi2), (Phi2, Phi1)):
+            X = hamiltonian_field(J, Phi.factor).at(p)
+            worst = max(worst, np.abs(tangent_map(other.map, p) @ X).max())
+    assert (worst < 1e-8) == holds
 
 
 def test_curvature_orthogonality_trivgpd(trivgpd, tpts):

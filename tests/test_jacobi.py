@@ -6,8 +6,8 @@ from jdl.errors import ChartIndexInvalid, InconsistentOracle
 from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import (ConformalMap, JacobiPair, aff1, abelian,
                         bracket_field, check_jacobi_morphism,
-                        check_jacobi_pair, conformal_change, hamiltonian_vf,
-                        jacobi_bracket, lie_poisson, projectivized_bracket,
+                        check_jacobi_pair, conformal_change,
+                        hamiltonian_field, lie_poisson,
                         projectivized_bracket_field, projective_chart, so3,
                         zero_pair)
 
@@ -60,9 +60,9 @@ def test_darboux3_brackets(darboux3, pts):
     z = coordinate(3, 2)
     one = constant(3, 1.0)
     for p in pts[:5]:
-        assert abs(jacobi_bracket(darboux3, x, y, p) - 1.0) < 1e-12
-        assert abs(jacobi_bracket(darboux3, one, z, p) - 1.0) < 1e-12
-        assert abs(jacobi_bracket(darboux3, y, z, p)) < 1e-12
+        assert abs(bracket_field(darboux3, x, y).value(p) - 1.0) < 1e-12
+        assert abs(bracket_field(darboux3, one, z).value(p) - 1.0) < 1e-12
+        assert abs(bracket_field(darboux3, y, z).value(p)) < 1e-12
 
 
 def test_darboux3_hamiltonian_fields(darboux3, pts):
@@ -70,10 +70,10 @@ def test_darboux3_hamiltonian_fields(darboux3, pts):
     one = constant(3, 1.0)
     for p in pts[:5]:
         # X_x = ∂y + x ∂z
-        assert np.allclose(hamiltonian_vf(darboux3, x, p), [0.0, 1.0, p[0]],
-                           atol=1e-12)
+        assert np.allclose(hamiltonian_field(darboux3, x).at(p),
+                           [0.0, 1.0, p[0]], atol=1e-12)
         # X_1 = E
-        assert np.allclose(hamiltonian_vf(darboux3, one, p), [0, 0, 1],
+        assert np.allclose(hamiltonian_field(darboux3, one).at(p), [0, 0, 1],
                            atol=1e-14)
 
 
@@ -81,7 +81,7 @@ def test_so3_casimir(pts):
     J = lie_poisson(so3())
     f = ScalarFieldSpec(3, lambda a, b, c: a * a + b * b + c * c)
     for p in pts[:5]:
-        assert np.abs(hamiltonian_vf(J, f, p)).max() < 1e-12
+        assert np.abs(hamiltonian_field(J, f).at(p)).max() < 1e-12
 
 
 def test_lie_poisson_brackets():
@@ -90,15 +90,15 @@ def test_lie_poisson_brackets():
     rng = np.random.default_rng(3)
     for _ in range(5):
         p = rng.uniform(-1, 1, 3)
-        assert abs(jacobi_bracket(J, mu[0], mu[1], p) - p[2]) < 1e-12
-        assert abs(jacobi_bracket(J, mu[1], mu[2], p) - p[0]) < 1e-12
-        assert abs(jacobi_bracket(J, mu[2], mu[0], p) - p[1]) < 1e-12
+        assert abs(bracket_field(J, mu[0], mu[1]).value(p) - p[2]) < 1e-12
+        assert abs(bracket_field(J, mu[1], mu[2]).value(p) - p[0]) < 1e-12
+        assert abs(bracket_field(J, mu[2], mu[0]).value(p) - p[1]) < 1e-12
     A = lie_poisson(abelian(3))
-    assert abs(jacobi_bracket(A, mu[0], mu[1], [0.5, 0.5, 0.5])) < 1e-14
+    assert abs(bracket_field(A, mu[0], mu[1]).value([0.5, 0.5, 0.5])) < 1e-14
     F = lie_poisson(aff1())
     m = [coordinate(2, i) for i in range(2)]
     p = np.array([0.4, -0.9])
-    assert abs(jacobi_bracket(F, m[0], m[1], p) - p[1]) < 1e-12
+    assert abs(bracket_field(F, m[0], m[1]).value(p) - p[1]) < 1e-12
 
 
 def test_jacobi_pairs_certified(pts):
@@ -126,7 +126,7 @@ def test_nested_bracket_jacobi_identity(darboux3):
 def test_e_equals_x1(darboux3, pts):
     one = constant(3, 1.0)
     for p in pts:
-        assert np.allclose(hamiltonian_vf(darboux3, one, p),
+        assert np.allclose(hamiltonian_field(darboux3, one).at(p),
                            darboux3.E.at(p), atol=1e-14)
 
 
@@ -188,17 +188,19 @@ def test_projectivized_bracket_su2():
     rng = np.random.default_rng(11)
     for _ in range(5):
         p = rng.uniform(-1, 1, 2)
-        val = projectivized_bracket(g, 2, w1, w2, p)
+        val = projectivized_bracket_field(g, 2, w1, w2).value(p)
         assert abs(val - 1.0) < 1e-10  # degree-1 extensions are linear here
         # antisymmetry
-        assert abs(projectivized_bracket(g, 2, w2, w1, p) + val) < 1e-10
+        anti = projectivized_bracket_field(g, 2, w2, w1).value(p)
+        assert abs(anti + val) < 1e-10
 
 
 def test_projectivized_abelian_zero():
     g = abelian(3)
     b1 = ScalarFieldSpec(2, lambda u, v: u * v + 1.0)
     b2 = ScalarFieldSpec(2, lambda u, v: u - v)
-    assert abs(projectivized_bracket(g, 0, b1, b2, [0.3, 0.4])) < 1e-14
+    bracket = projectivized_bracket_field(g, 0, b1, b2)
+    assert abs(bracket.value([0.3, 0.4])) < 1e-14
 
 
 def test_projectivized_chart_index_guard():

@@ -127,7 +127,7 @@ def _read_csv(path):
 
 def test_csv_rank_column_follows_samples(tmp_path):
     pts = [np.array([float(k), 0.0]) for k in range(5)]
-    probe = LeafProbe(pts[0], pts, [2, 0, 2], [0, 2, 4], 0.0, 0.0, False)
+    probe = LeafProbe(pts, [2, 0, 2], [0, 2, 4], 0.0, 0.0, False)
     path = tmp_path / "trace.csv"
     trace_to_csv(probe, path)
     rows = _read_csv(path)
