@@ -32,7 +32,7 @@ from .fields import as_field, constant
 from .jacobi import (bracket_field, default_test_functions, hamiltonian_field,
                      jacobi_bidiff_matrix)
 from .linalg import annihilator, image, kernel, span_of, subspace_equal
-from .report import residual_report
+from .report import residual_report, timed
 
 
 class Derivation:
@@ -115,6 +115,7 @@ def jacobi_bidiff(J, j1, j2):
     return float(j1.coords @ M @ j2.coords)
 
 
+@timed
 def check_sharp_inverse(C, J, pts, tol=1e-9):
     """Max-entry residual of ϖ♭ ∘ J♯ - id on jet coordinates."""
     residuals = [(p, sharp_inverse_residual(C, J, p)) for p in pts]
@@ -210,6 +211,7 @@ def one_perp_varpi(C, p):
     return kernel((W @ one).reshape(1, -1))
 
 
+@timed
 def check_one_perp_is_horizontal(C, pts, tol=1e-7):
     """Subspace equality ⟨1⟩^⊥ϖ = σ⁻¹(H) at each point."""
     residuals = []
@@ -240,6 +242,7 @@ def hamiltonian_derivation_span(J, Phi, p):
     return span_of(vecs, ambient=J.chart.dim + 1)
 
 
+@timed
 def check_technical_lemma(Phi, J, pts, tol=1e-7):
     """(ker DΦ)° = span{j¹(Φ*λ)} and (ker DΦ)^⊥ϖ = span{Δ_{Φ*λ}}.
 
@@ -323,6 +326,7 @@ def der_contract_one(form):
                       [form.entries[n][j] for j in range(n + 1)])
 
 
+@timed
 def check_varpi_closed(C, pts, tol=1e-9):
     """d_D ϖ = 0 on all frame triples."""
     n = C.chart.dim
@@ -340,6 +344,7 @@ def check_varpi_closed(C, pts, tol=1e-9):
     return residual_report("varpi_closed", "d_D varpi = 0", residuals, tol)
 
 
+@timed
 def check_contracting_homotopy(form, pts, tol=1e-9):
     """(d_D ι_1 + ι_1 d_D) ω = ω on frame tuples, for k = 1 or 2."""
     n = form.chart.dim

@@ -41,7 +41,7 @@ from .errors import (DegenerateCurvature, EvenDimension, InconsistentOracle,
 from .fields import Field, as_field, constant, jet_solve, point_memo
 from .jacobi import JacobiPair, hamiltonian_field, jacobi_bidiff_matrix
 from .linalg import BilinearForm, kernel
-from .report import residual_report, threshold_report
+from .report import residual_report, threshold_report, timed
 
 CONTACT_IDENTITY = "theta ^ (d theta)^n is a volume form"
 LCS_IDENTITY = "d eta = 0, omega nondegenerate, d omega + omega ^ eta = 0"
@@ -73,6 +73,7 @@ def volume_coefficient(C, p):
     return form.coeff(tuple(range(C.chart.dim)), p)
 
 
+@timed
 def check_contact(C, pts, tol=1e-8):
     """Pass iff min |top coefficient of θ∧(dθ)ⁿ| over pts exceeds tol."""
     vals = [(p, volume_coefficient(C, p)) for p in pts]
@@ -192,6 +193,7 @@ class LcsStructure:
         self.omega = omega
 
 
+@timed
 def check_lcs(L, pts, tol=1e-8):
     """Residuals of dη, det ω (threshold), and dω + ω∧η."""
     residuals = []

@@ -37,7 +37,7 @@ from .jacobi import (bracket_field, check_jacobi_morphism,
 from .linalg import (BilinearForm, full_space, image, intersect, kernel,
                      orth_complement_wrt, span_of, subspace_equal, sum_spaces)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
-                     residual_report)
+                     residual_report, timed)
 
 
 class DualPairSpec:
@@ -66,6 +66,7 @@ class DualPairSpec:
         Phi = self.legs()[leg][1]
         return [Phi.pullback(lam) for lam in self._frames[leg]]
 
+    @timed
     def check_morphisms(self, pts, tol=1e-8):
         """Both legs must be Jacobi morphisms before dual-pair checks run."""
         reps = []
@@ -161,6 +162,7 @@ def _tolerances(tol, angle_tol):
             "varpi_orthogonality": angle_tol}
 
 
+@timed
 def _evaluate(check_id, dp, pts, tolerance):
     """The condition's report, and whether it holds, point by point."""
     residual_of, identity, notes = _CONDITIONS[check_id]
@@ -183,26 +185,31 @@ def _defining_conditions_hold(dp, pts, tol=1e-8, angle_tol=1e-7):
     return [all(residual(p) < t for residual, t in tests) for p in pts]
 
 
+@timed
 def check_transversality(dp, pts):
     """rank(H_p + ker Tφ_i) = dim M at each point, i = 1, 2."""
     return _check("transversality", dp, pts)
 
 
+@timed
 def check_commutation(dp, pts, tol=1e-8):
     """{Φ1*λ1, Φ2*λ2} = 0 at each point, over the test sections."""
     return _check("commutation", dp, pts, tol=tol)
 
 
+@timed
 def check_curvature_orthogonality(dp, pts, angle_tol=1e-7):
     """(H_1)^⊥c = H_2 at each point, as a principal-angle equality."""
     return _check("curvature_orthogonality", dp, pts, angle_tol=angle_tol)
 
 
+@timed
 def check_varpi_orthogonality(dp, pts, angle_tol=1e-7):
     """(ker DΦ1)^⊥ϖ = ker DΦ2 at each point."""
     return _check("varpi_orthogonality", dp, pts, angle_tol=angle_tol)
 
 
+@timed
 def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
     """All three defining conditions, the ϖ-orthogonality equivalent, and
     the pointwise agreement flag between the two verdicts.
@@ -226,6 +233,7 @@ def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
     return reports
 
 
+@timed
 def check_rank_relation(dp, pts, angle_tol=1e-7):
     """Rank constancy, 1 + rank φ1 + rank φ2 = dim M, and the span
     identities ker Tφ1 = span{X_{Φ2-pullbacks}} (and symmetrically)."""
@@ -266,6 +274,7 @@ def check_rank_relation(dp, pts, angle_tol=1e-7):
     return rep
 
 
+@timed
 def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
     """ker Tφ1 = <X_{a2}> ⊕ (H_2)^⊥c, and symmetrically.
 
@@ -302,6 +311,7 @@ def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
         residuals, angle_tol)
 
 
+@timed
 def centralizer_membership(dp, lam, pts, tol=1e-8):
     """Finite membership surrogate for the section-space centralizer claim.
 
@@ -314,7 +324,7 @@ def centralizer_membership(dp, lam, pts, tol=1e-8):
     J = dp.source_pair
     lam = as_field(dp.source.chart.dim, lam)
     hyp_fields = [bracket_field(J, lam, f) for f in dp.pullback_fields(0)]
-    hyp_resid = max(abs(f.value(p)) for f in hyp_fields for p in pts)
+    hyp_resid = max(abs(f.value(p)) for p in pts for f in hyp_fields)
     if hyp_resid > tol:
         return CheckReport(
             "centralizer_membership",
@@ -335,6 +345,7 @@ def centralizer_membership(dp, lam, pts, tol=1e-8):
         "the Phi_1-pullback frames", residuals, tol)
 
 
+@timed
 def check_vertical_dim_sum(dp, pts):
     """dim H_1 + dim H_2 = dim M - 1 at every point (passing full specs)."""
     n = dp.source.chart.dim

@@ -18,10 +18,14 @@ from .jets import Jet, jet_lift, taylor_compose
 class Field:
     """Scalar field given by a jet evaluator ``(p, order) -> Jet``.
 
-    Evaluations are memoized per instance: fields are immutable and derived
-    field trees (nested brackets, pullbacks) revisit shared subexpressions,
-    so caching turns exponential tree walks into linear ones.  Callers must
-    not mutate returned jets.
+    Evaluations are memoized per instance, for the point being evaluated
+    only: fields are immutable and derived field trees (nested brackets,
+    pullbacks) revisit shared subexpressions, so caching turns exponential
+    tree walks into linear ones.  Those revisits all happen at the point of
+    the outermost call, and checks loop point by point, so the memo keeps
+    the jets of one point, at every order, and drops them when another
+    point arrives; a check's memory then does not grow with its sample
+    count.  Callers must not mutate returned jets.
     """
 
     __slots__ = ("dim", "_eval", "_cache")
@@ -38,7 +42,7 @@ class Field:
         if hit is not None:
             return hit
         out = self._eval(p, order)
-        if len(self._cache) > 4096:
+        if self._cache and next(iter(self._cache))[0] != key[0]:
             self._cache.clear()
         self._cache[key] = out
         return out
@@ -154,10 +158,14 @@ def as_field(dim, obj):
 
 
 def point_memo(fn):
-    """Memoize ``fn(p, order)`` per (point, order), as :class:`Field` does.
+    """Memoize ``fn(p, order)`` per (point, order), over every point.
 
     For a per-point result that several fields share, such as a jet matrix
-    inverse whose entries are separate fields.
+    inverse whose entries are separate fields.  Unlike the one-point memo of
+    :class:`Field`, it keeps every point it has seen (up to 4096 keys, then
+    starts over): the contact pair's ϖ jet solve is read at the same sample
+    points by every check of a spec, and one solve costs as much as a whole
+    tree walk.
     """
     cache = {}
 

@@ -29,7 +29,7 @@ from .errors import OracleMismatch
 from .fields import as_field, compose, constant, coordinate
 from .jacobi import JacobiPair, bracket_field, default_test_functions
 from .linalg import BilinearForm, full_space, kernel, orth_complement_wrt, subspace_equal
-from .report import FAIL, residual_report
+from .report import FAIL, residual_report, timed
 
 S_SLICES = (1.0, 2.0, -1.0)
 
@@ -83,6 +83,7 @@ def poissonize(J, pts=None, tol=1e-9):
     return P
 
 
+@timed
 def check_poissonization_oracle(P, J, pts, tol=1e-9, test_fns=None):
     """{s·f∘π, s·g∘π}_P = s·({f,g}_J ∘ π) on test-function pairs."""
     n = J.chart.dim
@@ -104,6 +105,7 @@ def check_poissonization_oracle(P, J, pts, tol=1e-9, test_fns=None):
         "{s f.pi, s g.pi}_P = s ({f,g}.pi)", residuals, tol)
 
 
+@timed
 def check_homogeneity(P, pts, ts=(2.0, 1.0 / 3.0, -1.0), tol=1e-9):
     """h_t-pullback scaling: the lifted bivector scales as t^{-1}.
 
@@ -114,10 +116,10 @@ def check_homogeneity(P, pts, ts=(2.0, 1.0 / 3.0, -1.0), tol=1e-9):
     residuals = []
     for p in pts:
         r = 0.0
+        M = P.pi_matrix(p)
         for t in ts:
             q = np.array(p, dtype=float)
             q[-1] *= t
-            M = P.pi_matrix(p)
             Mq = P.pi_matrix(q)
             for i in range(n):
                 for j in range(n):
@@ -161,6 +163,7 @@ def symplectize(C):
     return KForm(big, 2, comps), big
 
 
+@timed
 def check_symplectization(C, pts, tol=1e-9):
     """dω~ = 0, nondegeneracy, and h_t-homogeneity of ω~ (degree +1)."""
     omega, big = symplectize(C)
@@ -189,6 +192,7 @@ def check_symplectization(C, pts, tol=1e-9):
         residuals, tol)
 
 
+@timed
 def check_symplectization_consistency(C, pts, tol=1e-8):
     """Invert ω~ pointwise and compare with the Poissonization of the
     induced Jacobi pair: the two routes must agree componentwise."""
@@ -217,6 +221,7 @@ def homogenize_map(Phi, source_slit=None, target_slit=None):
     return SmoothMap(source_slit, target_slit, comps)
 
 
+@timed
 def check_equivariance(Phi, pts, ts=(2.0, -1.0, 0.5), tol=1e-10):
     """Φ~ ∘ h_t = h_t ∘ Φ~ at sample points."""
     lifted = homogenize_map(Phi)
@@ -237,6 +242,7 @@ def check_equivariance(Phi, pts, ts=(2.0, -1.0, 0.5), tol=1e-10):
                            residuals, tol)
 
 
+@timed
 def check_lifted_poisson_map(Phi, J_source, J_target, pts, tol=1e-8):
     """A Jacobi morphism lifts to a Poisson map of the Poissonizations."""
     P1 = poissonize(J_source)
@@ -260,6 +266,7 @@ def check_lifted_poisson_map(Phi, J_source, J_target, pts, tol=1e-8):
         residuals, tol)
 
 
+@timed
 def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
                                       angle_tol=1e-7):
     """Lifted symplectic orthogonality agrees with the base verdict.
@@ -299,6 +306,7 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
     return rep
 
 
+@timed
 def check_schouten_square(P, pts, tol=1e-9):
     """[[P,P]] = 0 for the lifted bivector (it is Poisson)."""
     residuals = []

@@ -21,7 +21,7 @@ from .chart import Chart, tangent_map
 from .errors import ChartIndexInvalid, DimensionMismatch, ZeroConformalFactor
 from .fields import Field, ScalarFieldSpec, as_field, compose, constant, coordinate
 from .jets import Jet
-from .report import residual_report
+from .report import residual_report, timed
 
 JACOBI_IDENTITY = "[[Pi,Pi]] = 2 E^Pi and [[E,Pi]] = 0"
 MORPHISM_IDENTITY = "{a phi*f, a phi*g}_1 = a phi*{f,g}_2"
@@ -84,6 +84,7 @@ class ConformalMap:
         return f"ConformalMap({self.map!r})"
 
 
+@timed
 def check_jacobi_pair(J, pts, tol=1e-10):
     """Max residual of [[Π,Π]] - 2E∧Π and [[E,Π]] over the points."""
     residuals = []
@@ -148,6 +149,7 @@ def default_test_functions(chart):
         [coordinate(chart.dim, i) for i in range(chart.dim)]
 
 
+@timed
 def check_jacobi_morphism(J1, J2, Phi, pts, tol=1e-9):
     """Bracket compatibility and Hamiltonian pushforward along (φ, a).
 

@@ -27,7 +27,7 @@ from .fields import as_field, compose
 from .jacobi import jacobi_bidiff_matrix
 from .linalg import (BilinearForm, full_space, image, kernel,
                      orth_complement_wrt, preimage, subspace_equal, sum_spaces)
-from .report import residual_report
+from .report import residual_report, timed
 
 
 def characteristic_vectors(J, p):
@@ -152,6 +152,7 @@ def trace_to_csv(probe, path, casimir_fields=None):
             w.writerow(row)
 
 
+@timed
 def check_pullback_distribution(dp, pts, angle_tol=1e-7):
     """Two subspace identities at every point:
 
@@ -190,6 +191,7 @@ def check_pullback_distribution(dp, pts, angle_tol=1e-7):
         residuals, angle_tol)
 
 
+@timed
 def verify_leaf_correspondence(dp, seeds, expected_parities=None):
     """Per seed: target leaf codimensions agree and parities match.
 
@@ -227,6 +229,7 @@ def restricted_legs(dp, incl):
     return (phi1, a1), (phi2, a2)
 
 
+@timed
 def verify_leaf_relation_contact(dp, incl, theta1, theta2, pts, tol=1e-8):
     """Odd-leaf relation: ι*θ = a1·(φ1|*θ1) + a2·(φ2|*θ2) on the leaf chart.
 
@@ -293,6 +296,7 @@ def solve_leaf_connection(dp, incl, eta1, eta2, p, tol=1e-7):
     return eta, resid
 
 
+@timed
 def verify_leaf_relation_lcs(dp, incl, lcs1, lcs2, pts, tol=1e-7,
                              fd_step=1e-5, fd_tol=1e-6):
     """Even-leaf relation on the leaf chart:

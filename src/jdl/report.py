@@ -1,6 +1,8 @@
 """Check reports: the uniform result record every verifier emits."""
 from __future__ import annotations
 
+import functools
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,8 @@ class CheckReport:
     ``identity`` states the checked identity in plain text.  For
     residual-type checks, ``status == "pass"`` iff ``max_residual <
     tolerance``; threshold-type checks (volume forms) invert the comparison
-    and say so in ``notes``.
+    and say so in ``notes``.  ``wall_time`` is the seconds of the call that
+    made the report, stamped by :func:`timed`.
     """
 
     check_id: str
@@ -70,3 +73,23 @@ def threshold_report(check_id, identity, values_by_point, threshold,
                        threshold, len(values_by_point),
                        worst_point=list(np.asarray(worst[0], dtype=float)),
                        notes=notes or "threshold check: pass iff min |value| > tolerance")
+
+
+def timed(fn):
+    """Stamp the reports ``fn`` returns with the wall time of the call.
+
+    ``fn`` may return a report, or a list, tuple or dict holding reports.
+    A report that a nested timed call already stamped keeps its own time.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        elapsed = time.perf_counter() - t0
+        held = out.values() if isinstance(out, dict) else \
+            out if isinstance(out, (list, tuple)) else (out,)
+        for rep in held:
+            if isinstance(rep, CheckReport) and not rep.wall_time:
+                rep.wall_time = elapsed
+        return out
+    return wrapper

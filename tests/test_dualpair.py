@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -243,3 +245,15 @@ def test_centralizer_membership_constant(trivgpd, tpts):
     # constants are pullbacks of constants: hypothesis holds, membership holds
     rep = centralizer_membership(trivgpd, lam, tpts[:10])
     assert rep.passed
+
+
+def test_reports_carry_their_wall_time(trivgpd, tpts):
+    t0 = time.perf_counter()
+    reports = verify_dual_pair(trivgpd, tpts)
+    verify_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    rank = check_rank_relation(trivgpd, tpts)
+    rank_s = time.perf_counter() - t0
+    assert all(0 < rep.wall_time <= verify_s for rep in reports.values())
+    assert 0 < rank.wall_time <= rank_s
+    assert rank.as_dict()["wall_time"] == rank.wall_time

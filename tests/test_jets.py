@@ -219,3 +219,62 @@ def test_dim_mismatch_raises():
     b = jet_lift(lambda x: x, [1.0], 2)
     with pytest.raises(DimensionMismatch):
         _ = a + b
+
+
+# -- the Field memo holds one point; point_memo holds every point ------------
+
+def _so3_brackets():
+    """{f, g} and {f, {f, g}} on the so3 Lie-Poisson pair, with its chart."""
+    from jdl.jacobi import bracket_field, lie_poisson, so3
+    J = lie_poisson(so3())
+    f = ScalarFieldSpec(3, lambda x, y, z: x * y + z)
+    g = ScalarFieldSpec(3, lambda x, y, z: jets.exp(x) * z)
+    fg = bracket_field(J, f, g)
+    return fg, bracket_field(J, f, fg), J.chart
+
+
+def _peak_bytes_over(n_points):
+    import tracemalloc
+    from jdl.chart import sample_points
+    _, nested, chart = _so3_brackets()
+    pts = sample_points(chart, n_points, seed=61)
+    tracemalloc.start()
+    try:
+        for p in pts:
+            nested(p, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_field_memo_memory_does_not_grow_with_points():
+    small, large = _peak_bytes_over(10), _peak_bytes_over(100)
+    assert large <= 1.5 * small
+
+
+def test_field_memo_revisit_matches_fresh_field():
+    field = _so3_brackets()[0]
+    p, q = np.array([0.3, -0.7, 1.1]), np.array([-1.2, 0.4, 0.9])
+    for x in (p, q, p):
+        got, fresh = field(x), _so3_brackets()[0](x)
+        assert got.value == fresh.value
+        assert np.array_equal(got.grad, fresh.grad)
+        assert np.array_equal(got.hess, fresh.hess)
+
+
+def test_point_memo_keeps_every_point():
+    from jdl.chart import Chart, sample_points
+    from jdl.fields import point_memo
+    calls = []
+
+    def fn(p, order):
+        calls.append((p.tobytes(), order))
+        return Jet.constant(float(p.sum()), 2, order)
+
+    memo = point_memo(fn)
+    pts = sample_points(Chart("box2", 2, [(-1, 1)] * 2), 5, seed=62)
+    for _ in range(2):
+        for p in pts:
+            for order in (1, 2):
+                memo(p, order)
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 10

@@ -1,5 +1,6 @@
 """Hygiene of the ``jdl`` sources, read with ``ast``: every imported name
-is used, and every import sits at module level."""
+is used, every import sits at module level, and every public function that
+builds a report is timed."""
 import ast
 from pathlib import Path
 
@@ -39,3 +40,24 @@ def test_no_import_inside_a_function(path):
               for node in ast.walk(func)
               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+REPORT_BUILDERS = {"residual_report", "threshold_report", "CheckReport",
+                   "_check", "_evaluate"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_public_report_builder_is_timed(path):
+    """A public function that builds a report stamps its wall time."""
+    untimed = []
+    for node in ast.walk(_tree(path)):
+        if (not isinstance(node, ast.FunctionDef) or node.name.startswith("_")
+                or node.name in REPORT_BUILDERS):
+            continue
+        calls = {c.func.id for c in ast.walk(node)
+                 if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+        decorators = {d.id for d in node.decorator_list
+                      if isinstance(d, ast.Name)}
+        if calls & REPORT_BUILDERS and "timed" not in decorators:
+            untimed.append(node.name)
+    assert untimed == []
