@@ -96,11 +96,16 @@ def varpi_matrix(C, p):
     """Matrix of ϖ on the frame {(∂_i, 0)} ∪ {1} at p.
 
     Entries ϖ((∂i,0),(∂j,0)) = dθ_ij, ϖ((∂i,0),1) = -θ_i, ϖ(1,·) = +θ.
+    θ and dθ are read from the 1-jets of θ's stored components, with
+    dθ_ij = ∂_iθ_j - ∂_jθ_i, so no derived dθ field is evaluated.
     """
     n = C.chart.dim
+    th, grad = np.zeros(n), np.zeros((n, n))
+    for (i,), f in C.theta.comps.items():
+        j = f(p, 1)
+        th[i], grad[i] = j.value, j.grad
     M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = C.dtheta.dense(p)
-    th = C.theta.dense(p)
+    M[:n, :n] = grad.T - grad
     M[:n, n] = -th
     M[n, :n] = th
     return M
@@ -116,18 +121,17 @@ def varpi_entry_fields(C):
     return entries
 
 
-def horizontal_space(C, p):
-    """H = ker θ_p as a Subspace with an orthonormal basis."""
-    return kernel(C.theta.dense(p).reshape(1, -1))
-
-
-def curvature_form(C, p, tol=1e-10):
-    """H = ker θ_p and the matrix of c = -(dθ)|_H in the basis of H."""
-    H = horizontal_space(C, p)
+def curvature_form(varpi, tol=1e-10):
+    """H = ker θ_p and the matrix of c = -(dθ)|_H in the basis of H, read off
+    ``varpi`` = varpi_matrix(C, p): θ is its last row, dθ its top-left block.
+    """
+    H = kernel(varpi[-1:, :-1])
     B = H.basis
-    c = -(B.T @ C.dtheta.dense(p) @ B)
-    if abs(np.linalg.det(c)) < tol:
-        raise DegenerateCurvature(f"curvature degenerate at {p}")
+    c = -(B.T @ varpi[:-1, :-1] @ B)
+    det = np.linalg.det(c)
+    if abs(det) < tol:
+        raise DegenerateCurvature(
+            f"curvature degenerate: |det c| = {abs(det):.2e}")
     return H, BilinearForm(c)
 
 

@@ -22,19 +22,28 @@ symmetrically X_{a2} ∈ ker Tφ1.
 Each condition has one residual at a point.  Its report and both pointwise
 verdicts read that residual, and the condition holds at p when the residual
 is below the tolerance of its report.
+
+Transversality, both orthogonalities, the rank relation, the corollary
+decomposition and the dimension sum are pointwise and first order: they read
+the floats :func:`_point` builds once per sample point per call from θ, Tφ_i,
+a_i and their first derivatives, with X_f = (Mᵀ j¹f)[:n] for M = ϖ⁻ᵀ
+(Kirillov 1976; Crainic & Salazar 2015).  Commutation, the legs' morphism
+check and the centralizer hypothesis read brackets and still walk
+bracket-field trees; their 1-jet route waits for the benchmark to stop
+holding every timed pass's import (ROADMAP item 1).
 """
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from .atiyah import ker_DPhi
 from .chart import tangent_map
-from .contact import (contact_to_jacobi, curvature_form, horizontal_space,
-                      varpi_matrix)
+from .contact import contact_to_jacobi, curvature_form, varpi_matrix
 from .fields import as_field
 from .jacobi import (bracket_field, check_jacobi_morphism,
-                     default_test_functions, hamiltonian_field)
-from .linalg import (BilinearForm, full_space, image, intersect, kernel,
+                     default_test_functions)
+from .linalg import (BilinearForm, full_space, image, kernel,
                      orth_complement_wrt, span_of, subspace_equal, sum_spaces)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
                      residual_report, timed)
@@ -80,59 +89,85 @@ class DualPairSpec:
         return f"DualPairSpec({self.name or self.source.chart.name!r})"
 
 
+def _pullback_jets(T, a, da, frames, q):
+    """Rows j¹(Φ*λ)(p) = (da·λ(q) + a·Tφᵀ∇λ(q), a·λ(q)) over the sections
+    λ in ``frames``, by the chain rule from T = Tφ(p) and q = φ(p)."""
+    return np.array([np.append(j.value * da + a * (j.grad @ T), a * j.value)
+                     for j in (f(q, 1) for f in frames)])
+
+
+def _leg(Phi, frames, p, H):
+    """One leg's first-order data at p from T = Tφ(p): a = a(p), da(p),
+    K = ker Tφ with rank = n - dim K from the same SVD, H_in = H ∩ K in H
+    coordinates, ker_D = ker DΦ = {(X, -X(a)/a) : X ∈ K} and the pullback
+    jets of the target test sections."""
+    T = tangent_map(Phi.map, p)
+    factor = Phi.factor(p, 1)
+    a, da = factor.value, factor.grad
+    K = kernel(T)
+    return SimpleNamespace(
+        a=a, da=da, K=K, rank=p.size - K.dim, H_in=kernel(T @ H.basis),
+        ker_D=image(np.vstack([K.basis, -(da @ K.basis) / a])),
+        jets=_pullback_jets(T, a, da, frames, Phi.map(p)))
+
+
+def _point(dp, p):
+    """A dual pair's first-order float data at p, built once per sample point
+    by each check call and dropped with it: ϖ(p), which holds θ and dθ;
+    H = ker θ with c = -dθ|_H; M = ϖ(p)⁻ᵀ from one float solve; the legs."""
+    p = np.asarray(p, dtype=float)
+    varpi = varpi_matrix(dp.source, p)
+    H, c = curvature_form(varpi)
+    return SimpleNamespace(
+        p=p, varpi=varpi, H=H, c=c,
+        M=np.linalg.solve(varpi, np.eye(p.size + 1)).T,
+        legs=[_leg(Phi, frames, p, H)
+              for (_, Phi), frames in zip(dp.legs(), dp._frames)])
+
+
+def _hamiltonian(s, jets):
+    """Rows X_f = (Mᵀ j¹f)[:n] = Π♯df + f·E at the point s, for the rows
+    j¹f of ``jets``."""
+    return (np.atleast_2d(jets) @ s.M)[:, :-1]
+
+
 # Each condition is a function of the spec that returns its residual as a
-# function of the point.  Per-spec set-up, such as the bracket fields and
-# their memos, is then built once per check and freed with it rather than
-# kept on the spec.
+# function of a _point.  Per-spec set-up, such as the bracket fields, is
+# then built once per check and freed with it rather than kept on the spec.
 
 def _transversality(dp):
-    """p -> max over i of dim M - dim(H_p + ker Tφ_i); 0 iff transversal."""
-    n = dp.source.chart.dim
-
-    def residual(p):
-        H = horizontal_space(dp.source, p)
-        return float(max(n - sum_spaces(H, kernel(tangent_map(Phi.map, p))).dim
-                         for _, Phi in dp.legs()))
-    return residual
+    """max over i of dim M - dim(H + ker Tφ_i) = 1 - dim K_i + dim H_i;
+    0 iff transversal."""
+    return lambda s: float(max(1 - leg.K.dim + leg.H_in.dim
+                               for leg in s.legs))
 
 
 def _commutation(dp):
-    """p -> max |{Φ1*λ1, Φ2*λ2}(p)| over the test sections."""
+    """max |{Φ1*λ1, Φ2*λ2}(p)| over the test sections."""
     J = dp.source_pair
     brackets = [bracket_field(J, f, g) for f in dp.pullback_fields(0)
                 for g in dp.pullback_fields(1)]
-    return lambda p: max(abs(f.value(p)) for f in brackets)
-
-
-def _vertical_in_H(dp, p, H, leg):
-    """H_i = H ∩ ker Tφ_i expressed in H-basis coordinates."""
-    _, Phi = dp.legs()[leg]
-    K = kernel(tangent_map(Phi.map, p))
-    Hi = intersect(H, K)
-    return image(H.basis.T @ Hi.basis)
+    return lambda s: max(abs(f.value(s.p)) for f in brackets)
 
 
 def _curvature_orthogonality(dp):
-    """p -> worst principal angle between (H_1)^⊥c and H_2 (π/2 if their
+    """Worst principal angle between (H_1)^⊥c and H_2 (π/2 if their
     dimensions differ)."""
-    def residual(p):
-        H, c = curvature_form(dp.source, p)
-        H1 = _vertical_in_H(dp, p, H, 0)
-        H2 = _vertical_in_H(dp, p, H, 1)
-        comp = orth_complement_wrt(c, H1, full_space(H.dim))
+    def residual(s):
+        H1, H2 = (leg.H_in for leg in s.legs)
+        comp = orth_complement_wrt(s.c, H1, full_space(s.H.dim))
         return subspace_equal(comp, H2)[1]
     return residual
 
 
 def _varpi_orthogonality(dp):
-    """p -> worst principal angle between (ker DΦ1)^⊥ϖ and ker DΦ2 (π/2 if
+    """Worst principal angle between (ker DΦ1)^⊥ϖ and ker DΦ2 (π/2 if
     their dimensions differ)."""
-    ambient = full_space(dp.source.chart.dim + 1)
-
-    def residual(p):
-        W = BilinearForm(varpi_matrix(dp.source, p))
-        comp = orth_complement_wrt(W, ker_DPhi(dp.Phi1, p), ambient)
-        return subspace_equal(comp, ker_DPhi(dp.Phi2, p))[1]
+    def residual(s):
+        D1, D2 = (leg.ker_D for leg in s.legs)
+        comp = orth_complement_wrt(BilinearForm(s.varpi), D1,
+                                   full_space(s.p.size + 1))
+        return subspace_equal(comp, D2)[1]
     return residual
 
 
@@ -163,26 +198,26 @@ def _tolerances(tol, angle_tol):
 
 
 @timed
-def _evaluate(check_id, dp, pts, tolerance):
-    """The condition's report, and whether it holds, point by point."""
+def _evaluate(check_id, dp, points, tolerance):
+    """The condition's report over the _points, and its verdict at each."""
     residual_of, identity, notes = _CONDITIONS[check_id]
     residual = residual_of(dp)
-    residuals = [(p, residual(p)) for p in pts]
+    residuals = [(s.p, residual(s)) for s in points]
     rep = residual_report(check_id, identity, residuals, tolerance,
                           notes=notes)
     return rep, [r < tolerance for _, r in residuals]
 
 
 def _check(check_id, dp, pts, tol=1e-8, angle_tol=1e-7):
-    return _evaluate(check_id, dp, pts,
+    return _evaluate(check_id, dp, (_point(dp, p) for p in pts),
                      _tolerances(tol, angle_tol)[check_id])[0]
 
 
-def _defining_conditions_hold(dp, pts, tol=1e-8, angle_tol=1e-7):
-    """Per point: do conditions 1-3 all hold there?"""
+def _defining_conditions(dp, tol=1e-8, angle_tol=1e-7):
+    """_point -> do conditions 1-3 all hold there?"""
     tolerances = _tolerances(tol, angle_tol)
     tests = [(_CONDITIONS[c][0](dp), tolerances[c]) for c in _DEFINING]
-    return [all(residual(p) < t for residual, t in tests) for p in pts]
+    return lambda s: all(residual(s) < t for residual, t in tests)
 
 
 @timed
@@ -214,12 +249,13 @@ def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
     """All three defining conditions, the ϖ-orthogonality equivalent, and
     the pointwise agreement flag between the two verdicts.
 
-    Each condition is evaluated once per point; its report and the
-    verdicts read the same residuals.
+    The _points are built once; each condition is then evaluated once per
+    point, and its report and the verdicts read the same residuals.
     """
+    points = [_point(dp, p) for p in pts]
     reports, holds = {}, {}
     for check_id, tolerance in _tolerances(tol, angle_tol).items():
-        reports[check_id], holds[check_id] = _evaluate(check_id, dp, pts,
+        reports[check_id], holds[check_id] = _evaluate(check_id, dp, points,
                                                        tolerance)
     three = [all(v) for v in zip(*(holds[c] for c in _DEFINING))]
     mismatches = sum(v3 != v for v3, v in
@@ -238,31 +274,16 @@ def check_rank_relation(dp, pts, angle_tol=1e-7):
     """Rank constancy, 1 + rank φ1 + rank φ2 = dim M, and the span
     identities ker Tφ1 = span{X_{Φ2-pullbacks}} (and symmetrically)."""
     n = dp.source.chart.dim
-    J = dp.source_pair
-    ham2 = [hamiltonian_field(J, f) for f in dp.pullback_fields(1)]
-    ham1 = [hamiltonian_field(J, f) for f in dp.pullback_fields(0)]
     ranks = [set(), set()]
     residuals = []
-    for p in pts:
-        r = 0.0
-        T1 = tangent_map(dp.Phi1.map, p)
-        T2 = tangent_map(dp.Phi2.map, p)
-        rk1 = np.linalg.matrix_rank(T1, tol=1e-9)
-        rk2 = np.linalg.matrix_rank(T2, tol=1e-9)
-        ranks[0].add(int(rk1))
-        ranks[1].add(int(rk2))
-        if 1 + rk1 + rk2 != n:
-            r = max(r, 1.0)
-        K1 = kernel(T1)
-        K2 = kernel(T2)
-        span2 = span_of([h.at(p) for h in ham2], ambient=n)
-        span1 = span_of([h.at(p) for h in ham1], ambient=n)
-        same_a, ang_a = subspace_equal(K1, span2, angle_tol)
-        same_b, ang_b = subspace_equal(K2, span1, angle_tol)
-        if not (same_a and same_b):
-            r = max(r, np.pi / 2)
-        r = max(r, ang_a, ang_b)
-        residuals.append((p, r))
+    for s in (_point(dp, p) for p in pts):
+        r = 0.0 if 1 + sum(leg.rank for leg in s.legs) == n else 1.0
+        for i, (leg, other) in enumerate(zip(s.legs, s.legs[::-1])):
+            ranks[i].add(leg.rank)
+            span = span_of(_hamiltonian(s, other.jets), n, normalize=True)
+            same, ang = subspace_equal(leg.K, span, angle_tol)
+            r = max(r, ang if same else np.pi / 2)
+        residuals.append((s.p, r))
     rep = residual_report(
         "rank_relation",
         "constant ranks; 1 + rank phi_1 + rank phi_2 = dim M; "
@@ -278,33 +299,24 @@ def check_rank_relation(dp, pts, angle_tol=1e-7):
 def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
     """ker Tφ1 = <X_{a2}> ⊕ (H_2)^⊥c, and symmetrically.
 
-    Verified as: the two summands intersect trivially, and their sum
-    equals the kernel (dimension and principal angles).
+    Verified as: the sum is direct (its dimension is the sum of the two),
+    and it equals the kernel (dimension and principal angles).
     """
-    J = dp.source_pair
     n = dp.source.chart.dim
-    X = [hamiltonian_field(J, dp.Phi1.factor),
-         hamiltonian_field(J, dp.Phi2.factor)]
     residuals = []
-    for p in pts:
-        H, c = curvature_form(dp.source, p)
+    for s in (_point(dp, p) for p in pts):
         r = 0.0
-        for leg in (0, 1):
-            other = 1 - leg
-            _, Phi = dp.legs()[leg]
-            K = kernel(tangent_map(Phi.map, p))
-            Hother = _vertical_in_H(dp, p, H, other)
-            comp_in_H = orth_complement_wrt(c, Hother, full_space(H.dim))
-            comp_ambient = image(H.basis @ comp_in_H.basis)
-            line = span_of([X[other].at(p)], ambient=n)
-            if intersect(line, comp_ambient).dim != 0:
-                r = max(r, np.pi / 2)
+        for leg, other in zip(s.legs, s.legs[::-1]):
+            comp_in_H = orth_complement_wrt(s.c, other.H_in,
+                                            full_space(s.H.dim))
+            comp_ambient = image(s.H.basis @ comp_in_H.basis)
+            line = span_of(_hamiltonian(s, np.append(other.da, other.a)),
+                           ambient=n)
             total = sum_spaces(line, comp_ambient)
-            if total.dim != line.dim + comp_ambient.dim:
-                r = max(r, np.pi / 2)
-            same, ang = subspace_equal(total, K, angle_tol)
-            r = max(r, ang if same else np.pi / 2)
-        residuals.append((p, r))
+            same, ang = subspace_equal(total, leg.K, angle_tol)
+            direct = total.dim == line.dim + comp_ambient.dim
+            r = max(r, ang if same and direct else np.pi / 2)
+        residuals.append((s.p, r))
     return residual_report(
         "corollary_decomposition",
         "ker T phi_1 = <X_{a_2}> (+) (H_2)^perp-c, and symmetrically",
@@ -333,12 +345,11 @@ def centralizer_membership(dp, lam, pts, tol=1e-8):
             HYPOTHESIS_NOT_MET, float(hyp_resid), tol, len(pts),
             notes="lambda does not commute with the Phi_1 pullback frames")
     residuals = []
-    for p in pts:
-        j = lam(p, 1)
-        coords = np.append(j.grad, j.value)
-        K = ker_DPhi(dp.Phi2, p)
-        r = float(np.abs(K.basis.T @ coords).max()) if K.dim else 0.0
-        residuals.append((p, r))
+    for s in (_point(dp, p) for p in pts):
+        j, K = lam(s.p, 1), s.legs[1].ker_D
+        r = float(np.abs(K.basis.T @ np.append(j.grad, j.value)).max()) \
+            if K.dim else 0.0
+        residuals.append((s.p, r))
     return residual_report(
         "centralizer_membership",
         "j1(lambda) annihilates ker D Phi_2 when lambda commutes with "
@@ -349,12 +360,9 @@ def centralizer_membership(dp, lam, pts, tol=1e-8):
 def check_vertical_dim_sum(dp, pts):
     """dim H_1 + dim H_2 = dim M - 1 at every point (passing full specs)."""
     n = dp.source.chart.dim
-    residuals = []
-    for p in pts:
-        H = horizontal_space(dp.source, p)
-        d1 = _vertical_in_H(dp, p, H, 0).dim
-        d2 = _vertical_in_H(dp, p, H, 1).dim
-        residuals.append((p, float(abs(d1 + d2 - (n - 1)))))
+    residuals = [(s.p, float(abs(sum(leg.H_in.dim for leg in s.legs)
+                                 - (n - 1))))
+                 for s in (_point(dp, p) for p in pts)]
     return residual_report("vertical_dim_sum",
                            "dim H_1 + dim H_2 = dim M - 1",
                            residuals, 0.5)

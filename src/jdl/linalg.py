@@ -44,13 +44,17 @@ class Subspace:
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def span_of(vectors, ambient=None, tol=RANK_TOL):
+def span_of(vectors, ambient=None, tol=RANK_TOL, normalize=False):
     """Orthonormalized span of a sequence of vectors.
 
     A matrix is a sequence of its rows; for the span of its columns use
-    :func:`image`.
+    :func:`image`.  With ``normalize`` each vector is scaled to unit length
+    and zero vectors are dropped, so the rank does not depend on how each
+    vector of the family is scaled.
     """
     vs = [np.asarray(v, dtype=float) for v in vectors]
+    if normalize:
+        vs = [v / np.linalg.norm(v) for v in vs if np.linalg.norm(v) > 0]
     if not vs:
         if ambient is None:
             raise DimensionMismatch("empty span needs an explicit ambient dim")

@@ -7,7 +7,7 @@ from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          check_lcs, contact_field_property,
                          contact_to_jacobi, curvature_form, lcs_bracket,
                          lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
-                         volume_coefficient)
+                         varpi_matrix, volume_coefficient)
 from jdl.errors import EvenDimension, InconsistentOracle, SingularSystem
 from jdl.fields import (Field, ScalarFieldSpec, constant, coordinate,
                         jet_solve, point_memo)
@@ -85,7 +85,7 @@ def test_reeb_rejects_noncontact():
 
 
 def test_curvature_darboux_origin(darboux3):
-    H, c = curvature_form(darboux3, [0.0, 0.0, 0.0])
+    H, c = curvature_form(varpi_matrix(darboux3, [0.0, 0.0, 0.0]))
     assert H.dim == 2
     # c = -(dθ)|_H is nondegenerate with |det| = 1 at the origin
     assert abs(abs(np.linalg.det(c.matrix)) - 1.0) < 1e-12
@@ -98,14 +98,14 @@ def test_curvature_darboux_origin(darboux3):
 def test_curvature_nondegenerate_everywhere(darboux3):
     pts = sample_points(darboux3.chart, 100, seed=24)
     for p in pts:
-        _, c = curvature_form(darboux3, p)
+        _, c = curvature_form(varpi_matrix(darboux3, p))
         assert abs(np.linalg.det(c.matrix)) > 1e-8
 
 
 def test_curvature_trivgpd_value(trivgpd):
     # c(∂p, ∂q - p∂u) = -1
     p = np.array([0.4, 0.7, -0.2])
-    H, c = curvature_form(trivgpd, p)
+    H, c = curvature_form(varpi_matrix(trivgpd, p))
     v1 = H.basis.T @ np.array([0.0, 1.0, 0.0])
     v2 = H.basis.T @ np.array([1.0, 0.0, -p[1]])
     assert abs(float(v1 @ c.matrix @ v2) + 1.0) < 1e-12

@@ -3,95 +3,21 @@ import time
 import numpy as np
 import pytest
 
+from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, sample_points, tangent_map
-from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.dualpair import (DualPairSpec, centralizer_membership,
                           check_commutation, check_corollary_decomposition,
                           check_curvature_orthogonality, check_rank_relation,
                           check_transversality, check_varpi_orthogonality,
                           check_vertical_dim_sum, verify_dual_pair)
-from jdl.fields import ScalarFieldSpec, constant, coordinate
-from jdl.jacobi import ConformalMap, JacobiPair, hamiltonian_field, zero_pair
-from jdl.jets import exp
+from jdl.fields import ScalarFieldSpec, constant
+from jdl.jacobi import ConformalMap, hamiltonian_field, zero_pair
 from jdl.report import HYPOTHESIS_NOT_MET
-
-
-def trivgpd_spec():
-    """Strict dual pair of the bundle-of-groups groupoid T*R x R over R."""
-    total = Chart("trivgpd", 3, [(-2, 2)] * 3)
-    C = ContactStructure(total, {(0,): lambda q, p, u: p, (2,): 1.0})
-    base1 = Chart("base_s", 1, [(-2, 2)])
-    base2 = Chart("base_t", 1, [(-2, 2)])
-    s = ConformalMap(SmoothMap(total, base1, [lambda q, p, u: q]))
-    t = ConformalMap(SmoothMap(total, base2, [lambda q, p, u: q]))
-    return DualPairSpec(C, (zero_pair(base1), s), (zero_pair(base2), t),
-                        name="triv-gpd")
-
-
-def darboux5_spec():
-    """Product dual pair on R^5: the two Darboux blocks as legs."""
-    total = Chart("darboux5", 5, [(-2, 2)] * 5)
-    C = ContactStructure(total, {
-        (0,): lambda x1, y1, x2, y2, z: -y1,
-        (2,): lambda x1, y1, x2, y2, z: -y2,
-        (4,): 1.0})
-    m1 = Chart("block1", 2, [(-2, 2)] * 2)
-    m2 = Chart("block2", 2, [(-2, 2)] * 2)
-    J1 = JacobiPair(m1, {(0, 1): 1.0}, [0.0, 0.0])
-    J2 = JacobiPair(m2, {(0, 1): 1.0}, [0.0, 0.0])
-    phi1 = ConformalMap(SmoothMap(total, m1, [
-        lambda x1, y1, x2, y2, z: x1, lambda x1, y1, x2, y2, z: y1]))
-    phi2 = ConformalMap(SmoothMap(total, m2, [
-        lambda x1, y1, x2, y2, z: x2, lambda x1, y1, x2, y2, z: y2]))
-    return DualPairSpec(C, (J1, phi1), (J2, phi2), name="darboux5-product")
-
-
-def broken_comm_spec():
-    """Second leg carries a non-commuting conformal factor e^p."""
-    total = Chart("trivgpd", 3, [(-2, 2)] * 3)
-    C = ContactStructure(total, {(0,): lambda q, p, u: p, (2,): 1.0})
-    base1 = Chart("base_s", 1, [(-2, 2)])
-    base2 = Chart("base_t", 1, [(-2, 2)])
-    s = ConformalMap(SmoothMap(total, base1, [lambda q, p, u: q]))
-    t = ConformalMap(SmoothMap(total, base2, [lambda q, p, u: q]),
-                     ScalarFieldSpec(3, lambda q, p, u: exp(p)))
-    return DualPairSpec(C, (zero_pair(base1), s), (zero_pair(base2), t),
-                        name="broken-comm")
-
-
-def broken_orth_spec():
-    """Second leg too small on darboux5: conditions 1-2 hold, 3 fails."""
-    total = Chart("darboux5", 5, [(-2, 2)] * 5)
-    C = ContactStructure(total, {
-        (0,): lambda x1, y1, x2, y2, z: -y1,
-        (2,): lambda x1, y1, x2, y2, z: -y2,
-        (4,): 1.0})
-    m1 = Chart("block1", 2, [(-2, 2)] * 2)
-    m2 = Chart("line2", 1, [(-2, 2)])
-    J1 = JacobiPair(m1, {(0, 1): 1.0}, [0.0, 0.0])
-    phi1 = ConformalMap(SmoothMap(total, m1, [
-        lambda x1, y1, x2, y2, z: x1, lambda x1, y1, x2, y2, z: y1]))
-    phi2 = ConformalMap(SmoothMap(total, m2, [lambda x1, y1, x2, y2, z: x2]))
-    return DualPairSpec(C, (J1, phi1), (zero_pair(m2), phi2),
-                        name="broken-orth")
-
-
-def broken_transv_spec():
-    """First leg's kernel sits inside the contact distribution."""
-    total = Chart("darboux3", 3, [(-2, 2)] * 3)
-    C = ContactStructure(total, {(0,): lambda x, y, z: -y, (2,): 1.0})
-    m1 = Chart("xz", 2, [(-2, 2)] * 2)
-    m2 = Chart("pt", 0, [])
-    phi1 = ConformalMap(SmoothMap(total, m1, [lambda x, y, z: x,
-                                              lambda x, y, z: z]))
-    phi2 = ConformalMap(SmoothMap(total, m2, []))
-    return DualPairSpec(C, (zero_pair(m1), phi1), (zero_pair(m2), phi2),
-                        name="broken-transv")
 
 
 @pytest.fixture(scope="module")
 def trivgpd():
-    return trivgpd_spec()
+    return build("trivgpd")
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +45,7 @@ def test_transversality_point_leg(trivgpd, tpts):
 
 
 def test_transversality_broken():
-    dp = broken_transv_spec()
+    dp = build("broken-transv")
     pts = sample_points(dp.source.chart, 30, seed=52)
     rep = check_transversality(dp, pts)
     assert not rep.passed
@@ -140,7 +66,7 @@ def test_commutation_reeb_membership(trivgpd, tpts):
 
 
 def test_commutation_broken():
-    dp = broken_comm_spec()
+    dp = build("broken-comm")
     pts = sample_points(dp.source.chart, 20, seed=53)
     assert not check_commutation(dp, pts).passed
     # but transversality and curvature orthogonality still hold
@@ -148,13 +74,13 @@ def test_commutation_broken():
     assert check_curvature_orthogonality(dp, pts).passed
 
 
-@pytest.mark.parametrize("make, holds", [(trivgpd_spec, True),
-                                         (darboux5_spec, True),
-                                         (broken_comm_spec, False)])
-def test_factor_fields_lie_in_the_other_kernel(make, holds):
+@pytest.mark.parametrize("spec_id, holds", [("trivgpd", True),
+                                            ("darboux5-product", True),
+                                            ("broken-comm", False)])
+def test_factor_fields_lie_in_the_other_kernel(spec_id, holds):
     # X_{a_i}(p) ∈ ker Tφ_j(p): check_commutation evaluates only the
     # pullback brackets, from which this follows
-    dp = make()
+    dp = build(spec_id)
     J = dp.source_pair
     (_, Phi1), (_, Phi2) = dp.legs()
     worst = 0.0
@@ -170,7 +96,7 @@ def test_curvature_orthogonality_trivgpd(trivgpd, tpts):
 
 
 def test_curvature_orthogonality_broken():
-    dp = broken_orth_spec()
+    dp = build("broken-orth")
     pts = sample_points(dp.source.chart, 20, seed=54)
     # conditions 1 and 2 hold, 3 fails: the dimension bookkeeping is off
     assert check_transversality(dp, pts).passed
@@ -180,7 +106,7 @@ def test_curvature_orthogonality_broken():
 
 
 def test_darboux5_product_positive():
-    dp = darboux5_spec()
+    dp = build("darboux5-product")
     pts = sample_points(dp.source.chart, 20, seed=55)
     for rep in dp.check_morphisms(pts[:5]):
         assert rep.passed
@@ -198,8 +124,8 @@ def test_verify_dual_pair_trivgpd(trivgpd, tpts):
 
 
 def test_verify_dual_pair_broken_specs_verdicts_agree():
-    for make in (broken_comm_spec, broken_orth_spec, broken_transv_spec):
-        dp = make()
+    for spec_id in ("broken-comm", "broken-orth", "broken-transv"):
+        dp = build(spec_id)
         pts = sample_points(dp.source.chart, 20, seed=56)
         reports = verify_dual_pair(dp, pts)
         assert not reports["varpi_orthogonality"].passed
@@ -211,8 +137,24 @@ def test_rank_relation_trivgpd(trivgpd, tpts):
     assert rep.passed   # 1 + 1 + 1 = 3 and the span identities
 
 
+def test_rank_relation_reads_rank_and_kernel_from_one_svd(trivgpd):
+    # first leg scaled by 1e-10: an absolute rank tolerance reads rank 0
+    # while ker T phi_1 is 2-dim, so the rank sum failed; rank and kernel
+    # now come from one SVD, and the spans do not depend on the scale
+    tiny = ConformalMap(SmoothMap(trivgpd.source.chart, trivgpd.J1.chart,
+                                  [lambda q, p, u: 1e-10 * q]))
+    dp = DualPairSpec(trivgpd.source, (trivgpd.J1, tiny),
+                      (trivgpd.J2, trivgpd.Phi2))
+    pts = sample_points(dp.source.chart, 10, seed=60)
+    assert np.linalg.matrix_rank(tangent_map(tiny.map, pts[0]),
+                                 tol=1e-9) == 0
+    assert check_rank_relation(dp, pts).passed
+    for rep in verify_dual_pair(dp, pts).values():
+        assert rep.passed, rep.check_id
+
+
 def test_rank_relation_broken():
-    dp = broken_orth_spec()
+    dp = build("broken-orth")
     pts = sample_points(dp.source.chart, 10, seed=57)
     assert not check_rank_relation(dp, pts).passed
 
@@ -222,7 +164,7 @@ def test_corollary_decomposition_trivgpd(trivgpd, tpts):
 
 
 def test_corollary_decomposition_darboux5():
-    dp = darboux5_spec()
+    dp = build("darboux5-product")
     pts = sample_points(dp.source.chart, 10, seed=58)
     assert check_corollary_decomposition(dp, pts).passed
 

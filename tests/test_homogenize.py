@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.fields import ScalarFieldSpec, constant, coordinate
@@ -174,19 +175,13 @@ def test_jacobi_morphism_lifts_to_poisson_map():
 
 
 def test_homogeneous_sdp_equivalence_positive():
-    import sys
-    sys.path.insert(0, "tests")
-    from test_dualpair import trivgpd_spec
-    dp = trivgpd_spec()
+    dp = build("trivgpd")
     pts = sample_points(dp.source.chart, 15, seed=74)
     assert check_homogeneous_sdp_equivalence(dp, pts).passed
 
 
 def test_homogeneous_sdp_equivalence_broken():
-    import sys
-    sys.path.insert(0, "tests")
-    from test_dualpair import broken_orth_spec
-    dp = broken_orth_spec()
+    dp = build("broken-orth")
     pts = sample_points(dp.source.chart, 10, seed=75)
     rep = check_homogeneous_sdp_equivalence(dp, pts)
     # fails upstairs and downstairs consistently: verdicts agree

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jdl.catalog import build
 from jdl.chart import Chart, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.fields import ScalarFieldSpec, constant, coordinate
@@ -14,8 +15,6 @@ from jdl.jets import exp
 from jdl.leaves import (LeafProbe, characteristic_subspace,
                         characteristic_vectors, check_pullback_distribution,
                         leaf_trace, trace_to_csv, verify_leaf_correspondence)
-
-from test_dualpair import broken_comm_spec, trivgpd_spec
 
 CASIMIR_TOL = 1e-9
 SO3_CASIMIR = ScalarFieldSpec(3, lambda x, y, z: x * x + y * y + z * z)
@@ -105,7 +104,7 @@ def test_trace_near_box_edge_aborts():
 
 
 def test_leaf_correspondence_trivgpd():
-    dp = trivgpd_spec()
+    dp = build("trivgpd")
     seeds = sample_points(dp.source.chart, 5, seed=81)
     assert verify_leaf_correspondence(dp, seeds).passed
     # both legs map onto points of rank-0 leaves: the parity is even
@@ -113,10 +112,10 @@ def test_leaf_correspondence_trivgpd():
 
 
 def test_pullback_distribution_controls():
-    dp = trivgpd_spec()
+    dp = build("trivgpd")
     pts = sample_points(dp.source.chart, 5, seed=82)
     assert check_pullback_distribution(dp, pts).passed
-    broken = broken_comm_spec()
+    broken = build("broken-comm")
     assert not check_pullback_distribution(broken, pts).passed
 
 

@@ -28,6 +28,14 @@ def test_span_sum_intersect_annihilator():
     assert ann.contains_vector(e(1, 3)) and ann.contains_vector(e(2, 3))
 
 
+def test_span_of_normalized_ignores_the_scale_of_each_vector():
+    family = [e(0, 3), 1e-10 * e(1, 3), np.zeros(3)]
+    assert span_of(family).dim == 1      # relative tolerance drops 1e-10
+    scaled = span_of(family, normalize=True)
+    assert scaled.dim == 2 and scaled.contains_vector(e(1, 3))
+    assert span_of([np.zeros(3)], 3, normalize=True).dim == 0
+
+
 def test_orthonormal_invariant():
     rng = np.random.default_rng(2)
     for _ in range(20):
