@@ -27,7 +27,7 @@ import numpy as np
 from .calculus import VectorField, lie_bracket
 from .chart import tangent_map
 from .contact import sharp_inverse_residual, varpi_entry_fields, varpi_matrix
-from .errors import OracleMismatch, ZeroConformalFactor
+from .errors import OracleMismatch
 from .fields import as_field, constant
 from .jacobi import (bracket_field, default_test_functions, hamiltonian_field,
                      jacobi_bidiff_matrix)
@@ -129,15 +129,12 @@ def gauge_pushforward(Phi, d, check_oracle=False):
 
     With ``check_oracle`` the closed form is validated against the
     definitional action (DΦ δ)(μ) = Φ_x(δ(Φ*μ)) on the target test sections
-    μ; a disagreement raises OracleMismatch.
+    μ; a disagreement raises OracleMismatch.  Raises ZeroConformalFactor
+    where a vanishes.
     """
     p = d.point
-    a = Phi.factor.value(p)
-    if abs(a) <= 1e-12:
-        raise ZeroConformalFactor(f"conformal factor vanishes at {p}")
-    da = Phi.factor(p, 1).grad
-    T = tangent_map(Phi.map, p)
-    out = Derivation(Phi.map(p), T @ d.X, d.g + float(d.X @ da) / a)
+    v = dphi_matrix(Phi, p) @ d.coords
+    out = Derivation(Phi.map(p), v[:-1], v[-1])
     if check_oracle:
         for mu in default_test_functions(Phi.map.target):
             lhs = _pushforward_action(Phi, d, mu)
@@ -162,23 +159,34 @@ def _pushforward_action(Phi, d, mu):
     return val / Phi.factor.value(p)
 
 
+def dphi_from(T, a, da):
+    """DΦ = [[Tφ, 0], [da/a, 1]] in derivation coordinates (X-block, g-slot),
+    from T = Tφ(p), a = a(p) and da = da(p)."""
+    return np.vstack([np.hstack([T, np.zeros((len(T), 1))]),
+                      np.append(da / a, 1.0)])
+
+
+def ker_DPhi_from(K, a, da):
+    """ker DΦ = {(X, -X(a)/a) : X ∈ K} as a Subspace, from K = ker Tφ(p),
+    a = a(p) and da = da(p).  The SVD kernel of DΦ is its oracle only on
+    well-scaled legs: its relative rank drops a tiny Tφ next to the g-row."""
+    return image(np.vstack([K.basis, -(da @ K.basis) / a]))
+
+
+def _factor_jet(Phi, p):
+    """a(p), guarded against a vanishing factor, and da(p)."""
+    return Phi.factor_value(p), Phi.factor(p, 1).grad
+
+
 def dphi_matrix(Phi, p):
-    """Matrix of DΦ in derivation coordinates (X-block, g-slot)."""
-    n = Phi.map.source.dim
-    m = Phi.map.target.dim
-    a = Phi.factor.value(p)
-    da = Phi.factor(p, 1).grad
-    T = tangent_map(Phi.map, p)
-    M = np.zeros((m + 1, n + 1))
-    M[:m, :n] = T
-    M[m, :n] = da / a
-    M[m, n] = 1.0
-    return M
+    """Matrix of DΦ at p; raises ZeroConformalFactor where a vanishes."""
+    return dphi_from(tangent_map(Phi.map, p), *_factor_jet(Phi, p))
 
 
 def ker_DPhi(Phi, p):
-    """ker DΦ at p: {(X, -X(a)/a) : X ∈ ker Tφ(p)} as a Subspace."""
-    return kernel(dphi_matrix(Phi, p))
+    """ker DΦ at p; raises ZeroConformalFactor where a vanishes."""
+    return ker_DPhi_from(kernel(tangent_map(Phi.map, p)),
+                         *_factor_jet(Phi, p))
 
 
 def hamiltonian_derivation(J, f, p, validate=False):
@@ -228,18 +236,19 @@ def check_one_perp_is_horizontal(C, pts, tol=1e-7):
 
 def pullback_jet_span(Phi, p):
     """span{j¹(Φ*λ)} at p over the target test sections λ, in jet
-    coordinates."""
+    coordinates; normalized, so its rank does not depend on the scale of
+    the target coordinates."""
     vecs = [jet_of(Phi.pullback(lam), p).coords
             for lam in default_test_functions(Phi.map.target)]
-    return span_of(vecs, ambient=Phi.map.source.dim + 1)
+    return span_of(vecs, ambient=Phi.map.source.dim + 1, normalize=True)
 
 
 def hamiltonian_derivation_span(J, Phi, p):
     """span{Δ_{Φ*λ}} at p over the target test sections λ, in derivation
-    coordinates."""
+    coordinates; normalized like :func:`pullback_jet_span`."""
     vecs = [hamiltonian_derivation(J, Phi.pullback(lam), p).coords
             for lam in default_test_functions(Phi.map.target)]
-    return span_of(vecs, ambient=J.chart.dim + 1)
+    return span_of(vecs, ambient=J.chart.dim + 1, normalize=True)
 
 
 @timed

@@ -38,6 +38,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .atiyah import ker_DPhi_from
 from .chart import tangent_map
 from .contact import contact_to_jacobi, curvature_form, varpi_matrix
 from .fields import as_field
@@ -99,15 +100,15 @@ def _pullback_jets(T, a, da, frames, q):
 def _leg(Phi, frames, p, H):
     """One leg's first-order data at p from T = Tφ(p): a = a(p), da(p),
     K = ker Tφ with rank = n - dim K from the same SVD, H_in = H ∩ K in H
-    coordinates, ker_D = ker DΦ = {(X, -X(a)/a) : X ∈ K} and the pullback
-    jets of the target test sections."""
+    coordinates, ker_D = ker DΦ and the pullback jets of the target test
+    sections."""
     T = tangent_map(Phi.map, p)
     factor = Phi.factor(p, 1)
     a, da = factor.value, factor.grad
     K = kernel(T)
     return SimpleNamespace(
         a=a, da=da, K=K, rank=p.size - K.dim, H_in=kernel(T @ H.basis),
-        ker_D=image(np.vstack([K.basis, -(da @ K.basis) / a])),
+        ker_D=ker_DPhi_from(K, a, da),
         jets=_pullback_jets(T, a, da, frames, Phi.map(p)))
 
 

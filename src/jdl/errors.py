@@ -61,10 +61,6 @@ class SingularOmega(JdlError):
     """The 2-form of an l.c.s. candidate is singular at the point."""
 
 
-class InconsistentConnection(JdlError):
-    """The two leaf restriction conditions disagree on the overlap."""
-
-
 class StepOutOfDomain(JdlError):
     """A flow integration step left the chart box."""
 

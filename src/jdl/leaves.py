@@ -10,6 +10,10 @@ trees.  Leaves are explored numerically by composing Hamiltonian flows
 (fixed-step RK4 with a half-step Richardson drift estimate); rank constancy
 along traces is the Stefan-Sussmann witness, and the dimension parity
 classifies a leaf as contact (odd) or locally conformal symplectic (even).
+
+The leaf relations of the correspondence theorem (ι*θ = Σ a_i·φ_i|*θ_i on
+odd leaves, and the l.c.s. one with its 1-form η on even leaves) are not
+checked; an exact check needs η as a jet, so that dη is exact too.
 """
 from __future__ import annotations
 
@@ -18,12 +22,11 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .atiyah import dphi_matrix, ker_DPhi
-from .calculus import exterior_d_form, pullback_form
-from .chart import compose_maps, tangent_map
+from .atiyah import dphi_from, ker_DPhi_from
+from .chart import tangent_map
 from .contact import varpi_matrix
-from .errors import DimensionMismatch, InconsistentConnection, StepOutOfDomain
-from .fields import as_field, compose
+from .errors import StepOutOfDomain
+from .fields import as_field
 from .jacobi import jacobi_bidiff_matrix
 from .linalg import (BilinearForm, full_space, image, kernel,
                      orth_complement_wrt, preimage, subspace_equal, sum_spaces)
@@ -158,29 +161,32 @@ def check_pullback_distribution(dp, pts, angle_tol=1e-7):
 
     derivation level:  (DΦ_i)⁻¹(im J_i♯) = ker DΦ_i + (ker DΦ_i)^⊥ϖ,
     tangent level:     ker Tφ1 + ker Tφ2 = (Tφ_i)⁻¹(C_i) for i = 1, 2.
+
+    Each leg's Tφ_i, factor 1-jet and ker Tφ_i are read once per point, and
+    DΦ_i and ker DΦ_i follow from them in closed form.
     """
     residuals = []
     n = dp.source.chart.dim
     for p in pts:
-        r = 0.0
-        K1 = kernel(tangent_map(dp.Phi1.map, p))
-        K2 = kernel(tangent_map(dp.Phi2.map, p))
-        D = sum_spaces(K1, K2)
-        W = BilinearForm(varpi_matrix(dp.source, p))
+        legs = []
         for J, Phi in dp.legs():
-            q = Phi.map(p)
+            T = tangent_map(Phi.map, p)
+            factor = Phi.factor(p, 1)
+            legs.append((J, Phi.map(p), T, factor.value, factor.grad,
+                         kernel(T)))
+        D = sum_spaces(*(K for *_, K in legs))
+        W = BilinearForm(varpi_matrix(dp.source, p))
+        r = 0.0
+        for J, q, T, a, da, K in legs:
             # derivation level
-            DP = dphi_matrix(Phi, p)
             im = image(jacobi_bidiff_matrix(J, q).T)   # im J♯
-            lhs = preimage(DP, im)
-            KD = ker_DPhi(Phi, p)
+            lhs = preimage(dphi_from(T, a, da), im)
+            KD = ker_DPhi_from(K, a, da)
             perp = orth_complement_wrt(W, KD, full_space(n + 1))
-            rhs = sum_spaces(KD, perp)
-            same, ang = subspace_equal(lhs, rhs, angle_tol)
+            same, ang = subspace_equal(lhs, sum_spaces(KD, perp), angle_tol)
             r = max(r, ang if same else np.pi / 2)
             # tangent level
-            C = characteristic_subspace(J, q)
-            lhs_t = preimage(tangent_map(Phi.map, p), C)
+            lhs_t = preimage(T, characteristic_subspace(J, q))
             same, ang = subspace_equal(lhs_t, D, angle_tol)
             r = max(r, ang if same else np.pi / 2)
         residuals.append((p, r))
@@ -200,7 +206,6 @@ def verify_leaf_correspondence(dp, seeds, expected_parities=None):
     integral leaf of ker Tφ1 + ker Tφ2 through the seed.
     """
     rows = []
-    ok = True
     for p in seeds:
         q1 = dp.Phi1.map(p)
         q2 = dp.Phi2.map(p)
@@ -212,145 +217,8 @@ def verify_leaf_correspondence(dp, seeds, expected_parities=None):
         good = (codim1 == codim2) and parity_match
         if expected_parities is not None:
             good = good and ("odd" if d1 % 2 else "even") == expected_parities
-        ok = ok and good
         rows.append((p, 0.0 if good else 1.0))
     return residual_report(
         "leaf_correspondence",
         "corresponding leaves have equal codimension and equal parity",
         rows, 0.5)
-
-
-def restricted_legs(dp, incl):
-    """The legs composed with a leaf parametrization incl: S-chart → M."""
-    phi1 = compose_maps(dp.Phi1.map, incl)
-    phi2 = compose_maps(dp.Phi2.map, incl)
-    a1 = compose(dp.Phi1.factor, incl.components)
-    a2 = compose(dp.Phi2.factor, incl.components)
-    return (phi1, a1), (phi2, a2)
-
-
-@timed
-def verify_leaf_relation_contact(dp, incl, theta1, theta2, pts, tol=1e-8):
-    """Odd-leaf relation: ι*θ = a1·(φ1|*θ1) + a2·(φ2|*θ2) on the leaf chart.
-
-    ``theta_i`` are the inherited contact forms on the target charts (None
-    for a point target, which contributes nothing).
-    """
-    (phi1, a1), (phi2, a2) = restricted_legs(dp, incl)
-    k = incl.source.dim
-    lhs = pullback_form(incl, dp.source.theta)
-    terms = []
-    for (phi, a), th in (((phi1, a1), theta1), ((phi2, a2), theta2)):
-        if th is None:
-            continue
-        if th.chart.dim % 2 == 0 and th.chart.dim > 0:
-            raise DimensionMismatch("contact leaf relation needs odd targets")
-        terms.append((a, pullback_form(phi, th)))
-    residuals = []
-    for p in pts:
-        r = 0.0
-        for i in range(k):
-            total = lhs.coeff((i,), p)
-            for a, pb in terms:
-                total -= a(p, 1).value * pb.coeff((i,), p)
-            r = max(r, abs(total))
-        residuals.append((p, r))
-    return residual_report(
-        "leaf_relation_contact",
-        "incl*theta = a1 (phi1|S)*theta1 + a2 (phi2|S)*theta2",
-        residuals, tol)
-
-
-def solve_leaf_connection(dp, incl, eta1, eta2, p, tol=1e-7):
-    """The 1-form η on T_pS prescribed by the two legs.
-
-    η = -a_i⁻¹ da_i + φ_i*η_i on ker T(φ_i∘incl); the two prescriptions
-    must agree on the overlap and jointly determine η because the two
-    kernels span the leaf tangent space.
-    """
-    (phi1, a1), (phi2, a2) = restricted_legs(dp, incl)
-    k = incl.source.dim
-    rows, rhs = [], []
-    for (phi, a), eta in (((phi1, a1), eta1), ((phi2, a2), eta2)):
-        K = kernel(tangent_map(phi, p))
-        aj = a(p, 1)
-        da = aj.grad / aj.value
-        eta_pull = pullback_form(phi, eta) if eta is not None else None
-        for idx in range(K.dim):
-            v = K.basis[:, idx]
-            val = -float(da @ v)
-            if eta_pull is not None:
-                val += sum(eta_pull.coeff((i,), p) * v[i] for i in range(k))
-            rows.append(v)
-            rhs.append(val)
-    A = np.array(rows)
-    b = np.array(rhs)
-    if np.linalg.matrix_rank(A, tol=1e-9) < k:
-        raise InconsistentConnection(
-            f"leaf kernels do not span the leaf tangent space at {p}")
-    eta, *_ = np.linalg.lstsq(A, b, rcond=None)
-    resid = float(np.abs(A @ eta - b).max()) if rows else 0.0
-    if resid > tol:
-        raise InconsistentConnection(
-            f"the two leg prescriptions disagree at {p} (residual {resid:.2e})")
-    return eta, resid
-
-
-@timed
-def verify_leaf_relation_lcs(dp, incl, lcs1, lcs2, pts, tol=1e-7,
-                             fd_step=1e-5, fd_tol=1e-6):
-    """Even-leaf relation on the leaf chart:
-
-       d(ι*θ) - (ι*θ)∧η = a1·(φ1|*ω1) + a2·(φ2|*ω2),
-
-    with η solved pointwise from the two restriction prescriptions.  dη = 0
-    is checked by central differences of the solved η (its own tolerance,
-    since the pointwise solve is not jet-differentiable).
-    """
-    (phi1, a1), (phi2, a2) = restricted_legs(dp, incl)
-    eta1 = lcs1.eta if lcs1 is not None else None
-    eta2 = lcs2.eta if lcs2 is not None else None
-    k = incl.source.dim
-    lhs_theta = pullback_form(incl, dp.source.theta)
-    d_lhs = exterior_d_form(lhs_theta)
-    omega_terms = []
-    for (phi, a), lcs in (((phi1, a1), lcs1), ((phi2, a2), lcs2)):
-        if lcs is None:
-            continue
-        omega_terms.append((a, pullback_form(phi, lcs.omega)))
-    residuals = []
-    for p in pts:
-        eta, _ = solve_leaf_connection(dp, incl, eta1, eta2, p, tol)
-        # closedness of η by central differences
-        r = 0.0
-        for i in range(k):
-            for j in range(i + 1, k):
-                ei = np.zeros(k)
-                ej = np.zeros(k)
-                ei[i] = fd_step
-                ej[j] = fd_step
-                d_eta_ij = ((solve_leaf_connection(dp, incl, eta1, eta2,
-                                                   p + ei, tol)[0][j]
-                             - solve_leaf_connection(dp, incl, eta1, eta2,
-                                                     p - ei, tol)[0][j])
-                            - (solve_leaf_connection(dp, incl, eta1, eta2,
-                                                     p + ej, tol)[0][i]
-                               - solve_leaf_connection(dp, incl, eta1, eta2,
-                                                       p - ej, tol)[0][i])) \
-                    / (2 * fd_step)
-                if abs(d_eta_ij) > fd_tol:
-                    r = max(r, abs(d_eta_ij))
-        theta_vals = np.array([lhs_theta.coeff((i,), p) for i in range(k)])
-        for i in range(k):
-            for j in range(i + 1, k):
-                total = d_lhs.coeff((i, j), p)
-                total -= theta_vals[i] * eta[j] - theta_vals[j] * eta[i]
-                for a, pb in omega_terms:
-                    total -= a(p, 1).value * pb.coeff((i, j), p)
-                r = max(r, abs(total))
-        residuals.append((p, r))
-    return residual_report(
-        "leaf_relation_lcs",
-        "d(incl*theta) - (incl*theta)^eta = a1 (phi1|S)*omega1 + "
-        "a2 (phi2|S)*omega2, with eta solved from the leg prescriptions",
-        residuals, tol)

@@ -3,6 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from jdl.catalog import build
+from jdl.chart import Chart
+from jdl.contact import ContactStructure
 from jdl.errors import InconsistentOracle
 from jdl.fields import constant, coordinate
 from jdl.jacobi import JacobiPair, bracket_field
@@ -11,6 +14,37 @@ from jdl.jacobi import JacobiPair, bracket_field
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240801)
+
+
+# The shared contact charts.  Each fixture builds fresh objects, so a test
+# may tamper with the one it receives.
+
+@pytest.fixture
+def darboux3():
+    """θ = dz - y dx on the box [-2, 2]^3."""
+    chart = Chart("darboux3", 3, [(-2, 2)] * 3)
+    return ContactStructure(chart, {(0,): lambda x, y, z: -y, (2,): 1.0})
+
+
+@pytest.fixture
+def darboux3_pair():
+    """The Jacobi pair of darboux3 in closed form: Π = (∂x + y∂z) ∧ ∂y,
+    E = ∂z."""
+    chart = Chart("darboux3", 3, [(-2, 2)] * 3)
+    return JacobiPair(chart, {(0, 1): 1.0, (1, 2): lambda x, y, z: -y},
+                      [0.0, 0.0, 1.0])
+
+
+@pytest.fixture
+def trivgpd():
+    """θ = du + p dq, the source of the catalog's trivgpd dual pair."""
+    return build("trivgpd").source
+
+
+@pytest.fixture
+def darboux5():
+    """θ = dz - y1 dx1 - y2 dx2, the source of darboux5-product."""
+    return build("darboux5-product").source
 
 
 def fd_gradient(f, p, h=1e-5):

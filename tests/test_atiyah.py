@@ -10,26 +10,13 @@ from jdl.atiyah import (Derivation, DerivationField, JetElement,
                         hamiltonian_derivation, jacobi_bidiff, jet_of,
                         ker_DPhi, pairing, theta_sigma_form, varpi_form,
                         varpi_matrix)
-from jdl.calculus import VectorField
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
-from jdl.contact import ContactStructure, contact_to_jacobi
-from jdl.errors import OracleMismatch
+from jdl.contact import contact_to_jacobi
+from jdl.errors import OracleMismatch, ZeroConformalFactor
 from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import ConformalMap, JacobiPair, bracket_field
 from jdl.jets import exp
-from jdl.linalg import span_of, subspace_equal
-
-
-@pytest.fixture
-def darboux3():
-    chart = Chart("darboux3", 3, [(-2, 2)] * 3)
-    return ContactStructure(chart, {(0,): lambda x, y, z: -y, (2,): 1.0})
-
-
-@pytest.fixture
-def trivgpd():
-    chart = Chart("trivgpd", 3, [(-2, 2)] * 3)
-    return ContactStructure(chart, {(0,): lambda q, p, u: p, (2,): 1.0})
+from jdl.linalg import kernel, span_of, subspace_equal
 
 
 @pytest.fixture
@@ -160,6 +147,18 @@ def test_gauge_pushforward_oracle_mismatch():
         gauge_pushforward(Phi, d, check_oracle=True)
 
 
+def test_gauge_pushforward_zero_factor():
+    # a = x vanishes on x = 0; the guard reads |a| <= 1e-9
+    c = Chart("r2", 2, [(-1, 1)] * 2)
+    Phi = ConformalMap(identity_map(c), ScalarFieldSpec(2, lambda x, y: x))
+    for x in (0.0, 1e-10):
+        d = Derivation([x, 0.3], [1.0, 0.0], 0.5)
+        with pytest.raises(ZeroConformalFactor):
+            gauge_pushforward(Phi, d)
+    out = gauge_pushforward(Phi, Derivation([0.5, 0.3], [1.0, 0.0], 0.5))
+    assert abs(out.g - 2.5) < 1e-12     # g + X(a)/a = 0.5 + 1/0.5
+
+
 def test_pushforward_functoriality():
     a = Chart("a", 2, [(-1, 1)] * 2)
     b = Chart("b", 2, [(-1, 1)] * 2)
@@ -182,21 +181,32 @@ def test_pushforward_functoriality():
         assert np.abs(one_step.coords - two_step.coords).max() < 1e-10
 
 
+def _q_leg(C, scale=1.0):
+    """(q, p, u) ↦ scale·q onto a line, with a ≡ 1.  At scale 1e-10 its Tφ
+    is tiny next to the g-row of DΦ."""
+    base = Chart("base", 1, [(-2, 2)])
+    return ConformalMap(SmoothMap(C.chart, base,
+                                  [lambda q, p, u: scale * q]))
+
+
 def test_ker_dphi_shapes(trivgpd):
     total = trivgpd.chart
-    base = Chart("base", 1, [(-2, 2)])
-    proj = ConformalMap(SmoothMap(total, base, [lambda q, p, u: q]))
     p = np.array([0.1, 0.4, -0.6])
-    K = ker_DPhi(proj, p)
-    assert K.dim == 2
     expected = span_of([[0, 1, 0, 0], [0, 0, 1, 0]])
-    same, _ = subspace_equal(K, expected)
-    assert same
+    # the projection, and the same leg scaled by 1e-10, where the
+    # relative-rank SVD kernel of DΦ drops the Tφ row and reads dim 3
+    for scale in (1.0, 1e-10):
+        K = ker_DPhi(_q_leg(trivgpd, scale), p)
+        assert K.dim == 2
+        same, _ = subspace_equal(K, expected)
+        assert same
+    assert kernel(dphi_matrix(_q_leg(trivgpd, 1e-10), p)).dim == 3
     # map to a point chart: kernel is all (X, -X(a)/a), dim = chart dim
     point = Chart("pt", 1, [(-1, 1)])
     compress = ConformalMap(SmoothMap(total, point, [lambda q, p, u: 0.0 * q]))
     assert ker_DPhi(compress, p).dim == 3
     # immersion: zero kernel
+    base = Chart("base", 1, [(-2, 2)])
     big = Chart("big", 4, [(-2, 2)] * 4)
     emb = ConformalMap(SmoothMap(base, big, [lambda t: t, lambda t: t * t,
                                              lambda t: 0.0 * t, lambda t: 1.0 + 0.0 * t]))
@@ -211,7 +221,6 @@ def test_dphi_symbol_compatibility():
         SmoothMap(total, base, [lambda x, y, z: x * y, lambda x, y, z: z]),
         ScalarFieldSpec(3, lambda x, y, z: 1.0 + 0.1 * x))
     from jdl.chart import tangent_map
-    from jdl.linalg import kernel
     rng = np.random.default_rng(37)
     for _ in range(5):
         p = rng.uniform(-0.9, 0.9, 3)
@@ -243,11 +252,10 @@ def test_hamiltonian_derivation_oracle_mismatch(darboux3, pts, monkeypatch):
 
 def test_technical_lemma_trivgpd(trivgpd):
     J = contact_to_jacobi(trivgpd)
-    total = trivgpd.chart
-    base = Chart("base", 1, [(-2, 2)])
-    tleg = ConformalMap(SmoothMap(total, base, [lambda q, p, u: q]))
-    pts = sample_points(total, 20, seed=38)
-    assert check_technical_lemma(tleg, J, pts).passed
+    pts = sample_points(trivgpd.chart, 20, seed=38)
+    # at scale 1e-10 the spans of the lemma hold only when normalized
+    for scale in (1.0, 1e-10):
+        assert check_technical_lemma(_q_leg(trivgpd, scale), J, pts).passed
 
 
 def test_technical_lemma_identity_and_point(darboux3):

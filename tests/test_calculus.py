@@ -6,7 +6,6 @@ from jdl.calculus import (KForm, Multivector, VectorField, exterior_d_form,
                           pullback_form, schouten, wedge_form, wedge_vec_biv)
 from jdl.chart import Chart, SmoothMap
 from jdl.errors import DegreeUnsupported
-from jdl.fields import constant, coordinate
 
 
 @pytest.fixture

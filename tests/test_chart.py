@@ -4,7 +4,6 @@ import pytest
 from jdl.chart import (Chart, SmoothMap, compose_maps, identity_map,
                        sample_points, tangent_map)
 from jdl.errors import SamplingExhausted
-from jdl.fields import ScalarFieldSpec, coordinate
 
 
 def test_sampling_deterministic():

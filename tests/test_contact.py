@@ -18,18 +18,6 @@ from conftest import extract_pair_from_bracket
 
 
 @pytest.fixture
-def darboux3():
-    chart = Chart("darboux3", 3, [(-2, 2)] * 3)
-    return ContactStructure(chart, {(0,): lambda x, y, z: -y, (2,): 1.0})
-
-
-@pytest.fixture
-def trivgpd():
-    chart = Chart("trivgpd", 3, [(-2, 2)] * 3)
-    return ContactStructure(chart, {(0,): lambda q, p, u: p, (2,): 1.0})
-
-
-@pytest.fixture
 def pts(darboux3):
     return sample_points(darboux3.chart, 20, seed=21)
 
@@ -302,14 +290,6 @@ def _defining_pair(C, pts):
     return extract_pair_from_bracket(oracle, C.chart, pts)
 
 
-def _darboux5():
-    chart = Chart("darboux5", 5, [(-2, 2)] * 5)
-    return ContactStructure(chart, {
-        (0,): lambda x1, y1, x2, y2, z: -y1,
-        (2,): lambda x1, y1, x2, y2, z: -y2,
-        (4,): 1.0})
-
-
 def _conformal_darboux3():
     # e^{0.3x + 0.2z}(dz - y dx): curved coefficients, so Hessians are nonzero
     from jdl.jets import exp
@@ -328,8 +308,8 @@ def _jet_gap(a, b):
 @pytest.mark.parametrize("name", ["darboux3", "trivgpd", "darboux5",
                                   "darboux3e"])
 def test_closed_form_matches_extraction_oracle(name, request):
-    C = {"darboux5": _darboux5, "darboux3e": _conformal_darboux3}.get(
-        name, lambda: request.getfixturevalue(name))()
+    C = (_conformal_darboux3() if name == "darboux3e"
+         else request.getfixturevalue(name))
     pts = sample_points(C.chart, 3, seed=43)
     J = contact_to_jacobi(C)
     K = _defining_pair(C, pts)

@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
-from jdl.contact import ContactStructure, contact_to_jacobi
-from jdl.fields import ScalarFieldSpec, constant, coordinate
+from jdl.contact import ContactStructure
+from jdl.fields import ScalarFieldSpec
 from jdl.homogenize import (check_equivariance, check_homogeneity,
                             check_homogeneous_sdp_equivalence,
                             check_lifted_poisson_map,
@@ -14,20 +13,6 @@ from jdl.homogenize import (check_equivariance, check_homogeneity,
                             homogenize_map, poissonize, slit_chart,
                             symplectize)
 from jdl.jacobi import ConformalMap, JacobiPair, lie_poisson, so3, zero_pair
-from jdl.jets import exp
-
-
-@pytest.fixture(scope="module")
-def darboux3():
-    chart = Chart("darboux3", 3, [(-2, 2)] * 3)
-    return ContactStructure(chart, {(0,): lambda x, y, z: -y, (2,): 1.0})
-
-
-@pytest.fixture(scope="module")
-def darboux3_pair():
-    chart = Chart("darboux3", 3, [(-2, 2)] * 3)
-    return JacobiPair(chart, {(0, 1): 1.0, (1, 2): lambda x, y, z: -y},
-                      [0.0, 0.0, 1.0])
 
 
 def test_poissonize_darboux3_components(darboux3_pair):
@@ -106,10 +91,8 @@ def test_symplectize_darboux3(darboux3):
     assert check_symplectization(darboux3, pts).passed
 
 
-def test_symplectize_trivgpd_form():
-    chart = Chart("trivgpd", 3, [(-2, 2)] * 3)
-    C = ContactStructure(chart, {(0,): lambda q, p, u: p, (2,): 1.0})
-    omega, big = symplectize(C)
+def test_symplectize_trivgpd_form(trivgpd):
+    omega, big = symplectize(trivgpd)
     p = np.array([0.1, 0.5, 0.9, -1.2])
     M = omega.dense(p)
     # ω~ = ds∧du + p ds∧dq + s dp∧dq
@@ -124,12 +107,10 @@ def test_symplectization_consistency(darboux3):
     assert check_symplectization_consistency(darboux3, pts, tol=1e-8).passed
 
 
-def test_symplectization_consistency_trivgpd():
-    chart = Chart("trivgpd", 3, [(-2, 2)] * 3)
-    C = ContactStructure(chart, {(0,): lambda q, p, u: p, (2,): 1.0})
-    omega, big = symplectize(C)
+def test_symplectization_consistency_trivgpd(trivgpd):
+    omega, big = symplectize(trivgpd)
     pts = sample_points(big, 20, seed=70)
-    assert check_symplectization_consistency(C, pts, tol=1e-8).passed
+    assert check_symplectization_consistency(trivgpd, pts, tol=1e-8).passed
 
 
 def test_symplectization_consistency_scaled(darboux3):
@@ -161,11 +142,10 @@ def test_homogenize_map_forms():
     assert check_equivariance(Phi2, pts).passed
 
 
-def test_jacobi_morphism_lifts_to_poisson_map():
+def test_jacobi_morphism_lifts_to_poisson_map(darboux3_pair):
     # quotient leg of the translation reduction: (q-projection, a = 1)
-    total = Chart("darboux3", 3, [(-2, 2)] * 3)
-    J1 = JacobiPair(total, {(0, 1): 1.0, (1, 2): lambda x, y, z: -y},
-                    [0.0, 0.0, 1.0])
+    J1 = darboux3_pair
+    total = J1.chart
     base = Chart("plane", 2, [(-2, 2)] * 2)
     J2 = JacobiPair(base, {(0, 1): 1.0}, [0.0, 0.0])
     Phi = ConformalMap(SmoothMap(total, base, [lambda x, y, z: x,

@@ -15,27 +15,14 @@ from conftest import extract_pair_from_bracket
 
 
 @pytest.fixture
-def darboux3_chart():
-    return Chart("darboux3", 3, [(-2, 2)] * 3)
+def pts(darboux3_pair):
+    return sample_points(darboux3_pair.chart, 20, seed=1)
 
 
-@pytest.fixture
-def darboux3(darboux3_chart):
-    # Π = (∂x + y∂z) ∧ ∂y, E = ∂z
-    return JacobiPair(darboux3_chart,
-                      {(0, 1): 1.0, (1, 2): lambda x, y, z: -y},
-                      [0.0, 0.0, 1.0])
-
-
-@pytest.fixture
-def pts(darboux3_chart):
-    return sample_points(darboux3_chart, 20, seed=1)
-
-
-def test_darboux3_is_jacobi(darboux3, pts):
-    rep = check_jacobi_pair(darboux3, pts, tol=1e-12)
+def test_darboux3_is_jacobi(darboux3_pair, pts):
+    rep = check_jacobi_pair(darboux3_pair, pts, tol=1e-12)
     assert rep.passed
-    assert darboux3.certified
+    assert darboux3_pair.certified
 
 
 def test_constant_poisson_passes():
@@ -45,36 +32,36 @@ def test_constant_poisson_passes():
     assert rep.passed
 
 
-def test_broken_pair_fails(darboux3_chart, pts):
+def test_broken_pair_fails(darboux3_pair, pts):
     # Π of darboux3 but E = ∂x: [[Π,Π]] - 2E∧Π ≠ 0 at generic points
-    J = JacobiPair(darboux3_chart,
+    J = JacobiPair(darboux3_pair.chart,
                    {(0, 1): 1.0, (1, 2): lambda x, y, z: -y},
                    [1.0, 0.0, 0.0])
     rep = check_jacobi_pair(J, pts, tol=1e-10)
     assert not rep.passed
 
 
-def test_darboux3_brackets(darboux3, pts):
+def test_darboux3_brackets(darboux3_pair, pts):
     x = coordinate(3, 0)
     y = coordinate(3, 1)
     z = coordinate(3, 2)
     one = constant(3, 1.0)
     for p in pts[:5]:
-        assert abs(bracket_field(darboux3, x, y).value(p) - 1.0) < 1e-12
-        assert abs(bracket_field(darboux3, one, z).value(p) - 1.0) < 1e-12
-        assert abs(bracket_field(darboux3, y, z).value(p)) < 1e-12
+        assert abs(bracket_field(darboux3_pair, x, y).value(p) - 1.0) < 1e-12
+        assert abs(bracket_field(darboux3_pair, one, z).value(p) - 1.0) < 1e-12
+        assert abs(bracket_field(darboux3_pair, y, z).value(p)) < 1e-12
 
 
-def test_darboux3_hamiltonian_fields(darboux3, pts):
+def test_darboux3_hamiltonian_fields(darboux3_pair, pts):
     x = coordinate(3, 0)
     one = constant(3, 1.0)
     for p in pts[:5]:
         # X_x = ∂y + x ∂z
-        assert np.allclose(hamiltonian_field(darboux3, x).at(p),
+        assert np.allclose(hamiltonian_field(darboux3_pair, x).at(p),
                            [0.0, 1.0, p[0]], atol=1e-12)
         # X_1 = E
-        assert np.allclose(hamiltonian_field(darboux3, one).at(p), [0, 0, 1],
-                           atol=1e-14)
+        assert np.allclose(hamiltonian_field(darboux3_pair, one).at(p),
+                           [0, 0, 1], atol=1e-14)
 
 
 def test_so3_casimir(pts):
@@ -107,30 +94,31 @@ def test_jacobi_pairs_certified(pts):
         assert check_jacobi_pair(J, sample, tol=1e-10).passed
 
 
-def test_nested_bracket_jacobi_identity(darboux3):
+def test_nested_bracket_jacobi_identity(darboux3_pair):
     # {f,{g,h}} + {g,{h,f}} + {h,{f,g}} = 0, exact nesting via derived fields
+    J = darboux3_pair
     rng = np.random.default_rng(5)
-    pts = sample_points(darboux3.chart, 100, seed=6)
+    pts = sample_points(J.chart, 100, seed=6)
     for _ in range(20):
         c = rng.normal(size=9)
         f = ScalarFieldSpec(3, lambda x, y, z, c=c: c[0] * x + c[1] * y * z + c[2])
         g = ScalarFieldSpec(3, lambda x, y, z, c=c: c[3] * y + c[4] * x * x + c[5])
         h = ScalarFieldSpec(3, lambda x, y, z, c=c: c[6] * z + c[7] * x * y + c[8])
-        cyc = (bracket_field(darboux3, f, bracket_field(darboux3, g, h))
-               + bracket_field(darboux3, g, bracket_field(darboux3, h, f))
-               + bracket_field(darboux3, h, bracket_field(darboux3, f, g)))
+        cyc = (bracket_field(J, f, bracket_field(J, g, h))
+               + bracket_field(J, g, bracket_field(J, h, f))
+               + bracket_field(J, h, bracket_field(J, f, g)))
         for p in pts[:5]:
             assert abs(cyc.value(p)) < 1e-8
 
 
-def test_e_equals_x1(darboux3, pts):
+def test_e_equals_x1(darboux3_pair, pts):
     one = constant(3, 1.0)
     for p in pts:
-        assert np.allclose(hamiltonian_field(darboux3, one).at(p),
-                           darboux3.E.at(p), atol=1e-14)
+        assert np.allclose(hamiltonian_field(darboux3_pair, one).at(p),
+                           darboux3_pair.E.at(p), atol=1e-14)
 
 
-def test_morphism_projection_to_zero_pair(darboux3):
+def test_morphism_projection_to_zero_pair(darboux3_pair):
     # triv-gpd-style projection (q,p,u) ↦ q onto the zero pair, a = 1
     total = Chart("gpd", 3, [(-2, 2)] * 3)
     J1 = JacobiPair(total, {(0, 1): -1.0, (1, 2): lambda q, p, u: -p},
@@ -142,13 +130,14 @@ def test_morphism_projection_to_zero_pair(darboux3):
     assert check_jacobi_morphism(J1, J2, proj, pts).passed
 
 
-def test_morphism_identity_map(darboux3, pts):
+def test_morphism_identity_map(darboux3_pair, pts):
     from jdl.chart import identity_map
-    Phi = ConformalMap(identity_map(darboux3.chart))
-    assert check_jacobi_morphism(darboux3, darboux3, Phi, pts[:5]).passed
+    J = darboux3_pair
+    Phi = ConformalMap(identity_map(J.chart))
+    assert check_jacobi_morphism(J, J, Phi, pts[:5]).passed
 
 
-def test_morphism_wrong_projection_fails(darboux3):
+def test_morphism_wrong_projection_fails(darboux3_pair):
     # u-projection onto the zero pair: {f(u), g(u)} = f g' - g f' ≠ 0
     total = Chart("gpd", 3, [(-2, 2)] * 3)
     J1 = JacobiPair(total, {(0, 1): -1.0, (1, 2): lambda q, p, u: -p},
@@ -160,22 +149,23 @@ def test_morphism_wrong_projection_fails(darboux3):
     assert not check_jacobi_morphism(J1, J2, proj, pts).passed
 
 
-def test_morphism_composition(darboux3):
+def test_morphism_composition(darboux3_pair):
     # if (φ,a) and (ψ,b) pass, then (ψ∘φ, a·(b∘φ)) passes
-    c = darboux3.chart
-    Jp = conformal_change(darboux3, ScalarFieldSpec(3, lambda x, y, z: 2.0 + 0.0 * x))
+    c = darboux3_pair.chart
+    Jp = conformal_change(darboux3_pair,
+                          ScalarFieldSpec(3, lambda x, y, z: 2.0 + 0.0 * x))
     # identity with factor 2 both legs; composite has factor 4
-    from jdl.chart import compose_maps, identity_map
+    from jdl.chart import identity_map
     two = ScalarFieldSpec(3, lambda x, y, z: 2.0 + 0.0 * x)
     Phi = ConformalMap(identity_map(c), two)
     pts = sample_points(c, 5, seed=9)
-    assert check_jacobi_morphism(darboux3, Jp, Phi, pts).passed
+    assert check_jacobi_morphism(darboux3_pair, Jp, Phi, pts).passed
     Jpp = conformal_change(Jp, two)
     Psi = ConformalMap(identity_map(c), two)
     assert check_jacobi_morphism(Jp, Jpp, Psi, pts).passed
     comp = ConformalMap(identity_map(c),
                         ScalarFieldSpec(3, lambda x, y, z: 4.0 + 0.0 * x))
-    assert check_jacobi_morphism(darboux3, Jpp, comp, pts).passed
+    assert check_jacobi_morphism(darboux3_pair, Jpp, comp, pts).passed
 
 
 def test_projectivized_bracket_su2():
@@ -226,14 +216,15 @@ def test_projectivized_homogeneity_in_representative():
         assert abs(br.value(t * mu) - t * br.value(mu)) < 1e-9 * max(1, abs(t))
 
 
-def test_extract_pair_round_trip(darboux3, pts):
-    oracle = lambda f, g: bracket_field(darboux3, f, g)
-    J = extract_pair_from_bracket(oracle, darboux3.chart, pts[:5])
+def test_extract_pair_round_trip(darboux3_pair, pts):
+    oracle = lambda f, g: bracket_field(darboux3_pair, f, g)
+    J = extract_pair_from_bracket(oracle, darboux3_pair.chart, pts[:5])
     rng = np.random.default_rng(15)
     for _ in range(5):
         p = rng.uniform(-1, 1, 3)
-        assert np.abs(J.pi_matrix(p) - darboux3.pi_matrix(p)).max() < 1e-10
-        assert np.abs(J.E.at(p) - darboux3.E.at(p)).max() < 1e-10
+        assert np.abs(J.pi_matrix(p)
+                      - darboux3_pair.pi_matrix(p)).max() < 1e-10
+        assert np.abs(J.E.at(p) - darboux3_pair.E.at(p)).max() < 1e-10
 
 
 def test_extract_pair_from_su2_oracle():
@@ -265,42 +256,43 @@ def test_extract_rejects_inconsistent_oracle():
         extract_pair_from_bracket(oracle, c, sample_points(c, 3, seed=19))
 
 
-def test_conformal_change_identity(darboux3, pts):
-    J = conformal_change(darboux3, constant(3, 1.0))
+def test_conformal_change_identity(darboux3_pair, pts):
+    J = conformal_change(darboux3_pair, constant(3, 1.0))
     p = pts[0]
-    assert np.abs(J.pi_matrix(p) - darboux3.pi_matrix(p)).max() < 1e-12
+    assert np.abs(J.pi_matrix(p) - darboux3_pair.pi_matrix(p)).max() < 1e-12
 
 
-def test_conformal_change_by_two(darboux3, pts):
+def test_conformal_change_by_two(darboux3_pair, pts):
     # constant factor c rescales the whole pair: J' = (cΠ, cE), since
     # E' = cE + Π♯(dc) and dc = 0; validated by the round-trip morphism
     two = constant(3, 2.0)
-    J = conformal_change(darboux3, two)
+    J = conformal_change(darboux3_pair, two)
     p = pts[0]
-    assert np.abs(J.pi_matrix(p) - 2.0 * darboux3.pi_matrix(p)).max() < 1e-10
-    assert np.abs(J.E.at(p) - 2.0 * darboux3.E.at(p)).max() < 1e-10
+    assert np.abs(J.pi_matrix(p)
+                  - 2.0 * darboux3_pair.pi_matrix(p)).max() < 1e-10
+    assert np.abs(J.E.at(p) - 2.0 * darboux3_pair.E.at(p)).max() < 1e-10
     from jdl.chart import identity_map
-    Phi = ConformalMap(identity_map(darboux3.chart), two)
-    assert check_jacobi_morphism(darboux3, J, Phi, pts[:5]).passed
+    Phi = ConformalMap(identity_map(darboux3_pair.chart), two)
+    assert check_jacobi_morphism(darboux3_pair, J, Phi, pts[:5]).passed
 
 
-def test_conformal_change_defining_property(darboux3, pts):
+def test_conformal_change_defining_property(darboux3_pair, pts):
     c = ScalarFieldSpec(3, lambda x, y, z: 1.0 + 0.25 * x * x + 0.5 * z)
-    J = conformal_change(darboux3, c)
+    J = conformal_change(darboux3_pair, c)
     from jdl.chart import identity_map
-    Phi = ConformalMap(identity_map(darboux3.chart), c)
-    assert check_jacobi_morphism(darboux3, J, Phi, pts[:10]).passed
+    Phi = ConformalMap(identity_map(darboux3_pair.chart), c)
+    assert check_jacobi_morphism(darboux3_pair, J, Phi, pts[:10]).passed
 
 
-def test_conformal_change_matches_extraction(darboux3, pts):
+def test_conformal_change_matches_extraction(darboux3_pair, pts):
     # the closed form (cΠ, X_c) against the pair extracted from the oracle
     # (f, g) ↦ c⁻¹ {cf, cg}_J, for a non-constant c
     from jdl.jets import exp, sin
     c = ScalarFieldSpec(3, lambda x, y, z: 2.0 + sin(x * y) + 0.3 * exp(z))
-    J = conformal_change(darboux3, c)
+    J = conformal_change(darboux3_pair, c)
     K = extract_pair_from_bracket(
-        lambda f, g: bracket_field(darboux3, c * f, c * g) / c,
-        darboux3.chart, pts[:5])
+        lambda f, g: bracket_field(darboux3_pair, c * f, c * g) / c,
+        darboux3_pair.chart, pts[:5])
     for p in pts:
         assert np.abs(J.pi_matrix(p) - K.pi_matrix(p)).max() <= 1e-12
         assert np.abs(J.E.at(p) - K.E.at(p)).max() <= 1e-12

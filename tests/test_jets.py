@@ -6,7 +6,7 @@ import pytest
 from jdl import jets
 from jdl.errors import DimensionMismatch, DomainViolation, OrderUnsupported
 from jdl.fields import ScalarFieldSpec, compose
-from jdl.jets import Jet, coordinate_jets, jet_lift, taylor_compose
+from jdl.jets import Jet, jet_lift, taylor_compose
 
 from conftest import fd_gradient, fd_hessian
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from jdl.errors import NotContained
-from jdl.linalg import (BilinearForm, Subspace, annihilator, full_space,
-                        image, intersect, kernel, orth_complement_wrt,
-                        preimage, principal_angles, span_of, subspace_equal,
-                        sum_spaces, zero_space)
+from jdl.linalg import (BilinearForm, annihilator, full_space, image,
+                        intersect, kernel, orth_complement_wrt, preimage,
+                        principal_angles, span_of, subspace_equal, sum_spaces,
+                        zero_space)
 
 
 def e(i, n):

@@ -1,13 +1,14 @@
 """Hygiene of the ``jdl`` sources, read with ``ast``: every imported name
-is used, every import sits at module level, and every public function that
-builds a report is timed."""
+is used (in the test modules too), every import sits at module level, and
+every public function that builds a report is timed."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "jdl")
-                 .glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "jdl").glob("*.py"))
+TEST_SOURCES = sorted(TESTS.glob("*.py"))
 
 
 def _tree(path):
@@ -16,9 +17,11 @@ def _tree(path):
 
 def test_sources_found():
     assert {p.name for p in SOURCES} >= {"dualpair.py", "jets.py"}
+    assert {p.name for p in TEST_SOURCES} >= {"conftest.py",
+                                              "test_package.py"}
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES + TEST_SOURCES, ids=lambda p: p.name)
 def test_every_imported_name_is_used(path):
     tree = _tree(path)
     imported = set()
