@@ -25,12 +25,13 @@ is below the tolerance of its report.
 
 Transversality, both orthogonalities, the rank relation, the corollary
 decomposition and the dimension sum are pointwise and first order: they read
-the floats :func:`_point` builds once per sample point per call from θ, Tφ_i,
-a_i and their first derivatives, with X_f = (Mᵀ j¹f)[:n] for M = ϖ⁻ᵀ
-(Kirillov 1976; Crainic & Salazar 2015).  Commutation, the legs' morphism
-check and the centralizer hypothesis read brackets and still walk
-bracket-field trees; their 1-jet route waits for the benchmark to stop
-holding every timed pass's import (ROADMAP item 1).
+the floats :func:`_point` builds from θ, Tφ_i, a_i and their first
+derivatives, with X_f = (Mᵀ j¹f)[:n] for M = ϖ⁻ᵀ (Kirillov 1976; Crainic &
+Salazar 2015), once per point set: every check of a job on one point set
+reads the same snapshots (:meth:`DualPairSpec.point_data`).  Commutation,
+the legs' morphism check and the centralizer hypothesis read brackets and
+still walk bracket-field trees; their 1-jet route waits for the benchmark
+to stop holding every timed pass's import (ROADMAP item 1).
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .atiyah import ker_DPhi_from
+from .atiyah import _factor_jet, ker_DPhi_from
 from .chart import tangent_map
 from .contact import contact_to_jacobi, curvature_form, varpi_matrix
 from .fields import as_field
@@ -59,6 +60,7 @@ class DualPairSpec:
         self.J2, self.Phi2 = leg2
         self.name = name
         self._source_pair = None
+        self._point_data = None
         self._frames = [default_test_functions(J.chart)
                         for J, _ in self.legs()]
 
@@ -70,6 +72,17 @@ class DualPairSpec:
 
     def legs(self):
         return (self.J1, self.Phi1), (self.J2, self.Phi2)
+
+    def point_data(self, pts):
+        """The :func:`_point` of each of ``pts``, in order, built once per
+        point set: the spec keeps the last set's, keyed by the bytes and
+        shape of the point array, and another set replaces it."""
+        pts = np.array(pts, dtype=float)
+        key = (pts.tobytes(), pts.shape)
+        if self._point_data is None or self._point_data[0] != key:
+            pts.flags.writeable = False
+            self._point_data = key, [_point(self, p) for p in pts]
+        return self._point_data[1]
 
     def pullback_fields(self, leg):
         """Φ*λ over the target test sections λ of leg 0 or 1."""
@@ -97,29 +110,38 @@ def _pullback_jets(T, a, da, frames, q):
                      for j in (f(q, 1) for f in frames)])
 
 
+def _frozen(**data):
+    """``data`` as a namespace whose arrays, subspace bases and form
+    matrices are read-only."""
+    for v in data.values():
+        arr = getattr(v, "basis", getattr(v, "matrix", v))
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return SimpleNamespace(**data)
+
+
 def _leg(Phi, frames, p, H):
-    """One leg's first-order data at p from T = Tφ(p): a = a(p), da(p),
-    K = ker Tφ with rank = n - dim K from the same SVD, H_in = H ∩ K in H
-    coordinates, ker_D = ker DΦ and the pullback jets of the target test
-    sections."""
+    """One leg's first-order data at p from T = Tφ(p): a = a(p), which
+    raises ZeroConformalFactor where it vanishes, da(p), K = ker Tφ with
+    rank = n - dim K from the same SVD, H_in = H ∩ K in H coordinates,
+    ker_D = ker DΦ and the pullback jets of the target test sections."""
     T = tangent_map(Phi.map, p)
-    factor = Phi.factor(p, 1)
-    a, da = factor.value, factor.grad
+    a, da = _factor_jet(Phi, p)
     K = kernel(T)
-    return SimpleNamespace(
-        a=a, da=da, K=K, rank=p.size - K.dim, H_in=kernel(T @ H.basis),
+    return _frozen(   # a copy of da: the factor's memoized jet stays writable
+        a=a, da=da.copy(), K=K, rank=p.size - K.dim, H_in=kernel(T @ H.basis),
         ker_D=ker_DPhi_from(K, a, da),
         jets=_pullback_jets(T, a, da, frames, Phi.map(p)))
 
 
 def _point(dp, p):
-    """A dual pair's first-order float data at p, built once per sample point
-    by each check call and dropped with it: ϖ(p), which holds θ and dθ;
-    H = ker θ with c = -dθ|_H; M = ϖ(p)⁻ᵀ from one float solve; the legs."""
+    """A dual pair's first-order float data at p, read-only, as every check
+    of a point set shares it: ϖ(p), which holds θ and dθ; H = ker θ with
+    c = -dθ|_H; M = ϖ(p)⁻ᵀ from one float solve; the legs."""
     p = np.asarray(p, dtype=float)
     varpi = varpi_matrix(dp.source, p)
     H, c = curvature_form(varpi)
-    return SimpleNamespace(
+    return _frozen(
         p=p, varpi=varpi, H=H, c=c,
         M=np.linalg.solve(varpi, np.eye(p.size + 1)).T,
         legs=[_leg(Phi, frames, p, H)
@@ -210,7 +232,7 @@ def _evaluate(check_id, dp, points, tolerance):
 
 
 def _check(check_id, dp, pts, tol=1e-8, angle_tol=1e-7):
-    return _evaluate(check_id, dp, (_point(dp, p) for p in pts),
+    return _evaluate(check_id, dp, dp.point_data(pts),
                      _tolerances(tol, angle_tol)[check_id])[0]
 
 
@@ -250,10 +272,10 @@ def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
     """All three defining conditions, the ϖ-orthogonality equivalent, and
     the pointwise agreement flag between the two verdicts.
 
-    The _points are built once; each condition is then evaluated once per
-    point, and its report and the verdicts read the same residuals.
+    Each condition is evaluated once per point, and its report and the
+    verdicts read the same residuals.
     """
-    points = [_point(dp, p) for p in pts]
+    points = dp.point_data(pts)
     reports, holds = {}, {}
     for check_id, tolerance in _tolerances(tol, angle_tol).items():
         reports[check_id], holds[check_id] = _evaluate(check_id, dp, points,
@@ -277,7 +299,7 @@ def check_rank_relation(dp, pts, angle_tol=1e-7):
     n = dp.source.chart.dim
     ranks = [set(), set()]
     residuals = []
-    for s in (_point(dp, p) for p in pts):
+    for s in dp.point_data(pts):
         r = 0.0 if 1 + sum(leg.rank for leg in s.legs) == n else 1.0
         for i, (leg, other) in enumerate(zip(s.legs, s.legs[::-1])):
             ranks[i].add(leg.rank)
@@ -305,7 +327,7 @@ def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
     """
     n = dp.source.chart.dim
     residuals = []
-    for s in (_point(dp, p) for p in pts):
+    for s in dp.point_data(pts):
         r = 0.0
         for leg, other in zip(s.legs, s.legs[::-1]):
             comp_in_H = orth_complement_wrt(s.c, other.H_in,
@@ -346,7 +368,7 @@ def centralizer_membership(dp, lam, pts, tol=1e-8):
             HYPOTHESIS_NOT_MET, float(hyp_resid), tol, len(pts),
             notes="lambda does not commute with the Phi_1 pullback frames")
     residuals = []
-    for s in (_point(dp, p) for p in pts):
+    for s in dp.point_data(pts):
         j, K = lam(s.p, 1), s.legs[1].ker_D
         r = float(np.abs(K.basis.T @ np.append(j.grad, j.value)).max()) \
             if K.dim else 0.0
@@ -363,7 +385,7 @@ def check_vertical_dim_sum(dp, pts):
     n = dp.source.chart.dim
     residuals = [(s.p, float(abs(sum(leg.H_in.dim for leg in s.legs)
                                  - (n - 1))))
-                 for s in (_point(dp, p) for p in pts)]
+                 for s in dp.point_data(pts)]
     return residual_report("vertical_dim_sum",
                            "dim H_1 + dim H_2 = dim M - 1",
                            residuals, 0.5)

@@ -29,7 +29,7 @@ import numpy as np
 from .calculus import KForm, exterior_d_form, schouten
 from .chart import Chart, SmoothMap, sample_points, tangent_map
 from .contact import contact_to_jacobi
-from .dualpair import _defining_conditions, _point
+from .dualpair import _defining_conditions
 from .errors import OracleMismatch
 from .fields import as_field, compose, constant, coordinate
 from .jacobi import JacobiPair, bracket_field, default_test_functions
@@ -275,11 +275,10 @@ def _lifted_form(varpi, s):
     return out
 
 
-def _lifted_tangent(T, factor, s):
-    """TΦ~ at (x, s) from Tφ(x) and the 1-jet of a at x in closed form:
+def _lifted_tangent(T, a, da, s):
+    """TΦ~ at (x, s) from Tφ(x), a(x) and da(x) in closed form:
     [[Tφ, 0], [s·da, a]]."""
-    return np.block([[T, np.zeros((len(T), 1))],
-                     [s * factor.grad, factor.value]])
+    return np.block([[T, np.zeros((len(T), 1))], [s * da, a]])
 
 
 @timed
@@ -290,22 +289,21 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
     At each lifted point (x, s): ker TΦ~1 = (ker TΦ~2)^⊥ω~, compared with
     the base 3-condition verdict at x, read from the same per-point
     residuals as verify_dual_pair.  ω~ and TΦ~_i are read in closed form
-    from ϖ(x), Tφ_i(x) and the 1-jets of a_i at x; Tφ_i(x) and a_i come
-    from the field memos the base _point at x has just filled.
+    from ϖ(x), Tφ_i(x), a_i(x) and da_i(x); all but Tφ_i(x) come from the
+    spec's shared point data at x.
     """
     ambient = full_space(dp.source.chart.dim + 1)
     residuals = []
     mismatches = 0
     holds = _defining_conditions(dp, angle_tol=angle_tol)
-    for p in pts:
-        base = _point(dp, p)
+    for base in dp.point_data(pts):
         base_ok = holds(base)
-        legs = [(tangent_map(Phi.map, p), Phi.factor(p, 1))
-                for _, Phi in dp.legs()]
+        Ts = [tangent_map(Phi.map, base.p) for _, Phi in dp.legs()]
         worst = 0.0
         lifted_ok = True
         for s in s_slices:
-            K1, K2 = (kernel(_lifted_tangent(T, a, s)) for T, a in legs)
+            K1, K2 = (kernel(_lifted_tangent(T, leg.a, leg.da, s))
+                      for T, leg in zip(Ts, base.legs))
             W = BilinearForm(_lifted_form(base.varpi, s))
             same, ang = subspace_equal(
                 K1, orth_complement_wrt(W, K2, ambient), angle_tol)
@@ -313,7 +311,7 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
             worst = max(worst, ang if same else np.pi / 2)
         if lifted_ok != base_ok:
             mismatches += 1
-        residuals.append((p, worst if base_ok else 0.0))
+        residuals.append((base.p, worst if base_ok else 0.0))
     rep = residual_report(
         "homogeneous_sdp_equivalence",
         "ker T Phi~1 = (ker T Phi~2)^perp-omega~ at lifted points iff the "

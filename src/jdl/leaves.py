@@ -22,14 +22,13 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .atiyah import dphi_from, ker_DPhi_from
+from .atiyah import dphi_from
 from .chart import tangent_map
-from .contact import varpi_matrix
 from .errors import StepOutOfDomain
 from .fields import as_field
 from .jacobi import jacobi_bidiff_matrix
-from .linalg import (BilinearForm, full_space, image, kernel,
-                     orth_complement_wrt, preimage, subspace_equal, sum_spaces)
+from .linalg import (BilinearForm, full_space, image, orth_complement_wrt,
+                     preimage, subspace_equal, sum_spaces)
 from .report import residual_report, timed
 
 
@@ -162,34 +161,30 @@ def check_pullback_distribution(dp, pts, angle_tol=1e-7):
     derivation level:  (DΦ_i)⁻¹(im J_i♯) = ker DΦ_i + (ker DΦ_i)^⊥ϖ,
     tangent level:     ker Tφ1 + ker Tφ2 = (Tφ_i)⁻¹(C_i) for i = 1, 2.
 
-    Each leg's Tφ_i, factor 1-jet and ker Tφ_i are read once per point, and
-    DΦ_i and ker DΦ_i follow from them in closed form.
+    ϖ and each leg's a_i, da_i, ker Tφ_i and ker DΦ_i come from the spec's
+    shared point data; Tφ_i is read once per point, and DΦ_i follows in
+    closed form.
     """
     residuals = []
     n = dp.source.chart.dim
-    for p in pts:
-        legs = []
-        for J, Phi in dp.legs():
-            T = tangent_map(Phi.map, p)
-            factor = Phi.factor(p, 1)
-            legs.append((J, Phi.map(p), T, factor.value, factor.grad,
-                         kernel(T)))
-        D = sum_spaces(*(K for *_, K in legs))
-        W = BilinearForm(varpi_matrix(dp.source, p))
+    for s in dp.point_data(pts):
+        D = sum_spaces(*(leg.K for leg in s.legs))
+        W = BilinearForm(s.varpi)
         r = 0.0
-        for J, q, T, a, da, K in legs:
+        for (J, Phi), leg in zip(dp.legs(), s.legs):
+            T, q = tangent_map(Phi.map, s.p), Phi.map(s.p)
             # derivation level
             im = image(jacobi_bidiff_matrix(J, q).T)   # im J♯
-            lhs = preimage(dphi_from(T, a, da), im)
-            KD = ker_DPhi_from(K, a, da)
-            perp = orth_complement_wrt(W, KD, full_space(n + 1))
-            same, ang = subspace_equal(lhs, sum_spaces(KD, perp), angle_tol)
+            lhs = preimage(dphi_from(T, leg.a, leg.da), im)
+            perp = orth_complement_wrt(W, leg.ker_D, full_space(n + 1))
+            same, ang = subspace_equal(lhs, sum_spaces(leg.ker_D, perp),
+                                       angle_tol)
             r = max(r, ang if same else np.pi / 2)
             # tangent level
             lhs_t = preimage(T, characteristic_subspace(J, q))
             same, ang = subspace_equal(lhs_t, D, angle_tol)
             r = max(r, ang if same else np.pi / 2)
-        residuals.append((p, r))
+        residuals.append((s.p, r))
     return residual_report(
         "pullback_distribution",
         "(D Phi_i)^{-1}(im J_i-sharp) = ker D Phi_i + (ker D Phi_i)^perp-"

@@ -121,12 +121,16 @@ def image(A, tol=RANK_TOL):
 
 
 def preimage(A, S, tol=RANK_TOL):
-    """{v : A v ∈ S} as a Subspace of the domain of A."""
+    """{v : A v ∈ S} = {v : DAv ∈ DS} as a Subspace of the domain of A, where
+    D scales the nonzero rows of A to unit length, so that a row far smaller
+    than the others is not lost to the relative rank tolerance."""
     A = np.asarray(A, dtype=float)
     if S.ambient != A.shape[0]:
         raise DimensionMismatch("subspace ambient differs from codomain")
-    comp = annihilator(S)
-    return kernel(comp.basis.T @ A, tol)
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    comp = annihilator(Subspace(S.ambient, S.basis / norms))
+    return kernel(comp.basis.T @ (A / norms), tol)
 
 
 class BilinearForm:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from jdl.catalog import build
-from jdl.chart import Chart
+from jdl.chart import Chart, SmoothMap
 from jdl.contact import ContactStructure
+from jdl.dualpair import DualPairSpec
 from jdl.errors import InconsistentOracle
 from jdl.fields import constant, coordinate
-from jdl.jacobi import JacobiPair, bracket_field
+from jdl.jacobi import ConformalMap, JacobiPair, bracket_field
 
 
 @pytest.fixture
@@ -39,6 +40,16 @@ def darboux3_pair():
 def trivgpd():
     """θ = du + p dq, the source of the catalog's trivgpd dual pair."""
     return build("trivgpd").source
+
+
+@pytest.fixture
+def trivgpd_tiny_leg():
+    """The catalog's trivgpd dual pair with φ1 = 1e-10·q: Tφ1 is tiny next
+    to the g-row of DΦ1, which a relative rank tolerance drops."""
+    dp = build("trivgpd")
+    tiny = ConformalMap(SmoothMap(dp.source.chart, dp.J1.chart,
+                                  [lambda q, p, u: 1e-10 * q]))
+    return DualPairSpec(dp.source, (dp.J1, tiny), (dp.J2, dp.Phi2))
 
 
 @pytest.fixture

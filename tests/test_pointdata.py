@@ -1,23 +1,34 @@
 """The per-point first-order data of the dual-pair checks against the tree
-and lift routes they replace.
+and lift routes they replace, and its sharing across checks.
 
 ``dualpair._point`` reads X_f = (Mᵀ j¹f)[:n] with M = ϖ⁻ᵀ, the pullback
 jets by the chain rule and ker DΦ in closed form; the homogenized check
 reads ω~ and TΦ~ in closed form.  Each is compared with its defining route
 to 1e-12 (ker DΦ with the SVD kernel of the DΦ matrix, which is exact on
-these well-scaled legs), and each oracle must catch a planted mistake.
+these well-scaled legs), and each oracle must catch a planted mistake,
+planted in a copy, since the checks of a point set share its snapshots.
 """
+from collections import Counter
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from jdl import dualpair, homogenize
 from jdl.atiyah import dphi_matrix
 from jdl.catalog import build
 from jdl.chart import sample_points, tangent_map
-from jdl.contact import contact_to_jacobi, varpi_matrix
-from jdl.dualpair import _hamiltonian, _point, _pullback_jets
+from jdl.contact import contact_to_jacobi
+from jdl.dualpair import (_hamiltonian, _point, _pullback_jets,
+                          centralizer_membership,
+                          check_corollary_decomposition, check_rank_relation,
+                          check_vertical_dim_sum, verify_dual_pair)
+from jdl.fields import constant
 from jdl.homogenize import (S_SLICES, _lifted_form, _lifted_tangent,
-                            homogenize_map, symplectize)
+                            check_homogeneous_sdp_equivalence, homogenize_map,
+                            symplectize)
 from jdl.jacobi import hamiltonian_field
+from jdl.leaves import check_pullback_distribution
 from jdl.linalg import kernel, subspace_equal
 
 ORACLE_TOL = 1e-12
@@ -38,13 +49,12 @@ def _hamiltonian_error(dp, transpose_M=False):
     """Worst |X_f - tree X_f| over both legs' pullbacks and the points."""
     fields = [_tree_fields(dp, leg) for leg in (0, 1)]
     worst = 0.0
-    for p in _points(dp):
-        s = _point(dp, p)
+    for s in dp.point_data(_points(dp)):
         if transpose_M:
-            s.M = s.M.T
+            s = SimpleNamespace(**{**vars(s), "M": s.M.T})
         for leg, tree in zip(s.legs, fields):
             X = _hamiltonian(s, leg.jets)
-            worst = max(worst, max(np.abs(x - h.at(p)).max()
+            worst = max(worst, max(np.abs(x - h.at(s.p)).max()
                                    for x, h in zip(X, tree)))
     return worst
 
@@ -68,14 +78,13 @@ def _jet_error(dp, drop_da=False):
 def _lifted_form_error(dp, flip_theta=False):
     omega, _ = symplectize(dp.source)
     worst = 0.0
-    for p in _points(dp):
-        varpi = varpi_matrix(dp.source, p)
+    for point in dp.point_data(_points(dp)):
         for s in S_SLICES:
-            W = _lifted_form(varpi, s)
+            W = _lifted_form(point.varpi, s)   # a copy
             if flip_theta:
                 W[:-1, -1] *= -1
             worst = max(worst,
-                        np.abs(W - omega.dense(np.append(p, s))).max())
+                        np.abs(W - omega.dense(np.append(point.p, s))).max())
     return worst
 
 
@@ -104,25 +113,25 @@ def test_lifted_tangent_matches_the_lifted_map(spec_id):
             T, factor = tangent_map(Phi.map, p), Phi.factor(p, 1)
             for s in S_SLICES:
                 oracle = tangent_map(lift, np.append(p, s))
-                worst = max(worst, np.abs(_lifted_tangent(T, factor, s)
-                                          - oracle).max())
+                lifted = _lifted_tangent(T, factor.value, factor.grad, s)
+                worst = max(worst, np.abs(lifted - oracle).max())
     assert worst <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("spec_id", SPECS)
 def test_ker_dphi_matches_the_kernel_of_dphi(spec_id):
     dp = build(spec_id)
-    for p in _points(dp):
-        for leg, (_, Phi) in zip(_point(dp, p).legs, dp.legs()):
+    for s in dp.point_data(_points(dp)):
+        for leg, (_, Phi) in zip(s.legs, dp.legs()):
             same, angle = subspace_equal(
-                leg.ker_D, kernel(dphi_matrix(Phi, p)), ORACLE_TOL)
+                leg.ker_D, kernel(dphi_matrix(Phi, s.p)), ORACLE_TOL)
             assert same, (spec_id, angle)
 
 
 def test_point_chart_leg_has_full_kernel():
     dp = build("broken-transv")
-    for p in _points(dp):
-        leg = _point(dp, p).legs[1]
+    for s in dp.point_data(_points(dp)):
+        leg = s.legs[1]
         assert (leg.K.dim, leg.rank, leg.ker_D.dim) == (3, 0, 3)
         assert leg.jets.shape == (1, 4)
 
@@ -142,3 +151,56 @@ def test_dropped_da_term_is_caught():
 @pytest.mark.parametrize("spec_id", SPECS)
 def test_flipped_theta_column_is_caught(spec_id):
     assert _lifted_form_error(build(spec_id), flip_theta=True) > 1e-3
+
+
+def _first_order_checks(dp, pts):
+    """The reports of every check that reads the point data, run as one job
+    runs them, without wall times."""
+    reports = list(verify_dual_pair(dp, pts).values()) + [
+        check_rank_relation(dp, pts), check_corollary_decomposition(dp, pts),
+        check_vertical_dim_sum(dp, pts),
+        check_homogeneous_sdp_equivalence(dp, pts),
+        check_pullback_distribution(dp, pts),
+        centralizer_membership(dp, constant(dp.source.chart.dim, 3.0), pts)]
+    return [{k: v for k, v in rep.as_dict().items() if k != "wall_time"}
+            for rep in reports]
+
+
+@pytest.mark.parametrize("spec_id", ("trivgpd", "broken-comm"))
+def test_a_job_builds_each_point_once(spec_id, monkeypatch):
+    built = Counter()
+
+    def counting(dp, p):
+        built[np.asarray(p, dtype=float).tobytes()] += 1
+        return _point(dp, p)
+
+    monkeypatch.setattr(dualpair, "_point", counting)
+    monkeypatch.setattr(homogenize, "_point", counting, raising=False)
+    dp = build(spec_id)
+    pts = _points(dp)
+    _first_order_checks(dp, pts)
+    assert sorted(built.values()) == [1] * len(pts)
+
+
+def test_a_second_point_set_reads_like_a_fresh_spec():
+    dp = build("trivgpd")
+    first, second = _points(dp, seed=91), _points(dp, seed=92)
+    _first_order_checks(dp, first)
+    assert (_first_order_checks(dp, second)
+            == _first_order_checks(build("trivgpd"), second))
+    assert np.array_equal([s.p for s in dp.point_data(second)], second)
+    assert dp.point_data(second) is dp.point_data(list(second))
+
+
+def test_snapshot_arrays_are_read_only():
+    dp = build("darboux5-product")
+    pts = np.array(_points(dp))
+    for s in dp.point_data(pts):
+        arrays = [s.p, s.varpi, s.M, s.H.basis, s.c.matrix]
+        for leg in s.legs:
+            arrays += [leg.da, leg.K.basis, leg.H_in.basis, leg.ker_D.basis,
+                       leg.jets]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+    pts[0, 0] = 0.5   # the caller's points stay writable
