@@ -6,18 +6,22 @@ runs the dual-pair checks on the catalog entry ``<id>`` (see
 :mod:`jdl.catalog`) at N points sampled from its source chart with seed S,
 and prints one JSON line per report, ``CheckReport.as_dict()``.  A check
 that raises a ``JdlError`` or ``ValueError`` prints one line with its name,
-status ``"error"`` and the exception instead; today that is
-``check_morphisms`` on broken-transv, whose leg onto a point chart takes
-the max of an empty array.  The exit status is 0 when every report passes, 1 when
-one fails or a check raises, and 2 on a usage error such as an unknown id.
+status ``"error"`` and the exception instead; today those are
+``check_morphisms`` and ``check_pullback_distribution`` on broken-transv,
+whose leg onto a point chart leaves them empty arrays to reduce.  The exit
+status is 0 when every report passes, 1 when one fails, a check raises or
+standard output closes before the last line (``jdl verify ... | head -1``;
+that ends quietly, without a traceback), and 2 on a usage error such as an
+unknown id.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from . import catalog, dualpair, homogenize
+from . import catalog, dualpair, homogenize, leaves
 from .chart import sample_points
 from .errors import JdlError, UnknownId
 
@@ -33,6 +37,8 @@ CHECKS = (
      lambda dp, pts: [dualpair.check_vertical_dim_sum(dp, pts)]),
     ("check_homogeneous_sdp_equivalence",
      lambda dp, pts: [homogenize.check_homogeneous_sdp_equivalence(dp, pts)]),
+    ("check_pullback_distribution",
+     lambda dp, pts: [leaves.check_pullback_distribution(dp, pts)]),
 )
 
 
@@ -67,10 +73,17 @@ def main(argv=None):
     run.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     try:
-        return verify(args.spec_id, args.points, args.seed)
+        status = verify(args.spec_id, args.points, args.seed)
+        sys.stdout.flush()
+        return status
     except UnknownId as exc:
         print(f"jdl: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader went away; point stdout at devnull so that the flush
+        # at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

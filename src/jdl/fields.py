@@ -4,8 +4,9 @@ A field is anything with ``field(p, order) -> Jet``.  :class:`ScalarFieldSpec`
 wraps a plain Python expression of the coordinates; :class:`Field` wraps an
 arbitrary jet-valued evaluator and supports pointwise arithmetic, exact
 partial-derivative fields and composition along smooth maps.  Derived
-quantities (pulled-back forms, matrix inverses computed in jet arithmetic)
-therefore stay differentiable to the same order as their ingredients.
+quantities (pulled-back forms, matrix inverses solved order by order in
+Taylor mode) therefore stay differentiable to the same order as their
+ingredients.
 """
 from __future__ import annotations
 
@@ -184,47 +185,73 @@ def point_memo(fn):
 # -- jet-valued linear algebra ----------------------------------------------
 
 def jet_solve(A, b):
-    """Solve A x = b by Gaussian elimination in jet arithmetic.
+    """Solve A x = b for jets, in Taylor mode.
 
-    A is an (n, n) array of Jets (or numbers), b an (n,) or (n, m) array;
-    plain-number entries of b are lifted to constant jets once, so
-    ``jet_solve(A, np.eye(n))`` is the jet inverse of A.  Pivoting is by
-    the value part.  Keeps the solution differentiable.
+    A is an (n, n) array of Jets (or numbers), b an (n,) or (n, m) array of
+    the same, so ``jet_solve(A, np.eye(n))`` is the jet inverse of A.  A and
+    b are packed into one coefficient array per derivative order, the value
+    matrix A₀ is inverted once (pivoting on the largest |value| in the
+    column), and each order k is one stacked solve of A₀ X_k against B_k
+    minus the lower orders' Leibniz terms.  Only the n·m solution jets are
+    built; a system without jets returns floats.
     """
-    A = [list(row) for row in A]
-    b = np.asarray(b, dtype=object)
-    vec = b.ndim == 1
-    B = [[b[i]] for i in range(len(b))] if vec else [list(row) for row in b]
-    n = len(A)
-    first = next((x for row in A for x in row if isinstance(x, Jet)), None)
+    A, b = np.asarray(A, dtype=object), np.asarray(b, dtype=object)
+    B = b[:, None] if b.ndim == 1 else b
+    first = next((x for x in (*A.flat, *B.flat) if isinstance(x, Jet)), None)
+    dim, order = (first.dim, first.order) if first is not None else (0, 0)
+    A0, *A_ = _taylor_coeffs(A, dim, order)
+    B0, *B_ = _taylor_coeffs(B, dim, order)
+    inv = _value_inverse(A0)
+    X = [inv @ B0]      # X[k][a, b, ..., i, j] = ∂_a ∂_b ... x_ij
+    if order >= 1:
+        X.append(inv @ (B_[0] - A_[0] @ X[0]))
+    if order >= 2:
+        t = A_[0][:, None] @ X[1]                   # A_a X_b
+        X.append(inv @ (B_[1] - A_[1] @ X[0] - t - t.swapaxes(0, 1)))
+    if order == 3:
+        # A_a X_bc + A_bc X_a, symmetrized over the three derivative slots
+        t = A_[0][:, None, None] @ X[2] + A_[1] @ X[1][:, None, None]
+        X.append(inv @ (B_[2] - A_[2] @ X[0] - t - t.transpose(1, 0, 2, 3, 4)
+                        - t.transpose(2, 1, 0, 3, 4)))
+    out = X[0].astype(object)
     if first is not None:
-        B = [[x if isinstance(x, Jet)
-              else Jet.constant(float(x), first.dim, first.order)
-              for x in row] for row in B]
+        X = [x.transpose(k, k + 1, *range(k)) for k, x in enumerate(X)]
+        for i, j in np.ndindex(out.shape):
+            out[i, j] = Jet(dim, order, *(x[i, j] for x in X))
+    return out[:, 0] if b.ndim == 1 else out
 
-    def val(x):
-        return x.value if isinstance(x, Jet) else float(x)
 
+def _taylor_coeffs(M, dim, order):
+    """The k-th derivatives of a matrix of jets and numbers for k up to
+    ``order``, one array shaped (dim,) * k + M.shape per k."""
+    zero = [np.zeros((dim,) * k) for k in range(1, order + 1)]
+    parts = []
+    for x in M.flat:
+        if not isinstance(x, Jet):
+            parts.append((x, *zero))
+        elif (x.dim, x.order) != (dim, order):
+            raise DimensionMismatch("jet dims or orders differ")
+        else:
+            parts.append((x.value, x.grad, x.hess, x.third))
+    return [np.array([p[k] for p in parts], dtype=float)
+            .transpose(*range(1, k + 1), 0).reshape((dim,) * k + M.shape)
+            for k in range(order + 1)]
+
+
+def _value_inverse(A0):
+    """A₀⁻¹ by Gauss-Jordan elimination with partial pivoting, on Python
+    floats, which for the few rows of a jet system beat a numpy loop."""
+    n = len(A0)
+    M = np.hstack([A0, np.eye(n)]).tolist()
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(val(A[r][col])))
-        if abs(val(A[piv][col])) < 1e-14:
+        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
+        if abs(M[piv][col]) < 1e-14:
             raise SingularSystem("jet linear system is singular")
-        A[col], A[piv] = A[piv], A[col]
-        B[col], B[piv] = B[piv], B[col]
-        inv = 1.0 / A[col][col] if not isinstance(A[col][col], Jet) \
-            else A[col][col]._reciprocal()
+        M[col], M[piv] = M[piv], M[col]
+        p = M[col][col]
+        row = M[col] = [x / p for x in M[col]]
         for r in range(n):
-            if r == col:
-                continue
-            factor = A[r][col] * inv
-            for c in range(col, n):
-                A[r][c] = A[r][c] - factor * A[col][c]
-            for c in range(len(B[0])):
-                B[r][c] = B[r][c] - factor * B[col][c]
-    out = np.empty((n, len(B[0])), dtype=object)
-    for i in range(n):
-        inv = 1.0 / A[i][i] if not isinstance(A[i][i], Jet) \
-            else A[i][i]._reciprocal()
-        for c in range(len(B[0])):
-            out[i, c] = B[i][c] * inv
-    return out[:, 0] if vec else out
+            if r != col:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], row)]
+    return np.array(M)[:, n:]

@@ -7,9 +7,10 @@ from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap
 from jdl.contact import ContactStructure
 from jdl.dualpair import DualPairSpec
-from jdl.errors import InconsistentOracle
+from jdl.errors import InconsistentOracle, SingularSystem
 from jdl.fields import constant, coordinate
 from jdl.jacobi import ConformalMap, JacobiPair, bracket_field
+from jdl.jets import Jet
 
 
 @pytest.fixture
@@ -119,3 +120,53 @@ def extract_pair_from_bracket(oracle, chart, pts, tol=1e-8):
             f"bracket oracle is not first-order/antisymmetric "
             f"(residual {worst:.2e})")
     return J
+
+
+def reference_jet_solve(A, b):
+    """Solve A x = b by Gaussian elimination in jet arithmetic; the oracle
+    for ``jdl.fields.jet_solve``.
+
+    Takes the same inputs: A an (n, n) array of Jets or numbers, b an (n,)
+    or (n, m) one.  Every step is a ``Jet`` operation, so it shares no code
+    with the Taylor-mode solve beyond ``Jet`` itself.  Pivoting is by the
+    value part, and a pivot below 1e-14 raises SingularSystem.
+    """
+    A = [list(row) for row in A]
+    b = np.asarray(b, dtype=object)
+    vec = b.ndim == 1
+    B = [[b[i]] for i in range(len(b))] if vec else [list(row) for row in b]
+    n = len(A)
+    first = next((x for row in A + B for x in row if isinstance(x, Jet)),
+                 None)
+    if first is not None:
+        B = [[x if isinstance(x, Jet)
+              else Jet.constant(float(x), first.dim, first.order)
+              for x in row] for row in B]
+
+    def val(x):
+        return x.value if isinstance(x, Jet) else float(x)
+
+    def reciprocal(x):
+        return x._reciprocal() if isinstance(x, Jet) else 1.0 / x
+
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(val(A[r][col])))
+        if abs(val(A[piv][col])) < 1e-14:
+            raise SingularSystem("jet linear system is singular")
+        A[col], A[piv] = A[piv], A[col]
+        B[col], B[piv] = B[piv], B[col]
+        inv = reciprocal(A[col][col])
+        for r in range(n):
+            if r == col:
+                continue
+            factor = A[r][col] * inv
+            for c in range(col, n):
+                A[r][c] = A[r][c] - factor * A[col][c]
+            for c in range(len(B[0])):
+                B[r][c] = B[r][c] - factor * B[col][c]
+    out = np.empty((n, len(B[0])), dtype=object)
+    for i in range(n):
+        inv = reciprocal(A[i][i])
+        for c in range(len(B[0])):
+            out[i, c] = B[i][c] * inv
+    return out[:, 0] if vec else out

@@ -1,5 +1,7 @@
 """The catalog and the ``jdl`` command, run through ``main``."""
 import json
+import os
+import sys
 
 import pytest
 
@@ -11,7 +13,7 @@ DUAL_PAIR_REPORTS = {
     "morphism_leg1", "morphism_leg2", "transversality", "commutation",
     "curvature_orthogonality", "varpi_orthogonality", "equivalence",
     "rank_relation", "corollary_decomposition", "vertical_dim_sum",
-    "homogeneous_sdp_equivalence"}
+    "homogeneous_sdp_equivalence", "pullback_distribution"}
 
 
 def _lines(capsys):
@@ -47,6 +49,9 @@ def test_verify_broken_spec_fails_and_reports_the_raising_check(capsys):
     by_id = {line["check_id"]: line for line in _lines(capsys)}
     assert by_id["check_morphisms"]["status"] == "error"
     assert by_id["check_morphisms"]["error"].startswith("ValueError")
+    assert by_id["check_pullback_distribution"]["status"] == "error"
+    assert by_id["check_pullback_distribution"]["error"].startswith(
+        "ValueError")
     assert by_id["transversality"]["status"] == "fail"
     assert by_id["equivalence"]["status"] == "pass"
 
@@ -55,3 +60,33 @@ def test_verify_unknown_id_exits_2(capsys):
     assert main(["verify", "darboux7"]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "darboux7" in out.err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, on a real descriptor ``fd``."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_verify_into_a_closed_pipe_exits_1_quietly(monkeypatch, tmp_path):
+    # as in `jdl verify trivgpd | head -1`: no traceback, status 1, and
+    # stdout's descriptor now writes to devnull
+    out = tmp_path / "stdout"
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert main(["verify", "trivgpd", "--points", "2"]) == 1
+        os.write(fd, b"written after the pipe closed")
+    finally:
+        os.close(fd)
+    assert out.read_bytes() == b""

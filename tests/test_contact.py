@@ -9,12 +9,11 @@ from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
                          varpi_matrix, volume_coefficient)
 from jdl.errors import EvenDimension, InconsistentOracle, SingularSystem
-from jdl.fields import (Field, ScalarFieldSpec, constant, coordinate,
-                        jet_solve, point_memo)
+from jdl.fields import Field, ScalarFieldSpec, constant, coordinate, point_memo
 from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
                         hamiltonian_field)
 
-from conftest import extract_pair_from_bracket
+from conftest import extract_pair_from_bracket, reference_jet_solve
 
 
 @pytest.fixture
@@ -252,8 +251,8 @@ def _defining_solve(C, f, Ef):
     """X with θ(X) = f and i_X dθ = -df + E(f)·θ, as a jet vector field.
 
     The (n+1)×n system has rank n; the square subsystem with the best
-    conditioned value part is solved in jet arithmetic.  Shares nothing with
-    the closed form beyond the θ and dθ component fields.
+    conditioned value part is solved by the reference elimination.  Shares
+    nothing with the closed form beyond the θ and dθ component fields.
     """
     n = C.chart.dim
     theta, d = C.theta.field_matrix(), C.dtheta.field_matrix()
@@ -271,7 +270,8 @@ def _defining_solve(C, f, Ef):
                     for drop in range(n + 1)),
                    key=lambda rows: np.linalg.svd(vals[rows],
                                                   compute_uv=False)[-1])
-        return jet_solve([A[r] for r in rows], [rhs[r] for r in rows])
+        return reference_jet_solve([A[r] for r in rows],
+                                   [rhs[r] for r in rows])
 
     solve = point_memo(solve)
     return VectorField(C.chart, [Field(n, lambda p, o, i=i: solve(p, o)[i])

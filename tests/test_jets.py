@@ -1,7 +1,10 @@
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
+import sympy
 
 from jdl import jets
 from jdl.errors import DimensionMismatch, DomainViolation, OrderUnsupported
@@ -183,6 +186,86 @@ def test_third_order_symbolic():
     t = j.third
     assert np.allclose(t, t.transpose(1, 0, 2))
     assert np.allclose(t, t.transpose(2, 1, 0))
+
+
+_OPS = {"+": (operator.add,) * 2, "-": (operator.sub,) * 2,
+        "*": (operator.mul,) * 2, "/": (operator.truediv,) * 2,
+        "exp": (jets.exp, sympy.exp), "sin": (jets.sin, sympy.sin),
+        "sqrt": (jets.sqrt, sympy.sqrt)}
+_BINARY = ("+", "-", "*", "/")
+# where the last operand of an operation may sit: divisors and square-root
+# arguments away from 0, exponents at most 4
+_DOMAIN = {"/": lambda v: abs(v) >= 0.25, "sqrt": lambda v: v >= 0.25,
+           "exp": lambda v: v <= 4.0}
+
+
+def _fits(op, v):
+    return _DOMAIN.get(op, lambda v: True)(v)
+
+
+def _random_expression(rng, p, n_ops=4):
+    """A random expression tree at p that applies ``n_ops`` distinct ones of
+    +, -, *, /, exp, sin and sqrt, as ``(op, operand trees...)`` tuples.
+
+    Each operation takes the tree so far as its first operand; a binary one
+    takes a coordinate, a constant or an earlier subtree as its second.  The
+    order is drawn among the operations whose domain holds at p, and a draw
+    that strands one is redrawn.
+    """
+    while True:
+        c = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0))
+        pool = [(("x", i), x) for i, x in enumerate(p)] + [(("c", c), c)]
+        tree, value = pool[rng.integers(len(p))]
+        todo = [str(op) for op in
+                rng.choice(sorted(_OPS), n_ops, replace=False)]
+        while todo:
+            ready = [op for op in todo if op in _BINARY or _fits(op, value)]
+            if not ready:
+                break
+            op = ready[rng.integers(len(ready))]
+            todo.remove(op)
+            args = [(tree, value)]
+            if op in _BINARY:
+                fits = [node for node in pool
+                        if node[0] is not tree and _fits(op, node[1])]
+                args.append(fits[rng.integers(len(fits))])
+            value = _OPS[op][0](*(v for _, v in args))
+            tree = (op, *(t for t, _ in args))
+            pool.append((tree, value))
+        if not todo:
+            return tree
+
+
+def _build(tree, xs, lib):
+    """The tree over coordinates ``xs``, with jets.* (lib 0) or sympy (lib 1)
+    functions."""
+    head, *args = tree
+    if head == "x":
+        return xs[args[0]]
+    if head == "c":
+        return args[0]
+    return _OPS[head][lib](*(_build(t, xs, lib) for t in args))
+
+
+def test_jets_match_sympy_to_third_order():
+    # random expressions in 2-3 variables, of four operations each;
+    # sympy differentiates each distinct partial derivative once
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = rng.uniform(-1.5, 1.5, size=int(rng.integers(2, 4)))
+        tree = _random_expression(rng, p)
+        j = jet_lift(lambda *xs: _build(tree, xs, 0), p, 3)
+        syms = sympy.symbols(f"x0:{p.size}")
+        at = dict(zip(syms, p))
+        derivs = {(): sympy.sympify(_build(tree, syms, 1))}
+        for idx in itertools.chain.from_iterable(
+                itertools.combinations_with_replacement(range(p.size), k)
+                for k in (1, 2, 3)):
+            derivs[idx] = sympy.diff(derivs[idx[:-1]], syms[idx[-1]])
+        for idx, d in derivs.items():
+            got = np.asarray((j.value, j.grad, j.hess, j.third)[len(idx)])[idx]
+            want = float(d.subs(at))
+            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
 def test_partial_jet_shift():
