@@ -17,6 +17,13 @@ formula for d_D(θ∘σ) on constant frame extensions:
 Both global signs of ϖ occur in the literature; every check here is
 invariant under the global sign, and the sharp-inverse check pins the slot
 pairing that makes ϖ♭ ∘ J♯ the identity (ϖ♭(δ) = ϖ(·, δ)).
+
+The first-order objects are closed forms in T = Tφ(p), a = a(p) and
+da = da(p), shared with the dual-pair point data and the leaf checks:
+DΦ = [[T, 0], [da/a, 1]] (:func:`dphi_from`), ker DΦ (:func:`ker_DPhi_from`),
+the pullback jets j¹(Φ*λ) by the chain rule (:func:`pullback_jets`), and
+Δ_f = J♯ j¹f with J♯ = Mᵀ for the bi-DO matrix M.  Their defining oracles,
+the bracket trees and the action (DΦ δ)(μ) = Φ_x(δ(Φ*μ)), are tests.
 """
 from __future__ import annotations
 
@@ -27,10 +34,8 @@ import numpy as np
 from .calculus import VectorField, lie_bracket
 from .chart import tangent_map
 from .contact import sharp_inverse_residual, varpi_entry_fields, varpi_matrix
-from .errors import OracleMismatch
 from .fields import as_field, constant
-from .jacobi import (bracket_field, default_test_functions, hamiltonian_field,
-                     jacobi_bidiff_matrix)
+from .jacobi import default_test_functions, jacobi_bidiff_matrix
 from .linalg import annihilator, image, kernel, span_of, subspace_equal
 from .report import residual_report, timed
 
@@ -66,13 +71,6 @@ class JetElement:
     @property
     def coords(self):
         return np.append(self.alpha, self.c)
-
-    def pair(self, d):
-        """⟨(X,g),(α,c)⟩ = α(X) + g·c."""
-        return float(self.alpha @ d.X + self.g_pair(d))
-
-    def g_pair(self, d):
-        return d.g * self.c
 
 
 def jet_of(f, p):
@@ -124,39 +122,13 @@ def check_sharp_inverse(C, J, pts, tol=1e-9):
         residuals, tol)
 
 
-def gauge_pushforward(Phi, d, check_oracle=False):
+def gauge_pushforward(Phi, d):
     """DΦ(X, g) = (Tφ·X, g + X(a)/a) at d.point, for a conformal map Phi.
 
-    With ``check_oracle`` the closed form is validated against the
-    definitional action (DΦ δ)(μ) = Φ_x(δ(Φ*μ)) on the target test sections
-    μ; a disagreement raises OracleMismatch.  Raises ZeroConformalFactor
-    where a vanishes.
+    Raises ZeroConformalFactor where a vanishes.
     """
-    p = d.point
-    v = dphi_matrix(Phi, p) @ d.coords
-    out = Derivation(Phi.map(p), v[:-1], v[-1])
-    if check_oracle:
-        for mu in default_test_functions(Phi.map.target):
-            lhs = _pushforward_action(Phi, d, mu)
-            ju = mu(out.point, 1)
-            rhs = float(out.X @ ju.grad) + out.g * ju.value
-            if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
-                raise OracleMismatch(
-                    f"pushforward closed form disagrees with oracle: "
-                    f"{lhs} vs {rhs}")
-    return out
-
-
-def _pushforward_action(Phi, d, mu):
-    """(DΦ δ)(μ) = Φ_x(δ(Φ*μ)): the definitional oracle.
-
-    In the trivialization, Φ* μ = a·(μ∘φ) and Φ_x multiplies by 1/a(x).
-    """
-    p = d.point
-    pulled = Phi.pullback(mu)
-    j = pulled(p, 1)
-    val = float(d.X @ j.grad) + d.g * j.value
-    return val / Phi.factor.value(p)
+    v = dphi_matrix(Phi, d.point) @ d.coords
+    return Derivation(Phi.map(d.point), v[:-1], v[-1])
 
 
 def dphi_from(T, a, da):
@@ -171,6 +143,13 @@ def ker_DPhi_from(K, a, da):
     a = a(p) and da = da(p).  The SVD kernel of DΦ is its oracle only on
     well-scaled legs: its relative rank drops a tiny Tφ next to the g-row."""
     return image(np.vstack([K.basis, -(da @ K.basis) / a]))
+
+
+def pullback_jets(T, a, da, frames, q):
+    """Rows j¹(Φ*λ)(p) = (da·λ(q) + a·Tφᵀ∇λ(q), a·λ(q)) over the sections
+    λ in ``frames``, by the chain rule from T = Tφ(p) and q = φ(p)."""
+    return np.array([np.append(j.value * da + a * (j.grad @ T), a * j.value)
+                     for j in (f(q, 1) for f in frames)])
 
 
 def _factor_jet(Phi, p):
@@ -189,26 +168,11 @@ def ker_DPhi(Phi, p):
                          *_factor_jet(Phi, p))
 
 
-def hamiltonian_derivation(J, f, p, validate=False):
-    """Δ_f = (X_f, -E(f)) at p; optionally validated by Δ_f(g) = {f,g} on
-    the test sections g.
-
-    A validation failure raises OracleMismatch.
-    """
-    f = as_field(J.chart.dim, f)
-    X = hamiltonian_field(J, f).at(p)
-    Ef = J.E.apply_field(f).value(p)
-    d = Derivation(p, X, -Ef)
-    if validate:
-        for g in default_test_functions(J.chart):
-            jg = g(p, 1)
-            lhs = float(d.X @ jg.grad) + d.g * jg.value
-            rhs = bracket_field(J, f, g).value(p)
-            if abs(lhs - rhs) > 1e-8 * max(1.0, abs(rhs)):
-                raise OracleMismatch(
-                    f"hamiltonian derivation disagrees with bracket: "
-                    f"{lhs} vs {rhs}")
-    return d
+def hamiltonian_derivation(J, f, p):
+    """Δ_f = J♯ j¹f = (X_f, -E(f)) at p, where J♯ = Mᵀ for the bi-DO
+    matrix M of J, so that Δ_f(g) = {f, g}."""
+    v = jacobi_bidiff_matrix(J, p).T @ jet_of(f, p).coords
+    return Derivation(p, v[:-1], v[-1])
 
 
 def one_perp_varpi(C, p):
@@ -234,40 +198,29 @@ def check_one_perp_is_horizontal(C, pts, tol=1e-7):
         residuals, tol)
 
 
-def pullback_jet_span(Phi, p):
-    """span{j¹(Φ*λ)} at p over the target test sections λ, in jet
-    coordinates; normalized, so its rank does not depend on the scale of
-    the target coordinates."""
-    vecs = [jet_of(Phi.pullback(lam), p).coords
-            for lam in default_test_functions(Phi.map.target)]
-    return span_of(vecs, ambient=Phi.map.source.dim + 1, normalize=True)
-
-
-def hamiltonian_derivation_span(J, Phi, p):
-    """span{Δ_{Φ*λ}} at p over the target test sections λ, in derivation
-    coordinates; normalized like :func:`pullback_jet_span`."""
-    vecs = [hamiltonian_derivation(J, Phi.pullback(lam), p).coords
-            for lam in default_test_functions(Phi.map.target)]
-    return span_of(vecs, ambient=J.chart.dim + 1, normalize=True)
-
-
 @timed
 def check_technical_lemma(Phi, J, pts, tol=1e-7):
-    """(ker DΦ)° = span{j¹(Φ*λ)} and (ker DΦ)^⊥ϖ = span{Δ_{Φ*λ}}.
+    """(ker DΦ)° = span{j¹(Φ*λ)} and (ker DΦ)^⊥ϖ = span{Δ_{Φ*λ}} over the
+    target test sections λ, from Tφ, a and da read once per point.
 
-    The second subspace equality is computed with the bi-DO route, i.e.
-    (ker DΦ)^⊥ϖ = J♯((ker DΦ)°), which is sign-robust.
+    The second equality is computed as (ker DΦ)^⊥ϖ = J♯((ker DΦ)°), which
+    is sign-robust.  Both spans are normalized, so their ranks do not
+    depend on the scale of the target coordinates.
     """
+    frames = default_test_functions(Phi.map.target)
+    n = Phi.map.source.dim
     residuals = []
     for p in pts:
-        K = ker_DPhi(Phi, p)
-        ann = annihilator(K)
-        jet_span = pullback_jet_span(Phi, p)
-        same1, ang1 = subspace_equal(ann, jet_span, angle_tol=tol)
+        T = tangent_map(Phi.map, p)
+        a, da = _factor_jet(Phi, p)
+        ann = annihilator(ker_DPhi_from(kernel(T), a, da))
+        jets = pullback_jets(T, a, da, frames, Phi.map(p))
+        same1, ang1 = subspace_equal(
+            ann, span_of(jets, ambient=n + 1, normalize=True), angle_tol=tol)
         sharp = jacobi_bidiff_matrix(J, p).T   # J♯: ⟨J♯α, β⟩ = J(α, β)
-        perp = image(sharp @ ann.basis)
-        ham_span = hamiltonian_derivation_span(J, Phi, p)
-        same2, ang2 = subspace_equal(perp, ham_span, angle_tol=tol)
+        ham_span = span_of(jets @ sharp.T, ambient=n + 1, normalize=True)
+        same2, ang2 = subspace_equal(image(sharp @ ann.basis), ham_span,
+                                     angle_tol=tol)
         bad = 0.0 if (same1 and same2) else np.pi / 2
         residuals.append((p, max(ang1, ang2, bad)))
     return residual_report(

@@ -23,20 +23,14 @@ from .jets import Jet
 
 
 def _sorted_key(idx):
-    """(sorted tuple, sign) for an antisymmetric index lookup; sign 0 if repeated."""
+    """(sorted tuple, sign) for an antisymmetric index lookup; sign 0 if
+    repeated, else the sign of the sorting permutation."""
     idx = tuple(idx)
-    perm = sorted(range(len(idx)), key=lambda a: idx[a])
+    perm = sorted(range(len(idx)), key=idx.__getitem__)
     key = tuple(idx[a] for a in perm)
-    if any(key[a] == key[a + 1] for a in range(len(key) - 1)):
+    if len(set(key)) < len(key):
         return key, 0
-    sign = 1
-    idx_list = list(idx)
-    for a in range(len(idx_list)):
-        b = idx_list.index(min(idx_list[a:]), a)
-        if b != a:
-            idx_list[a], idx_list[b] = idx_list[b], idx_list[a]
-            sign = -sign
-    return key, sign
+    return key, _perm_sign(perm)
 
 
 class _Antisym:
@@ -232,7 +226,7 @@ def wedge_form(alpha, beta):
         terms = []
         for pick in itertools.combinations(range(k + l), k):
             rest = tuple(a for a in range(k + l) if a not in pick)
-            sgn = _shuffle_sign(pick, rest)
+            sgn = _perm_sign(pick + rest)
             fa, sa = alpha.component(tuple(key[a] for a in pick))
             fb, sb = beta.component(tuple(key[a] for a in rest))
             if fa is None or fb is None:
@@ -244,16 +238,6 @@ def wedge_form(alpha, beta):
                 acc = acc + fa * fb * s
             comps[key] = acc
     return KForm(alpha.chart, k + l, comps)
-
-
-def _shuffle_sign(pick, rest):
-    order = list(pick) + list(rest)
-    sign = 1
-    for a in range(len(order)):
-        for b in range(a + 1, len(order)):
-            if order[a] > order[b]:
-                sign = -sign
-    return sign
 
 
 def lie_derivative(X, omega, p):

@@ -147,6 +147,9 @@ def contact_to_jacobi(C, pts=None, tol=1e-8):
     ``tol`` raises InconsistentOracle, and a singular ϖ raises
     SingularSystem.  The defining-equation oracle, through bracket
     extraction, lives in the tests.
+
+    The pair evaluates only up to order 2: ϖ holds dθ, so it needs one
+    more derivative of θ than the pair does, and jets stop at order 3.
     """
     J = C._pair or _closed_form_pair(C)
     if pts is None:

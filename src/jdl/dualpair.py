@@ -28,10 +28,11 @@ decomposition and the dimension sum are pointwise and first order: they read
 the floats :func:`_point` builds from θ, Tφ_i, a_i and their first
 derivatives, with X_f = (Mᵀ j¹f)[:n] for M = ϖ⁻ᵀ (Kirillov 1976; Crainic &
 Salazar 2015), once per point set: every check of a job on one point set
-reads the same snapshots (:meth:`DualPairSpec.point_data`).  Commutation,
-the legs' morphism check and the centralizer hypothesis read brackets and
-still walk bracket-field trees; their 1-jet route waits for the benchmark
-to stop holding every timed pass's import (ROADMAP item 1).
+reads the same snapshots (:meth:`DualPairSpec.point_data`).  The
+centralizer hypothesis reads its brackets {λ, Φ1*λ1}(p) = j¹λ · M ·
+j¹(Φ1*λ1) from the same snapshots.  Commutation and the legs' morphism
+check still walk bracket-field trees: their 1-jet route waits for the
+benchmark to stop holding every timed pass's import (ROADMAP items 1-2).
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .atiyah import _factor_jet, ker_DPhi_from
+from .atiyah import _factor_jet, ker_DPhi_from, pullback_jets
 from .chart import tangent_map
 from .contact import contact_to_jacobi, curvature_form, varpi_matrix
 from .fields import as_field
@@ -103,13 +104,6 @@ class DualPairSpec:
         return f"DualPairSpec({self.name or self.source.chart.name!r})"
 
 
-def _pullback_jets(T, a, da, frames, q):
-    """Rows j¹(Φ*λ)(p) = (da·λ(q) + a·Tφᵀ∇λ(q), a·λ(q)) over the sections
-    λ in ``frames``, by the chain rule from T = Tφ(p) and q = φ(p)."""
-    return np.array([np.append(j.value * da + a * (j.grad @ T), a * j.value)
-                     for j in (f(q, 1) for f in frames)])
-
-
 def _frozen(**data):
     """``data`` as a namespace whose arrays, subspace bases and form
     matrices are read-only."""
@@ -131,7 +125,7 @@ def _leg(Phi, frames, p, H):
     return _frozen(   # a copy of da: the factor's memoized jet stays writable
         a=a, da=da.copy(), K=K, rank=p.size - K.dim, H_in=kernel(T @ H.basis),
         ker_D=ker_DPhi_from(K, a, da),
-        jets=_pullback_jets(T, a, da, frames, Phi.map(p)))
+        jets=pullback_jets(T, a, da, frames, Phi.map(p)))
 
 
 def _point(dp, p):
@@ -350,33 +344,31 @@ def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
 def centralizer_membership(dp, lam, pts, tol=1e-8):
     """Finite membership surrogate for the section-space centralizer claim.
 
-    Hypothesis: {λ, Φ1-pullbacks} ≡ 0 on the frame family (checked; if it
-    fails the report says hypothesis-not-met rather than fail).  Claim
-    verified: j¹λ annihilates ker DΦ2 pointwise.  This is a pointwise
-    surrogate for λ being a Φ2-pullback; the full function-space
-    centralizer statement is not checkable and is not claimed.
+    Hypothesis: {λ, Φ1-pullbacks} ≡ 0 on the frame family, read as
+    j¹λ · M · j¹(Φ1*λ1) from the point data (checked; if it fails the
+    report says hypothesis-not-met rather than fail).  Claim verified: j¹λ
+    annihilates ker DΦ2 pointwise.  This is a pointwise surrogate for λ
+    being a Φ2-pullback; the full function-space centralizer statement is
+    not checkable and is not claimed.
     """
-    J = dp.source_pair
+    identity = ("j1(lambda) annihilates ker D Phi_2 when lambda commutes "
+                "with the Phi_1-pullback frames")
     lam = as_field(dp.source.chart.dim, lam)
-    hyp_fields = [bracket_field(J, lam, f) for f in dp.pullback_fields(0)]
-    hyp_resid = max(abs(f.value(p)) for p in pts for f in hyp_fields)
+    hyp_resid, residuals = 0.0, []
+    for s in dp.point_data(pts):
+        j = lam(s.p, 1)
+        jet, K = np.append(j.grad, j.value), s.legs[1].ker_D
+        hyp_resid = max(hyp_resid,
+                        float(np.abs(jet @ s.M @ s.legs[0].jets.T).max()))
+        residuals.append((s.p, float(np.abs(jet @ K.basis).max())
+                          if K.dim else 0.0))
     if hyp_resid > tol:
         return CheckReport(
-            "centralizer_membership",
-            "j1(lambda) annihilates ker D Phi_2 when lambda commutes with "
-            "the Phi_1-pullback frames",
-            HYPOTHESIS_NOT_MET, float(hyp_resid), tol, len(pts),
+            "centralizer_membership", identity, HYPOTHESIS_NOT_MET,
+            hyp_resid, tol, len(pts),
             notes="lambda does not commute with the Phi_1 pullback frames")
-    residuals = []
-    for s in dp.point_data(pts):
-        j, K = lam(s.p, 1), s.legs[1].ker_D
-        r = float(np.abs(K.basis.T @ np.append(j.grad, j.value)).max()) \
-            if K.dim else 0.0
-        residuals.append((s.p, r))
-    return residual_report(
-        "centralizer_membership",
-        "j1(lambda) annihilates ker D Phi_2 when lambda commutes with "
-        "the Phi_1-pullback frames", residuals, tol)
+    return residual_report("centralizer_membership", identity, residuals,
+                           tol)
 
 
 @timed

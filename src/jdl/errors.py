@@ -42,7 +42,7 @@ class DegenerateCurvature(JdlError):
 
 
 class InconsistentOracle(JdlError):
-    """A bracket oracle fails bilinearity/antisymmetry polarization checks."""
+    """The closed-form Jacobi pair of a contact structure fails ϖ♭∘J♯ = id."""
 
 
 class ZeroConformalFactor(JdlError):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularSystem
+from .errors import DimensionMismatch, OrderUnsupported, SingularSystem
 from .jets import Jet, jet_lift, taylor_compose
 
 
@@ -57,6 +57,9 @@ class Field:
     def partial(self, i):
         """Exact ∂_i of this field (costs one extra jet order inside)."""
         def ev(p, order):
+            if order == 3:
+                raise OrderUnsupported("∂_i reads one jet order more and jets "
+                                       "stop at 3: only up to order 2")
             full = self(p, order + 1)
             out = Jet(self.dim, order, full.grad[i], full.hess[i])
             if order == 2:

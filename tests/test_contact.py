@@ -8,7 +8,8 @@ from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          contact_to_jacobi, curvature_form, lcs_bracket,
                          lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
                          varpi_matrix, volume_coefficient)
-from jdl.errors import EvenDimension, InconsistentOracle, SingularSystem
+from jdl.errors import (EvenDimension, InconsistentOracle, OrderUnsupported,
+                        SingularSystem)
 from jdl.fields import Field, ScalarFieldSpec, constant, coordinate, point_memo
 from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
                         hamiltonian_field)
@@ -147,6 +148,15 @@ def test_contact_to_jacobi_trivgpd(trivgpd):
     assert abs(M[1, 0] - 1.0) < 1e-10       # Π^{pq} = +1
     assert abs(M[1, 2] + p[1]) < 1e-10      # Π^{pu} = -p
     assert np.allclose(J.E.at(p), [0, 0, 1], atol=1e-10)
+
+
+def test_contact_pair_stops_at_order_2(trivgpd):
+    # ϖ holds dθ, one derivative of θ more than the pair, and jets stop at 3
+    pi_qp = contact_to_jacobi(trivgpd).Pi.comps[(0, 1)]
+    p = np.array([0.5, -0.8, 0.1])
+    assert pi_qp(p, 2).order == 2
+    with pytest.raises(OrderUnsupported, match="only up to order 2"):
+        pi_qp(p, 3)
 
 
 def test_route_agreement(darboux3):

@@ -1,6 +1,7 @@
 """Hygiene of the ``jdl`` sources, read with ``ast``: every imported name
-is used (in the test modules too), every import sits at module level, and
-every public function that builds a report is timed."""
+is used (in the test modules too), every definition is referenced, every
+import sits at module level, and every public function that builds a
+report is timed."""
 import ast
 from pathlib import Path
 
@@ -33,6 +34,38 @@ def test_every_imported_name_is_used(path):
             imported |= {a.asname or a.name for a in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _definitions(node, prefix=""):
+    """(qualified name, name) of each function, class and method under
+    ``node``, special methods aside."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            if not (child.name.startswith("__")
+                    and child.name.endswith("__")):
+                yield prefix + child.name, child.name
+            yield from _definitions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _definitions(child, prefix)
+
+
+def test_every_definition_is_referenced():
+    """Each function, class and method of ``jdl`` is referenced by name, as
+    a Name, an Attribute or an import alias, in ``jdl`` or in the tests."""
+    referenced = set()
+    for path in SOURCES + TEST_SOURCES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.split(".")[-1])
+    dead = [f"{path.stem}.{qualified}" for path in SOURCES
+            for qualified, name in _definitions(_tree(path))
+            if name not in referenced]
+    assert dead == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -2,11 +2,12 @@
 and lift routes they replace, and its sharing across checks.
 
 ``dualpair._point`` reads X_f = (Mᵀ j¹f)[:n] with M = ϖ⁻ᵀ, the pullback
-jets by the chain rule and ker DΦ in closed form; the homogenized check
-reads ω~ and TΦ~ in closed form.  Each is compared with its defining route
-to 1e-12 (ker DΦ with the SVD kernel of the DΦ matrix, which is exact on
-these well-scaled legs), and each oracle must catch a planted mistake,
-planted in a copy, since the checks of a point set share its snapshots.
+jets by the chain rule and ker DΦ in closed form, and the bracket of two
+pullbacks is j¹f · M · j¹g; the homogenized check reads ω~ and TΦ~ in
+closed form.  Each is compared with its defining route to 1e-12 (ker DΦ
+with the SVD kernel of the DΦ matrix, which is exact on these well-scaled
+legs), and each oracle must catch a planted mistake, planted in a copy,
+since the checks of a point set share its snapshots.
 """
 from collections import Counter
 from types import SimpleNamespace
@@ -15,19 +16,18 @@ import numpy as np
 import pytest
 
 from jdl import dualpair, homogenize
-from jdl.atiyah import dphi_matrix
-from jdl.catalog import build
+from jdl.atiyah import dphi_matrix, pullback_jets
+from jdl.catalog import BUILDERS, build
 from jdl.chart import sample_points, tangent_map
 from jdl.contact import contact_to_jacobi
-from jdl.dualpair import (_hamiltonian, _point, _pullback_jets,
-                          centralizer_membership,
+from jdl.dualpair import (_hamiltonian, _point, centralizer_membership,
                           check_corollary_decomposition, check_rank_relation,
                           check_vertical_dim_sum, verify_dual_pair)
 from jdl.fields import constant
 from jdl.homogenize import (S_SLICES, _lifted_form, _lifted_tangent,
                             check_homogeneous_sdp_equivalence, homogenize_map,
                             symplectize)
-from jdl.jacobi import hamiltonian_field
+from jdl.jacobi import bracket_field, hamiltonian_field
 from jdl.leaves import check_pullback_distribution
 from jdl.linalg import kernel, subspace_equal
 
@@ -66,12 +66,27 @@ def _jet_error(dp, drop_da=False):
         for i, (_, Phi) in enumerate(dp.legs()):
             a = Phi.factor(p, 1)
             da = np.zeros_like(a.grad) if drop_da else a.grad
-            rows = _pullback_jets(tangent_map(Phi.map, p), a.value, da,
-                                  dp._frames[i], Phi.map(p))
+            rows = pullback_jets(tangent_map(Phi.map, p), a.value, da,
+                                 dp._frames[i], Phi.map(p))
             for row, f in zip(rows, dp.pullback_fields(i)):
                 j = f(p, 1)
                 worst = max(worst,
                             np.abs(row - np.append(j.grad, j.value)).max())
+    return worst
+
+
+def _bracket_error(dp, transpose_M=False):
+    """Worst |j¹f · M · j¹g - {f, g}(p)| over the Φ1-pullbacks f and the
+    Φ2-pullbacks g, with {f, g} read from the source pair's bracket trees."""
+    J = dp.source_pair
+    trees = [[bracket_field(J, f, g) for g in dp.pullback_fields(1)]
+             for f in dp.pullback_fields(0)]
+    worst = 0.0
+    for s in dp.point_data(_points(dp)):
+        M = s.M.T if transpose_M else s.M
+        tree = np.array([[b.value(s.p) for b in row] for row in trees])
+        worst = max(worst, np.abs(s.legs[0].jets @ M @ s.legs[1].jets.T
+                                  - tree).max())
     return worst
 
 
@@ -96,6 +111,18 @@ def test_hamiltonian_fields_match_the_tree(spec_id):
 @pytest.mark.parametrize("spec_id", SPECS)
 def test_pullback_jets_match_the_pullback_fields(spec_id):
     assert _jet_error(build(spec_id)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("spec_id", tuple(BUILDERS))
+def test_bracket_matrix_matches_the_bracket_fields(spec_id):
+    assert _bracket_error(build(spec_id)) <= ORACLE_TOL
+
+
+@pytest.mark.parametrize("spec_id", ("broken-comm", "broken-transv"))
+def test_transposed_M_in_the_bracket_matrix_is_caught(spec_id):
+    # ϖ is antisymmetric, so Mᵀ = -M negates each bracket: only the specs
+    # whose pullbacks do not commute can show it
+    assert _bracket_error(build(spec_id), transpose_M=True) > 1e-3
 
 
 @pytest.mark.parametrize("spec_id", SPECS)
