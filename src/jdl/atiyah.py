@@ -36,7 +36,8 @@ from .chart import tangent_map
 from .contact import sharp_inverse_residual, varpi_entry_fields, varpi_matrix
 from .fields import as_field, constant
 from .jacobi import default_test_functions, jacobi_bidiff_matrix
-from .linalg import annihilator, image, kernel, span_of, subspace_equal
+from .linalg import (ANGLE_TOL, annihilator, image, kernel, span_of,
+                     subspace_equal)
 from .report import residual_report, timed
 
 
@@ -114,12 +115,12 @@ def jacobi_bidiff(J, j1, j2):
 
 
 @timed
-def check_sharp_inverse(C, J, pts, tol=1e-9):
+def check_sharp_inverse(C, J, pts):
     """Max-entry residual of ϖ♭ ∘ J♯ - id on jet coordinates."""
     residuals = [(p, sharp_inverse_residual(C, J, p)) for p in pts]
     return residual_report(
         "sharp_inverse", "varpi_flat . J_sharp = id on jet coordinates",
-        residuals, tol)
+        residuals, 1e-9)
 
 
 def gauge_pushforward(Phi, d):
@@ -184,22 +185,22 @@ def one_perp_varpi(C, p):
 
 
 @timed
-def check_one_perp_is_horizontal(C, pts, tol=1e-7):
+def check_one_perp_is_horizontal(C, pts):
     """Subspace equality ⟨1⟩^⊥ϖ = σ⁻¹(H) at each point."""
     residuals = []
     for p in pts:
         lhs = one_perp_varpi(C, p)
         th = np.append(C.theta.dense(p), 0.0)
         rhs = kernel(th.reshape(1, -1))
-        same, ang = subspace_equal(lhs, rhs, angle_tol=tol)
+        same, ang = subspace_equal(lhs, rhs)
         residuals.append((p, ang if same else max(ang, np.pi / 2)))
     return residual_report(
         "one_perp_horizontal", "<1>^perp-varpi = sigma^{-1}(H)",
-        residuals, tol)
+        residuals, ANGLE_TOL)
 
 
 @timed
-def check_technical_lemma(Phi, J, pts, tol=1e-7):
+def check_technical_lemma(Phi, J, pts):
     """(ker DΦ)° = span{j¹(Φ*λ)} and (ker DΦ)^⊥ϖ = span{Δ_{Φ*λ}} over the
     target test sections λ, from Tφ, a and da read once per point.
 
@@ -216,17 +217,16 @@ def check_technical_lemma(Phi, J, pts, tol=1e-7):
         ann = annihilator(ker_DPhi_from(kernel(T), a, da))
         jets = pullback_jets(T, a, da, frames, Phi.map(p))
         same1, ang1 = subspace_equal(
-            ann, span_of(jets, ambient=n + 1, normalize=True), angle_tol=tol)
+            ann, span_of(jets, ambient=n + 1, normalize=True))
         sharp = jacobi_bidiff_matrix(J, p).T   # J♯: ⟨J♯α, β⟩ = J(α, β)
         ham_span = span_of(jets @ sharp.T, ambient=n + 1, normalize=True)
-        same2, ang2 = subspace_equal(image(sharp @ ann.basis), ham_span,
-                                     angle_tol=tol)
+        same2, ang2 = subspace_equal(image(sharp @ ann.basis), ham_span)
         bad = 0.0 if (same1 and same2) else np.pi / 2
         residuals.append((p, max(ang1, ang2, bad)))
     return residual_report(
         "technical_lemma",
         "(ker DPhi)ann = span j1(pullbacks); (ker DPhi)^perp-varpi = span "
-        "of hamiltonian derivations of pullbacks", residuals, tol)
+        "of hamiltonian derivations of pullbacks", residuals, ANGLE_TOL)
 
 
 # -- der-complex on the coordinate frame -------------------------------------
@@ -289,7 +289,7 @@ def der_contract_one(form):
 
 
 @timed
-def check_varpi_closed(C, pts, tol=1e-9):
+def check_varpi_closed(C, pts):
     """d_D ϖ = 0 on all frame triples."""
     n = C.chart.dim
     d3 = der_d(varpi_form(C))
@@ -303,11 +303,11 @@ def check_varpi_closed(C, pts, tol=1e-9):
                 fields[(i, j, k)] = entry(i, j, k)
             r = max(r, abs(fields[(i, j, k)].value(p)))
         residuals.append((p, r))
-    return residual_report("varpi_closed", "d_D varpi = 0", residuals, tol)
+    return residual_report("varpi_closed", "d_D varpi = 0", residuals, 1e-9)
 
 
 @timed
-def check_contracting_homotopy(form, pts, tol=1e-9):
+def check_contracting_homotopy(form, pts):
     """(d_D ι_1 + ι_1 d_D) ω = ω on frame tuples, for k = 1 or 2."""
     n = form.chart.dim
     residuals = []
@@ -343,4 +343,4 @@ def check_contracting_homotopy(form, pts, tol=1e-9):
         raise ValueError("homotopy check implemented for degrees 1 and 2")
     return residual_report(
         "contracting_homotopy", "(d_D i_1 + i_1 d_D) omega = omega",
-        residuals, tol)
+        residuals, 1e-9)

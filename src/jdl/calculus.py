@@ -92,9 +92,8 @@ class _Antisym:
             self._field_matrix = out
         return self._field_matrix
 
-    def keys_all(self, dim=None):
-        n = self.chart.dim if dim is None else dim
-        return itertools.combinations(range(n), self.degree)
+    def keys_all(self):
+        return itertools.combinations(range(self.chart.dim), self.degree)
 
 
 def _perm_sign(perm):

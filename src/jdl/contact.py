@@ -74,10 +74,10 @@ def volume_coefficient(C, p):
 
 
 @timed
-def check_contact(C, pts, tol=1e-8):
-    """Pass iff min |top coefficient of θ∧(dθ)ⁿ| over pts exceeds tol."""
+def check_contact(C, pts):
+    """Pass iff min |top coefficient of θ∧(dθ)ⁿ| over pts exceeds 1e-8."""
     vals = [(p, volume_coefficient(C, p)) for p in pts]
-    return threshold_report("contact", CONTACT_IDENTITY, vals, tol)
+    return threshold_report("contact", CONTACT_IDENTITY, vals, 1e-8)
 
 
 def reeb(C, p):
@@ -121,41 +121,41 @@ def varpi_entry_fields(C):
     return entries
 
 
-def curvature_form(varpi, tol=1e-10):
+def curvature_form(varpi):
     """H = ker θ_p and the matrix of c = -(dθ)|_H in the basis of H, read off
     ``varpi`` = varpi_matrix(C, p): θ is its last row, dθ its top-left block.
+    Raises DegenerateCurvature where |det c| < 1e-10.
     """
     H = kernel(varpi[-1:, :-1])
     B = H.basis
     c = -(B.T @ varpi[:-1, :-1] @ B)
     det = np.linalg.det(c)
-    if abs(det) < tol:
+    if abs(det) < 1e-10:
         raise DegenerateCurvature(
             f"curvature degenerate: |det c| = {abs(det):.2e}")
     return H, BilinearForm(c)
 
 
-def contact_to_jacobi(C, pts=None, tol=1e-8):
+def contact_to_jacobi(C):
     """The nondegenerate Jacobi pair of a contact structure, in closed form.
 
     Π^{ij} = (ϖ⁻¹)_{ji} and E^j = (ϖ⁻¹)_{jn}, with ϖ⁻¹ one jet inverse of
     the ϖ-entry fields per (point, order), shared by every entry.  The pair
-    is built once and kept on ``C``.  Each call validates ϖ♭∘J♯ = id at
-    ``pts`` (default: 5 points, seed 23) from the float dθ and θ matrices,
-    which read the stored components and not the jet inverse or the
-    ``field_matrix`` layout it is built from; a residual above
-    ``tol`` raises InconsistentOracle, and a singular ϖ raises
-    SingularSystem.  The defining-equation oracle, through bracket
-    extraction, lives in the tests.
+    is built once and kept on ``C``.  Each call validates ϖ♭∘J♯ = id at 5
+    points of C's chart (seed 23) from the float dθ and θ matrices, which
+    read the stored components and not the jet inverse or the
+    ``field_matrix`` layout it is built from; a residual above 1e-8 raises
+    InconsistentOracle, and a singular ϖ raises SingularSystem.  The
+    defining-equation oracle, through bracket extraction, lives in the
+    tests.
 
     The pair evaluates only up to order 2: ϖ holds dθ, so it needs one
     more derivative of θ than the pair does, and jets stop at order 3.
     """
     J = C._pair or _closed_form_pair(C)
-    if pts is None:
-        pts = sample_points(C.chart, 5, seed=23)
-    worst = max((sharp_inverse_residual(C, J, p) for p in pts), default=0.0)
-    if worst > tol:
+    worst = max((sharp_inverse_residual(C, J, p)
+                 for p in sample_points(C.chart, 5, seed=23)), default=0.0)
+    if worst > 1e-8:
         raise InconsistentOracle(
             f"closed-form Jacobi pair fails varpi_flat . J_sharp = id "
             f"(residual {worst:.2e})")
@@ -201,7 +201,7 @@ class LcsStructure:
 
 
 @timed
-def check_lcs(L, pts, tol=1e-8):
+def check_lcs(L, pts):
     """Residuals of dη, det ω (threshold), and dω + ω∧η."""
     residuals = []
     notes = ""
@@ -212,7 +212,7 @@ def check_lcs(L, pts, tol=1e-8):
         wedge_oe = wedge_form(L.omega, L.eta)
     for p in pts:
         r = max((abs(f.value(p)) for f in d_eta.comps.values()), default=0.0)
-        if abs(np.linalg.det(L.omega.dense(p))) < tol:
+        if abs(np.linalg.det(L.omega.dense(p))) < 1e-8:
             raise SingularOmega(f"omega singular at {p}")
         if n >= 3:
             for key in itertools.combinations(range(n), 3):
@@ -221,7 +221,7 @@ def check_lcs(L, pts, tol=1e-8):
     if n == 2:
         notes = ("degenerate-dimension pass: all 3-forms vanish identically "
                  "in dim 2, so d omega + omega ^ eta = 0 is forced")
-    return residual_report("lcs", LCS_IDENTITY, residuals, tol, notes=notes)
+    return residual_report("lcs", LCS_IDENTITY, residuals, 1e-8, notes=notes)
 
 
 def lcs_hamiltonian_vf(L, f, p):

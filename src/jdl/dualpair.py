@@ -46,7 +46,7 @@ from .contact import contact_to_jacobi, curvature_form, varpi_matrix
 from .fields import as_field
 from .jacobi import (bracket_field, check_jacobi_morphism,
                      default_test_functions)
-from .linalg import (BilinearForm, full_space, image, kernel,
+from .linalg import (ANGLE_TOL, BilinearForm, full_space, image, kernel,
                      orth_complement_wrt, span_of, subspace_equal, sum_spaces)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
                      residual_report, timed)
@@ -91,11 +91,11 @@ class DualPairSpec:
         return [Phi.pullback(lam) for lam in self._frames[leg]]
 
     @timed
-    def check_morphisms(self, pts, tol=1e-8):
+    def check_morphisms(self, pts):
         """Both legs must be Jacobi morphisms before dual-pair checks run."""
         reps = []
         for i, (J, Phi) in enumerate(self.legs()):
-            rep = check_jacobi_morphism(self.source_pair, J, Phi, pts, tol=tol)
+            rep = check_jacobi_morphism(self.source_pair, J, Phi, pts)
             rep.check_id = f"morphism_leg{i + 1}"
             reps.append(rep)
         return reps
@@ -188,36 +188,28 @@ def _varpi_orthogonality(dp):
     return residual
 
 
-# check id -> (residual of a spec, identity, notes)
+# check id -> (residual of a spec, report tolerance, identity, notes)
 _CONDITIONS = {
-    "transversality": (_transversality, "H + ker T phi_i = TM",
+    "transversality": (_transversality, 0.5, "H + ker T phi_i = TM",
                        "residual counts missing dimensions"),
-    "commutation": (_commutation,
+    "commutation": (_commutation, 1e-8,
                     "{Phi_1* f, Phi_2* g} = 0 for f, g in {1, coordinates}",
                     ""),
     "curvature_orthogonality": (
-        _curvature_orthogonality,
+        _curvature_orthogonality, ANGLE_TOL,
         "(H cap ker T phi_1)^perp-c = H cap ker T phi_2",
         "residual is the worst principal angle"),
-    "varpi_orthogonality": (_varpi_orthogonality,
+    "varpi_orthogonality": (_varpi_orthogonality, ANGLE_TOL,
                             "(ker D Phi_1)^perp-varpi = ker D Phi_2",
                             "residual is the worst principal angle"),
 }
 _DEFINING = ("transversality", "commutation", "curvature_orthogonality")
 
 
-def _tolerances(tol, angle_tol):
-    """Report tolerance per condition: missing dimensions are counted,
-    brackets compared with ``tol`` and angles with ``angle_tol``."""
-    return {"transversality": 0.5, "commutation": tol,
-            "curvature_orthogonality": angle_tol,
-            "varpi_orthogonality": angle_tol}
-
-
 @timed
-def _evaluate(check_id, dp, points, tolerance):
+def _evaluate(check_id, dp, points):
     """The condition's report over the _points, and its verdict at each."""
-    residual_of, identity, notes = _CONDITIONS[check_id]
+    residual_of, tolerance, identity, notes = _CONDITIONS[check_id]
     residual = residual_of(dp)
     residuals = [(s.p, residual(s)) for s in points]
     rep = residual_report(check_id, identity, residuals, tolerance,
@@ -225,15 +217,13 @@ def _evaluate(check_id, dp, points, tolerance):
     return rep, [r < tolerance for _, r in residuals]
 
 
-def _check(check_id, dp, pts, tol=1e-8, angle_tol=1e-7):
-    return _evaluate(check_id, dp, dp.point_data(pts),
-                     _tolerances(tol, angle_tol)[check_id])[0]
+def _check(check_id, dp, pts):
+    return _evaluate(check_id, dp, dp.point_data(pts))[0]
 
 
-def _defining_conditions(dp, tol=1e-8, angle_tol=1e-7):
+def _defining_conditions(dp):
     """_point -> do conditions 1-3 all hold there?"""
-    tolerances = _tolerances(tol, angle_tol)
-    tests = [(_CONDITIONS[c][0](dp), tolerances[c]) for c in _DEFINING]
+    tests = [(_CONDITIONS[c][0](dp), _CONDITIONS[c][1]) for c in _DEFINING]
     return lambda s: all(residual(s) < t for residual, t in tests)
 
 
@@ -244,25 +234,25 @@ def check_transversality(dp, pts):
 
 
 @timed
-def check_commutation(dp, pts, tol=1e-8):
+def check_commutation(dp, pts):
     """{Φ1*λ1, Φ2*λ2} = 0 at each point, over the test sections."""
-    return _check("commutation", dp, pts, tol=tol)
+    return _check("commutation", dp, pts)
 
 
 @timed
-def check_curvature_orthogonality(dp, pts, angle_tol=1e-7):
+def check_curvature_orthogonality(dp, pts):
     """(H_1)^⊥c = H_2 at each point, as a principal-angle equality."""
-    return _check("curvature_orthogonality", dp, pts, angle_tol=angle_tol)
+    return _check("curvature_orthogonality", dp, pts)
 
 
 @timed
-def check_varpi_orthogonality(dp, pts, angle_tol=1e-7):
+def check_varpi_orthogonality(dp, pts):
     """(ker DΦ1)^⊥ϖ = ker DΦ2 at each point."""
-    return _check("varpi_orthogonality", dp, pts, angle_tol=angle_tol)
+    return _check("varpi_orthogonality", dp, pts)
 
 
 @timed
-def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
+def verify_dual_pair(dp, pts):
     """All three defining conditions, the ϖ-orthogonality equivalent, and
     the pointwise agreement flag between the two verdicts.
 
@@ -271,9 +261,8 @@ def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
     """
     points = dp.point_data(pts)
     reports, holds = {}, {}
-    for check_id, tolerance in _tolerances(tol, angle_tol).items():
-        reports[check_id], holds[check_id] = _evaluate(check_id, dp, points,
-                                                       tolerance)
+    for check_id in _CONDITIONS:
+        reports[check_id], holds[check_id] = _evaluate(check_id, dp, points)
     three = [all(v) for v in zip(*(holds[c] for c in _DEFINING))]
     mismatches = sum(v3 != v for v3, v in
                      zip(three, holds["varpi_orthogonality"]))
@@ -287,7 +276,7 @@ def verify_dual_pair(dp, pts, tol=1e-8, angle_tol=1e-7):
 
 
 @timed
-def check_rank_relation(dp, pts, angle_tol=1e-7):
+def check_rank_relation(dp, pts):
     """Rank constancy, 1 + rank φ1 + rank φ2 = dim M, and the span
     identities ker Tφ1 = span{X_{Φ2-pullbacks}} (and symmetrically)."""
     n = dp.source.chart.dim
@@ -298,14 +287,14 @@ def check_rank_relation(dp, pts, angle_tol=1e-7):
         for i, (leg, other) in enumerate(zip(s.legs, s.legs[::-1])):
             ranks[i].add(leg.rank)
             span = span_of(_hamiltonian(s, other.jets), n, normalize=True)
-            same, ang = subspace_equal(leg.K, span, angle_tol)
+            same, ang = subspace_equal(leg.K, span)
             r = max(r, ang if same else np.pi / 2)
         residuals.append((s.p, r))
     rep = residual_report(
         "rank_relation",
         "constant ranks; 1 + rank phi_1 + rank phi_2 = dim M; "
         "ker T phi_1 = span X over Phi_2-pullbacks (and symmetrically)",
-        residuals, angle_tol)
+        residuals, ANGLE_TOL)
     if len(ranks[0]) > 1 or len(ranks[1]) > 1:
         rep.status = FAIL
         rep.notes = f"nonconstant ranks: {sorted(ranks[0])}, {sorted(ranks[1])}"
@@ -313,7 +302,7 @@ def check_rank_relation(dp, pts, angle_tol=1e-7):
 
 
 @timed
-def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
+def check_corollary_decomposition(dp, pts):
     """ker Tφ1 = <X_{a2}> ⊕ (H_2)^⊥c, and symmetrically.
 
     Verified as: the sum is direct (its dimension is the sum of the two),
@@ -330,18 +319,18 @@ def check_corollary_decomposition(dp, pts, angle_tol=1e-7):
             line = span_of(_hamiltonian(s, np.append(other.da, other.a)),
                            ambient=n)
             total = sum_spaces(line, comp_ambient)
-            same, ang = subspace_equal(total, leg.K, angle_tol)
+            same, ang = subspace_equal(total, leg.K)
             direct = total.dim == line.dim + comp_ambient.dim
             r = max(r, ang if same and direct else np.pi / 2)
         residuals.append((s.p, r))
     return residual_report(
         "corollary_decomposition",
         "ker T phi_1 = <X_{a_2}> (+) (H_2)^perp-c, and symmetrically",
-        residuals, angle_tol)
+        residuals, ANGLE_TOL)
 
 
 @timed
-def centralizer_membership(dp, lam, pts, tol=1e-8):
+def centralizer_membership(dp, lam, pts):
     """Finite membership surrogate for the section-space centralizer claim.
 
     Hypothesis: {λ, Φ1-pullbacks} ≡ 0 on the frame family, read as
@@ -362,13 +351,14 @@ def centralizer_membership(dp, lam, pts, tol=1e-8):
                         float(np.abs(jet @ s.M @ s.legs[0].jets.T).max()))
         residuals.append((s.p, float(np.abs(jet @ K.basis).max())
                           if K.dim else 0.0))
-    if hyp_resid > tol:
+    tolerance = 1e-8
+    if hyp_resid > tolerance:
         return CheckReport(
             "centralizer_membership", identity, HYPOTHESIS_NOT_MET,
-            hyp_resid, tol, len(pts),
+            hyp_resid, tolerance, len(pts),
             notes="lambda does not commute with the Phi_1 pullback frames")
     return residual_report("centralizer_membership", identity, residuals,
-                           tol)
+                           tolerance)
 
 
 @timed

@@ -33,13 +33,14 @@ from .dualpair import _defining_conditions
 from .errors import OracleMismatch
 from .fields import as_field, compose, constant, coordinate
 from .jacobi import JacobiPair, bracket_field, default_test_functions
-from .linalg import BilinearForm, full_space, kernel, orth_complement_wrt, subspace_equal
+from .linalg import (ANGLE_TOL, BilinearForm, full_space, kernel,
+                     orth_complement_wrt, subspace_equal)
 from .report import FAIL, residual_report, timed
 
 S_SLICES = (1.0, 2.0, -1.0)
 
 
-def slit_chart(chart, name=None):
+def slit_chart(chart):
     """chart × R^×, the fiber coordinate s last.
 
     s is sampled from the box [-2, 2] with |s| < 0.5 excluded, so both
@@ -53,7 +54,7 @@ def slit_chart(chart, name=None):
             return True
         return base_excl(p[:-1]) if base_excl is not None else False
 
-    return Chart(name or f"{chart.name}_slit", chart.dim + 1, box, excl)
+    return Chart(f"{chart.name}_slit", chart.dim + 1, box, excl)
 
 
 def _lift_field(f, n):
@@ -63,7 +64,7 @@ def _lift_field(f, n):
     return compose(f, base_slots, source_dim=n + 1)
 
 
-def poissonize(J, pts=None, tol=1e-9):
+def poissonize(J, pts=None):
     """The pair (P, 0), P = s⁻¹Π + ∂s∧E, on the slit chart, certified
     against its oracle.
 
@@ -81,7 +82,7 @@ def poissonize(J, pts=None, tol=1e-9):
     P = JacobiPair(big, comps, [constant(n + 1, 0.0)] * (n + 1))
     if pts is None:
         pts = sample_points(big, 5, seed=61)
-    rep = check_poissonization_oracle(P, J, pts, tol)
+    rep = check_poissonization_oracle(P, J, pts)
     if not rep.passed:
         raise OracleMismatch(
             f"poissonization closed form fails its oracle: {rep.max_residual:.2e}")
@@ -89,14 +90,13 @@ def poissonize(J, pts=None, tol=1e-9):
 
 
 @timed
-def check_poissonization_oracle(P, J, pts, tol=1e-9, test_fns=None):
-    """{s·f∘π, s·g∘π}_P = s·({f,g}_J ∘ π) on test-function pairs."""
+def check_poissonization_oracle(P, J, pts):
+    """{s·f∘π, s·g∘π}_P = s·({f,g}_J ∘ π) on pairs of the test sections."""
     n = J.chart.dim
     s_field = coordinate(n + 1, n)
-    if test_fns is None:
-        test_fns = default_test_functions(J.chart)
     fields = []
-    for f, g in itertools.combinations_with_replacement(test_fns, 2):
+    for f, g in itertools.combinations_with_replacement(
+            default_test_functions(J.chart), 2):
         lhs = bracket_field(P, s_field * _lift_field(f, n),
                             s_field * _lift_field(g, n))
         rhs = s_field * _lift_field(bracket_field(J, f, g), n)
@@ -107,11 +107,11 @@ def check_poissonization_oracle(P, J, pts, tol=1e-9, test_fns=None):
         residuals.append((p, r))
     return residual_report(
         "poissonization_oracle",
-        "{s f.pi, s g.pi}_P = s ({f,g}.pi)", residuals, tol)
+        "{s f.pi, s g.pi}_P = s ({f,g}.pi)", residuals, 1e-9)
 
 
 @timed
-def check_homogeneity(P, pts, ts=(2.0, 1.0 / 3.0, -1.0), tol=1e-9):
+def check_homogeneity(P, pts):
     """h_t-pullback scaling: the lifted bivector scales as t^{-1}.
 
     Componentwise: P^{ij}(x, ts) = t^{-1} P^{ij}(x, s) for base indices and
@@ -122,7 +122,7 @@ def check_homogeneity(P, pts, ts=(2.0, 1.0 / 3.0, -1.0), tol=1e-9):
     for p in pts:
         r = 0.0
         M = P.pi_matrix(p)
-        for t in ts:
+        for t in (2.0, 1.0 / 3.0, -1.0):
             q = np.array(p, dtype=float)
             q[-1] *= t
             Mq = P.pi_matrix(q)
@@ -134,7 +134,7 @@ def check_homogeneity(P, pts, ts=(2.0, 1.0 / 3.0, -1.0), tol=1e-9):
     return residual_report(
         "poissonization_homogeneity",
         "h_t-pullback of the lifted bivector is t^{-1} times itself",
-        residuals, tol)
+        residuals, 1e-9)
 
 
 def dehomogenize(P, base_chart):
@@ -169,7 +169,7 @@ def symplectize(C):
 
 
 @timed
-def check_symplectization(C, pts, tol=1e-9):
+def check_symplectization(C, pts):
     """dω~ = 0, nondegeneracy, and h_t-homogeneity of ω~ (degree +1)."""
     omega, big = symplectize(C)
     d_omega = exterior_d_form(omega)
@@ -178,7 +178,7 @@ def check_symplectization(C, pts, tol=1e-9):
         r = max((abs(f.value(p)) for f in d_omega.comps.values()),
                 default=0.0)
         M = omega.dense(p)
-        if abs(np.linalg.det(M)) < tol:
+        if abs(np.linalg.det(M)) < 1e-9:
             r = max(r, 1.0)
         for t in (2.0, -1.0):
             q = np.array(p, dtype=float)
@@ -194,11 +194,11 @@ def check_symplectization(C, pts, tol=1e-9):
     return residual_report(
         "symplectization",
         "d omega~ = 0; omega~ nondegenerate; h_t* omega~ = t omega~",
-        residuals, tol)
+        residuals, 1e-9)
 
 
 @timed
-def check_symplectization_consistency(C, pts, tol=1e-8):
+def check_symplectization_consistency(C, pts):
     """Invert ω~ pointwise and compare with the Poissonization of the
     induced Jacobi pair: the two routes must agree componentwise."""
     omega, big = symplectize(C)
@@ -211,7 +211,7 @@ def check_symplectization_consistency(C, pts, tol=1e-8):
     return residual_report(
         "symplectization_consistency",
         "-(omega~)^{-1} equals the lifted bivector of the induced pair",
-        residuals, tol)
+        residuals, 1e-8)
 
 
 def homogenize_map(Phi):
@@ -224,14 +224,14 @@ def homogenize_map(Phi):
 
 
 @timed
-def check_equivariance(Phi, pts, ts=(2.0, -1.0, 0.5), tol=1e-10):
+def check_equivariance(Phi, pts):
     """Φ~ ∘ h_t = h_t ∘ Φ~ at sample points."""
     lifted = homogenize_map(Phi)
     residuals = []
     for p in pts:
         r = 0.0
         out = lifted(p)
-        for t in ts:
+        for t in (2.0, -1.0, 0.5):
             q = np.array(p, dtype=float)
             q[-1] *= t
             scaled = lifted(q)
@@ -241,11 +241,11 @@ def check_equivariance(Phi, pts, ts=(2.0, -1.0, 0.5), tol=1e-10):
         residuals.append((p, r))
     return residual_report("lift_equivariance",
                            "lifted map commutes with the fiber scaling",
-                           residuals, tol)
+                           residuals, 1e-10)
 
 
 @timed
-def check_lifted_poisson_map(Phi, J_source, J_target, pts, tol=1e-8):
+def check_lifted_poisson_map(Phi, J_source, J_target, pts):
     """A Jacobi morphism lifts to a Poisson map of the Poissonizations."""
     P1 = poissonize(J_source)
     P2 = poissonize(J_target)
@@ -265,7 +265,7 @@ def check_lifted_poisson_map(Phi, J_source, J_target, pts, tol=1e-8):
     return residual_report(
         "lifted_poisson_map",
         "pullback along the lifted map intertwines the lifted brackets",
-        residuals, tol)
+        residuals, 1e-8)
 
 
 def _lifted_form(varpi, s):
@@ -282,8 +282,7 @@ def _lifted_tangent(T, a, da, s):
 
 
 @timed
-def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
-                                      angle_tol=1e-7):
+def check_homogeneous_sdp_equivalence(dp, pts):
     """Lifted symplectic orthogonality agrees with the base verdict.
 
     At each lifted point (x, s): ker TΦ~1 = (ker TΦ~2)^⊥ω~, compared with
@@ -295,18 +294,17 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
     ambient = full_space(dp.source.chart.dim + 1)
     residuals = []
     mismatches = 0
-    holds = _defining_conditions(dp, angle_tol=angle_tol)
+    holds = _defining_conditions(dp)
     for base in dp.point_data(pts):
         base_ok = holds(base)
         Ts = [tangent_map(Phi.map, base.p) for _, Phi in dp.legs()]
         worst = 0.0
         lifted_ok = True
-        for s in s_slices:
+        for s in S_SLICES:
             K1, K2 = (kernel(_lifted_tangent(T, leg.a, leg.da, s))
                       for T, leg in zip(Ts, base.legs))
             W = BilinearForm(_lifted_form(base.varpi, s))
-            same, ang = subspace_equal(
-                K1, orth_complement_wrt(W, K2, ambient), angle_tol)
+            same, ang = subspace_equal(K1, orth_complement_wrt(W, K2, ambient))
             lifted_ok = lifted_ok and same
             worst = max(worst, ang if same else np.pi / 2)
         if lifted_ok != base_ok:
@@ -315,7 +313,7 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
     rep = residual_report(
         "homogeneous_sdp_equivalence",
         "ker T Phi~1 = (ker T Phi~2)^perp-omega~ at lifted points iff the "
-        "base spec is a dual pair", residuals, angle_tol)
+        "base spec is a dual pair", residuals, ANGLE_TOL)
     if mismatches:
         rep.status = FAIL
         rep.notes = f"{mismatches} points with upstairs/downstairs mismatch"
@@ -323,7 +321,7 @@ def check_homogeneous_sdp_equivalence(dp, pts, s_slices=S_SLICES,
 
 
 @timed
-def check_schouten_square(P, pts, tol=1e-9):
+def check_schouten_square(P, pts):
     """[[P,P]] = 0 for the lifted bivector (it is Poisson)."""
     residuals = []
     for p in pts:
@@ -331,4 +329,4 @@ def check_schouten_square(P, pts, tol=1e-9):
         r = max((abs(v) for v in out.values()), default=0.0)
         residuals.append((p, r))
     return residual_report("lifted_poisson", "[[P,P]] = 0 on the slit chart",
-                           residuals, tol)
+                           residuals, 1e-9)

@@ -38,7 +38,6 @@ class JacobiPair:
             E = VectorField(chart, list(E))
         self.Pi = Pi
         self.E = E
-        self.certified = False
 
     def pi_matrix(self, p):
         return self.Pi.dense(p)
@@ -85,7 +84,7 @@ class ConformalMap:
 
 
 @timed
-def check_jacobi_pair(J, pts, tol=1e-10):
+def check_jacobi_pair(J, pts):
     """Max residual of [[Π,Π]] - 2E∧Π and [[E,Π]] over the points."""
     residuals = []
     for p in pts:
@@ -95,9 +94,7 @@ def check_jacobi_pair(J, pts, tol=1e-10):
         le = schouten(J.E, J.Pi, p)
         r = max(r, max((abs(v) for v in le.values()), default=0.0))
         residuals.append((p, r))
-    rep = residual_report("jacobi_pair", JACOBI_IDENTITY, residuals, tol)
-    J.certified = J.certified or rep.passed
-    return rep
+    return residual_report("jacobi_pair", JACOBI_IDENTITY, residuals, 1e-10)
 
 
 def bracket_field(J, f, g):
@@ -150,7 +147,7 @@ def default_test_functions(chart):
 
 
 @timed
-def check_jacobi_morphism(J1, J2, Phi, pts, tol=1e-9):
+def check_jacobi_morphism(J1, J2, Phi, pts):
     """Bracket compatibility and Hamiltonian pushforward along (φ, a).
 
     Residuals of {aφ*f, aφ*g}_1 - aφ*({f,g}_2) for all pairs of target test
@@ -175,7 +172,7 @@ def check_jacobi_morphism(J1, J2, Phi, pts, tol=1e-9):
         for g, up, down in push_fields:
             r = max(r, np.abs(T @ up.at(p) - down.at(q)).max())
         residuals.append((p, r))
-    return residual_report("jacobi_morphism", MORPHISM_IDENTITY, residuals, tol)
+    return residual_report("jacobi_morphism", MORPHISM_IDENTITY, residuals, 1e-8)
 
 
 class LieAlgebraData:
@@ -220,10 +217,9 @@ def abelian(dim):
     return LieAlgebraData(dim, np.zeros((dim, dim, dim)))
 
 
-def lie_poisson(g, chart=None):
+def lie_poisson(g):
     """Linear Poisson pair on the coalgebra chart: Π_ij(μ) = Σ_k c^k_ij μ_k."""
-    if chart is None:
-        chart = Chart(f"coalg{g.dim}", g.dim, [(-2.0, 2.0)] * g.dim)
+    chart = Chart(f"coalg{g.dim}", g.dim, [(-2.0, 2.0)] * g.dim)
     comps = {}
     for i, j in itertools.combinations(range(g.dim), 2):
         ck = g.c[i, j]
@@ -240,14 +236,12 @@ def lie_poisson(g, chart=None):
     return JacobiPair(chart, comps, [constant(g.dim, 0.0)] * g.dim)
 
 
-def projective_chart(g, k, box=None):
+def projective_chart(g, k):
     """Affine chart {μ_k ≠ 0} of the projectivized coalgebra: w_i = μ_i/μ_k."""
     if not 0 <= k < g.dim:
         raise ChartIndexInvalid(f"chart index {k} not in [0, {g.dim})")
     n = g.dim - 1
-    if box is None:
-        box = [(-2.0, 2.0)] * n
-    return Chart(f"proj{g.dim - 1}_chart{k}", n, box)
+    return Chart(f"proj{n}_chart{k}", n, [(-2.0, 2.0)] * n)
 
 
 def _homogeneous_extension(g, k, b):

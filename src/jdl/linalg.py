@@ -4,6 +4,11 @@ Spans, sums, intersections, annihilators, orthogonal complements with
 respect to an antisymmetric bilinear form, and principal-angle equality
 tests.  All ambient dimensions in catalog use are <= 16, so dense SVD-based
 routines are the right tool.
+
+Two tolerances decide everything here: ``RANK_TOL`` is the rank cut-off of
+every SVD, relative to the largest singular value, and ``ANGLE_TOL`` the
+largest principal angle (or, for membership, the relative residual of a
+vector off the subspace) still read as equality.  No function takes its own.
 """
 from __future__ import annotations
 
@@ -18,33 +23,32 @@ ANGLE_TOL = 1e-7
 class Subspace:
     """A linear subspace stored as an orthonormal basis (columns)."""
 
-    def __init__(self, ambient, basis, tol=RANK_TOL):
+    def __init__(self, ambient, basis):
         self.ambient = ambient
-        basis = np.asarray(basis, dtype=float).reshape(ambient, -1)
-        self.basis = basis
-        self.tol = tol
+        self.basis = np.asarray(basis, dtype=float).reshape(ambient, -1)
 
     @property
     def dim(self):
         return self.basis.shape[1]
 
-    def contains_vector(self, v, tol=1e-8):
+    def contains_vector(self, v):
+        """|v - proj v| <= ANGLE_TOL · max(1, |v|)."""
         v = np.asarray(v, dtype=float)
         nv = np.linalg.norm(v)
         if nv == 0:
             return True
         resid = v - self.basis @ (self.basis.T @ v)
-        return np.linalg.norm(resid) <= tol * max(1.0, nv)
+        return np.linalg.norm(resid) <= ANGLE_TOL * max(1.0, nv)
 
-    def contains(self, other, tol=1e-8):
-        return all(self.contains_vector(other.basis[:, j], tol)
+    def contains(self, other):
+        return all(self.contains_vector(other.basis[:, j])
                    for j in range(other.dim))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def span_of(vectors, ambient=None, tol=RANK_TOL, normalize=False):
+def span_of(vectors, ambient=None, normalize=False):
     """Orthonormalized span of a sequence of vectors.
 
     A matrix is a sequence of its rows; for the span of its columns use
@@ -58,11 +62,11 @@ def span_of(vectors, ambient=None, tol=RANK_TOL, normalize=False):
     if not vs:
         if ambient is None:
             raise DimensionMismatch("empty span needs an explicit ambient dim")
-        return Subspace(ambient, np.zeros((ambient, 0)), tol)
+        return zero_space(ambient)
     A = np.stack(vs, axis=1)
     if ambient is not None and A.shape[0] != ambient:
         raise DimensionMismatch("vector length differs from ambient dim")
-    return image(A, tol)
+    return image(A)
 
 
 def full_space(ambient):
@@ -76,7 +80,7 @@ def zero_space(ambient):
 def sum_spaces(U, V):
     if U.ambient != V.ambient:
         raise DimensionMismatch("ambient dims differ")
-    return image(np.hstack([U.basis, V.basis]), tol=min(U.tol, V.tol))
+    return image(np.hstack([U.basis, V.basis]))
 
 
 def annihilator(U):
@@ -84,7 +88,7 @@ def annihilator(U):
     u, s, _ = np.linalg.svd(U.basis, full_matrices=True) if U.dim else \
         (np.eye(U.ambient), np.zeros(0), None)
     r = U.dim
-    return Subspace(U.ambient, u[:, r:], U.tol)
+    return Subspace(U.ambient, u[:, r:])
 
 
 def intersect(U, V):
@@ -96,7 +100,7 @@ def intersect(U, V):
     return annihilator(sum_spaces(annihilator(U), annihilator(V)))
 
 
-def kernel(A, tol=RANK_TOL):
+def kernel(A):
     """Null space of a matrix as a Subspace of its column domain."""
     A = np.asarray(A, dtype=float)
     n = A.shape[1]
@@ -104,23 +108,23 @@ def kernel(A, tol=RANK_TOL):
         return full_space(n)
     _, s, vt = np.linalg.svd(A)
     if s.size and s[0] > 0:
-        r = int(np.sum(s > tol * s[0]))
+        r = int(np.sum(s > RANK_TOL * s[0]))
     else:
         r = 0
     return Subspace(n, vt[r:].T)
 
 
-def image(A, tol=RANK_TOL):
+def image(A):
     """Column space of a matrix as a Subspace of its row codomain."""
     A = np.asarray(A, dtype=float)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return Subspace(A.shape[0], np.zeros((A.shape[0], 0)), tol)
-    r = int(np.sum(s > tol * s[0]))
-    return Subspace(A.shape[0], u[:, :r], tol)
+        return zero_space(A.shape[0])
+    r = int(np.sum(s > RANK_TOL * s[0]))
+    return Subspace(A.shape[0], u[:, :r])
 
 
-def preimage(A, S, tol=RANK_TOL):
+def preimage(A, S):
     """{v : A v ∈ S} = {v : DAv ∈ DS} as a Subspace of the domain of A, where
     D scales the nonzero rows of A to unit length, so that a row far smaller
     than the others is not lost to the relative rank tolerance."""
@@ -130,7 +134,7 @@ def preimage(A, S, tol=RANK_TOL):
     norms = np.linalg.norm(A, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     comp = annihilator(Subspace(S.ambient, S.basis / norms))
-    return kernel(comp.basis.T @ (A / norms), tol)
+    return kernel(comp.basis.T @ (A / norms))
 
 
 class BilinearForm:
@@ -154,14 +158,14 @@ class BilinearForm:
 
 def orth_complement_wrt(B, U, within):
     """{v in within : B(v, u) = 0 for all u in U}, as a kernel problem."""
-    if not within.contains(U, tol=1e-7):
+    if not within.contains(U):
         raise NotContained("U is not contained in the enclosing subspace")
     W = within.basis                      # ambient x w
     if U.dim == 0:
         return within
     G = U.basis.T @ B.matrix.T @ W        # rows: B(w_col, u_row) over U basis
-    K = kernel(G, tol=U.tol)              # coords in the W basis
-    return Subspace(within.ambient, W @ K.basis, U.tol)
+    K = kernel(G)                         # coords in the W basis
+    return Subspace(within.ambient, W @ K.basis)
 
 
 def principal_angles(U, V):
@@ -185,7 +189,7 @@ def principal_angles(U, V):
     return np.where(cos * cos < 0.5, np.arccos(cos), np.arcsin(sin))
 
 
-def subspace_equal(U, V, angle_tol=ANGLE_TOL):
+def subspace_equal(U, V):
     """(equal?, max principal angle).  Equality needs matching dims too."""
     if U.ambient != V.ambient:
         raise DimensionMismatch("ambient dims differ")
@@ -193,4 +197,4 @@ def subspace_equal(U, V, angle_tol=ANGLE_TOL):
         return False, np.pi / 2
     ang = principal_angles(U, V)
     worst = float(ang.max()) if ang.size else 0.0
-    return worst < angle_tol, worst
+    return worst < ANGLE_TOL, worst

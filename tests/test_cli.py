@@ -62,6 +62,15 @@ def test_verify_unknown_id_exits_2(capsys):
     assert out.out == "" and "darboux7" in out.err
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_verify_points_below_1_exits_2(capsys, points):
+    assert main(["verify", "trivgpd", "--points", points]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"jdl: --points must be at least 1, got {points}"]
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone away, on a real descriptor ``fd``."""
 

@@ -137,7 +137,7 @@ def test_contact_to_jacobi_darboux(darboux3, pts):
     expected[2, 1] = p[1]
     assert np.abs(J.pi_matrix(p) - expected).max() < 1e-10
     assert np.allclose(J.E.at(p), [0, 0, 1], atol=1e-10)
-    assert check_jacobi_pair(J, pts, tol=1e-10).passed
+    assert check_jacobi_pair(J, pts).passed
 
 
 def test_contact_to_jacobi_trivgpd(trivgpd):
@@ -244,9 +244,9 @@ def test_lcs_from_even_pair_with_nonzero_e():
     c = ScalarFieldSpec(2, lambda x, y: exp(0.5 * x))
     J = conformal_change(J0, c)
     pts = sample_points(chart, 10, seed=30)
-    assert check_jacobi_pair(J, pts, tol=1e-9).passed
+    assert check_jacobi_pair(J, pts).passed
     L = lcs_from_even_pair(J)
-    assert check_lcs(L, pts, tol=1e-8).passed
+    assert check_lcs(L, pts).passed
     # η is nonzero here
     assert np.abs(L.eta.dense(pts[0])).max() > 1e-3
     f = ScalarFieldSpec(2, lambda x, y: x * y + 1.0)

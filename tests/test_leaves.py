@@ -109,8 +109,12 @@ def test_leaf_correspondence_trivgpd():
     dp = build("trivgpd")
     seeds = sample_points(dp.source.chart, 5, seed=81)
     assert verify_leaf_correspondence(dp, seeds).passed
-    # both legs map onto points of rank-0 leaves: the parity is even
-    assert not verify_leaf_correspondence(dp, seeds, "odd").passed
+    # broken-orth's legs are a symplectic block (leaf codim 0) and a zero
+    # pair on a line (codim 1): the codimensions differ
+    broken = build("broken-orth")
+    rep = verify_leaf_correspondence(
+        broken, sample_points(broken.source.chart, 5, seed=81))
+    assert not rep.passed and rep.max_residual == 1.0
 
 
 def test_pullback_distribution_controls(trivgpd_tiny_leg):
@@ -139,8 +143,7 @@ def test_csv_rank_column_follows_samples(tmp_path):
 
 
 def test_csv_round_trip_so3(tmp_path):
-    probe = leaf_trace(_pair("so3"), [0.3, -0.2, 0.4], n_steps=30,
-                       rank_every=10, seed=6)
+    probe = leaf_trace(_pair("so3"), [0.3, -0.2, 0.4], n_steps=30, seed=6)
     path = tmp_path / "so3.csv"
     trace_to_csv(probe, path, casimir_fields=[SO3_CASIMIR])
     rows = _read_csv(path)

@@ -1,7 +1,7 @@
 """Hygiene of the ``jdl`` sources, read with ``ast``: every imported name
 is used (in the test modules too), every definition is referenced, every
-import sits at module level, and every public function that builds a
-report is timed."""
+import sits at module level, every public function that builds a report
+is timed, and no function takes a tolerance parameter."""
 import ast
 from pathlib import Path
 
@@ -76,6 +76,18 @@ def test_no_import_inside_a_function(path):
               for node in ast.walk(func)
               if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert nested == []
+
+
+def test_no_tolerance_parameter():
+    """Each identity states its tolerance at the report it builds, and rank
+    and angle decisions read ``linalg.RANK_TOL`` and ``linalg.ANGLE_TOL``:
+    no function or method takes a ``tol`` or ``*_tol`` parameter."""
+    knobs = [f"{path.stem}.{node.name}({arg.arg})" for path in SOURCES
+             for node in ast.walk(_tree(path))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
+             and (arg.arg == "tol" or arg.arg.endswith("_tol"))]
+    assert knobs == []
 
 
 REPORT_BUILDERS = {"residual_report", "threshold_report", "CheckReport",

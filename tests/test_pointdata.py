@@ -151,8 +151,8 @@ def test_ker_dphi_matches_the_kernel_of_dphi(spec_id):
     for s in dp.point_data(_points(dp)):
         for leg, (_, Phi) in zip(s.legs, dp.legs()):
             same, angle = subspace_equal(
-                leg.ker_D, kernel(dphi_matrix(Phi, s.p)), ORACLE_TOL)
-            assert same, (spec_id, angle)
+                leg.ker_D, kernel(dphi_matrix(Phi, s.p)))
+            assert same and angle < ORACLE_TOL, (spec_id, angle)
 
 
 def test_point_chart_leg_has_full_kernel():
