@@ -23,6 +23,7 @@ entry:
 The defining equations are kept as an independent oracle in the tests,
 which extract a pair from the bracket they induce with the bracket
 extraction in ``tests/conftest.py`` and compare it with the closed form.
+There θ∧(dθ)ⁿ, a multiple of the Pfaffian of ϖ, checks :func:`check_contact`.
 
 The l.c.s. dictionary uses d∇f = df - f·η and ω♯ inverting X ↦ ω(·, X);
 this slot choice makes the even transitive dictionary reproduce both the
@@ -40,7 +41,7 @@ from .errors import (DegenerateCurvature, EvenDimension, InconsistentOracle,
                      SingularOmega, SingularSystem)
 from .fields import Field, as_field, constant, jet_solve, point_memo
 from .jacobi import JacobiPair, hamiltonian_field, jacobi_bidiff_matrix
-from .linalg import BilinearForm, kernel
+from .linalg import RANK_TOL, BilinearForm, kernel, nondegeneracy
 from .report import residual_report, threshold_report, timed
 
 CONTACT_IDENTITY = "theta ^ (d theta)^n is a volume form"
@@ -65,19 +66,11 @@ class ContactStructure:
         return f"ContactStructure(chart={self.chart.name!r})"
 
 
-def volume_coefficient(C, p):
-    """Top coefficient of θ∧(dθ)ⁿ at p."""
-    form = C.theta
-    for _ in range(C.n):
-        form = wedge_form(form, C.dtheta)
-    return form.coeff(tuple(range(C.chart.dim)), p)
-
-
 @timed
 def check_contact(C, pts):
-    """Pass iff min |top coefficient of θ∧(dθ)ⁿ| over pts exceeds 1e-8."""
-    vals = [(p, volume_coefficient(C, p)) for p in pts]
-    return threshold_report("contact", CONTACT_IDENTITY, vals, 1e-8)
+    """Pass iff nondegeneracy(ϖ(p)) > RANK_TOL, i.e. θ∧(dθ)ⁿ ≠ 0, at all p."""
+    vals = [(p, nondegeneracy(varpi_matrix(C, p))) for p in pts]
+    return threshold_report("contact", CONTACT_IDENTITY, vals, RANK_TOL)
 
 
 def reeb(C, p):
@@ -124,15 +117,14 @@ def varpi_entry_fields(C):
 def curvature_form(varpi):
     """H = ker θ_p and the matrix of c = -(dθ)|_H in the basis of H, read off
     ``varpi`` = varpi_matrix(C, p): θ is its last row, dθ its top-left block.
-    Raises DegenerateCurvature where |det c| < 1e-10.
+    Raises DegenerateCurvature where nondegeneracy(c) <= RANK_TOL.
     """
     H = kernel(varpi[-1:, :-1])
     B = H.basis
     c = -(B.T @ varpi[:-1, :-1] @ B)
-    det = np.linalg.det(c)
-    if abs(det) < 1e-10:
+    if (ratio := nondegeneracy(c)) <= RANK_TOL:
         raise DegenerateCurvature(
-            f"curvature degenerate: |det c| = {abs(det):.2e}")
+            f"curvature degenerate: sigma_min/sigma_max of c = {ratio:.2e}")
     return H, BilinearForm(c)
 
 
@@ -202,9 +194,8 @@ class LcsStructure:
 
 @timed
 def check_lcs(L, pts):
-    """Residuals of dη, det ω (threshold), and dω + ω∧η."""
+    """Residuals of dη and dω + ω∧η; raises SingularOmega if ω degenerates."""
     residuals = []
-    notes = ""
     n = L.chart.dim
     d_eta = exterior_d_form(L.eta)
     if n >= 3:
@@ -212,15 +203,14 @@ def check_lcs(L, pts):
         wedge_oe = wedge_form(L.omega, L.eta)
     for p in pts:
         r = max((abs(f.value(p)) for f in d_eta.comps.values()), default=0.0)
-        if abs(np.linalg.det(L.omega.dense(p))) < 1e-8:
+        if nondegeneracy(L.omega.dense(p)) <= RANK_TOL:
             raise SingularOmega(f"omega singular at {p}")
         if n >= 3:
             for key in itertools.combinations(range(n), 3):
                 r = max(r, abs(d_omega.coeff(key, p) + wedge_oe.coeff(key, p)))
         residuals.append((p, r))
-    if n == 2:
-        notes = ("degenerate-dimension pass: all 3-forms vanish identically "
-                 "in dim 2, so d omega + omega ^ eta = 0 is forced")
+    notes = ("degenerate-dimension pass: all 3-forms vanish identically in "
+             "dim 2, so d omega + omega ^ eta = 0 is forced") if n == 2 else ""
     return residual_report("lcs", LCS_IDENTITY, residuals, 1e-8, notes=notes)
 
 

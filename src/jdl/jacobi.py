@@ -21,6 +21,7 @@ from .chart import Chart, tangent_map
 from .errors import ChartIndexInvalid, DimensionMismatch, ZeroConformalFactor
 from .fields import Field, ScalarFieldSpec, as_field, compose, constant, coordinate
 from .jets import Jet
+from .linalg import RANK_TOL
 from .report import residual_report, timed
 
 JACOBI_IDENTITY = "[[Pi,Pi]] = 2 E^Pi and [[E,Pi]] = 0"
@@ -74,10 +75,11 @@ class ConformalMap:
                                      source_dim=self.map.source.dim)
 
     def factor_value(self, p):
-        a = self.factor.value(p)
-        if abs(a) <= 1e-9:
-            raise ZeroConformalFactor(f"conformal factor {a} at {p}")
-        return a
+        """a(p) from its memoized 1-jet; raises where |a| <= RANK_TOL·|j¹a|."""
+        j = self.factor(p, 1)
+        if abs(j.value) <= RANK_TOL * (j.value ** 2 + j.grad @ j.grad) ** 0.5:
+            raise ZeroConformalFactor(f"conformal factor {j.value} at {p}")
+        return j.value
 
     def __repr__(self):
         return f"ConformalMap({self.map!r})"

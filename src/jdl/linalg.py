@@ -5,9 +5,9 @@ respect to an antisymmetric bilinear form, and principal-angle equality
 tests.  All ambient dimensions in catalog use are <= 16, so dense SVD-based
 routines are the right tool.
 
-Two tolerances decide everything here: ``RANK_TOL`` is the rank cut-off of
-every SVD, relative to the largest singular value, and ``ANGLE_TOL`` the
-largest principal angle (or, for membership, the relative residual of a
+Two tolerances decide everything here: ``RANK_TOL``, relative to the
+largest singular value, cuts every SVD rank and :func:`nondegeneracy`, and
+``ANGLE_TOL`` is the largest principal angle (or relative residual of a
 vector off the subspace) still read as equality.  No function takes its own.
 """
 from __future__ import annotations
@@ -85,10 +85,8 @@ def sum_spaces(U, V):
 
 def annihilator(U):
     """Orthogonal complement under the standard inner product."""
-    u, s, _ = np.linalg.svd(U.basis, full_matrices=True) if U.dim else \
-        (np.eye(U.ambient), np.zeros(0), None)
-    r = U.dim
-    return Subspace(U.ambient, u[:, r:])
+    u = np.linalg.svd(U.basis)[0] if U.dim else np.eye(U.ambient)
+    return Subspace(U.ambient, u[:, U.dim:])
 
 
 def intersect(U, V):
@@ -124,17 +122,30 @@ def image(A):
     return Subspace(A.shape[0], u[:, :r])
 
 
+def nondegeneracy(A):
+    """σ_min/σ_max of a square A (0 if A = 0, 1 if A is empty): A counts as
+    nondegenerate iff this exceeds RANK_TOL, whatever its scale."""
+    s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
+    return float(s[-1] / s[0]) if s.size and s[0] > 0 else float(not s.size)
+
+
+def _unit_rows(A):
+    """(DA, D⁻¹ as a column), D scaling A's nonzero rows to unit length, so
+    that ker DA = ker A loses no row far smaller than the others to RANK_TOL."""
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return A / norms, norms
+
+
 def preimage(A, S):
-    """{v : A v ∈ S} = {v : DAv ∈ DS} as a Subspace of the domain of A, where
-    D scales the nonzero rows of A to unit length, so that a row far smaller
-    than the others is not lost to the relative rank tolerance."""
+    """{v : A v ∈ S} = {v : DAv ∈ DS} as a Subspace of the domain of A, with
+    D from :func:`_unit_rows`."""
     A = np.asarray(A, dtype=float)
     if S.ambient != A.shape[0]:
         raise DimensionMismatch("subspace ambient differs from codomain")
-    norms = np.linalg.norm(A, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
+    DA, norms = _unit_rows(A)
     comp = annihilator(Subspace(S.ambient, S.basis / norms))
-    return kernel(comp.basis.T @ (A / norms))
+    return kernel(comp.basis.T @ DA)
 
 
 class BilinearForm:

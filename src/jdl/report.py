@@ -18,8 +18,9 @@ class CheckReport:
 
     ``identity`` states the checked identity in plain text.  For
     residual-type checks, ``status == "pass"`` iff ``max_residual <
-    tolerance``; threshold-type checks (volume forms) invert the comparison
-    and say so in ``notes``.  ``wall_time`` is the seconds of the call that
+    tolerance``; threshold-type checks (contact: the smallest nondegeneracy
+    ratio σ_min/σ_max of ϖ, against ``RANK_TOL``) invert the comparison and
+    say so in ``notes``.  ``wall_time`` is the seconds of the call that
     made the report, stamped by :func:`timed`.
     """
 

@@ -162,7 +162,8 @@ def test_gauge_pushforward_oracle_mismatch():
 
 
 def test_gauge_pushforward_zero_factor():
-    # a = x vanishes on x = 0; the guard reads |a| <= 1e-9
+    # a = x vanishes on x = 0; the guard reads |a| <= RANK_TOL·|j¹a|, and
+    # |j¹a| is about 1 here
     c = Chart("r2", 2, [(-1, 1)] * 2)
     Phi = ConformalMap(identity_map(c), ScalarFieldSpec(2, lambda x, y: x))
     for x in (0.0, 1e-10):

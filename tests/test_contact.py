@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from jdl.calculus import VectorField
+from jdl.calculus import VectorField, wedge_form
 from jdl.chart import Chart, sample_points
 from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          check_lcs, contact_field_property,
                          contact_to_jacobi, curvature_form, lcs_bracket,
                          lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
-                         varpi_matrix, volume_coefficient)
-from jdl.errors import (EvenDimension, InconsistentOracle, OrderUnsupported,
+                         varpi_matrix)
+from jdl.errors import (DegenerateCurvature, EvenDimension,
+                        InconsistentOracle, OrderUnsupported, SingularOmega,
                         SingularSystem)
 from jdl.fields import Field, ScalarFieldSpec, constant, coordinate, point_memo
+from jdl.homogenize import check_symplectization, slit_chart
 from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
                         hamiltonian_field)
 
@@ -22,6 +24,26 @@ def pts(darboux3):
     return sample_points(darboux3.chart, 20, seed=21)
 
 
+def volume_coefficient(C, p):
+    """Top coefficient of θ∧(dθ)ⁿ at p, from the wedge trees: the defining
+    oracle of check_contact's verdict."""
+    form = C.theta
+    for _ in range(C.n):
+        form = wedge_form(form, C.dtheta)
+    return form.coeff(tuple(range(C.chart.dim)), p)
+
+
+def _flat(scale=1.0):
+    """θ = scale·dz on the box [-2, 2]^3: closed, so nowhere contact."""
+    return ContactStructure(Chart("flat", 3, [(-2, 2)] * 3), {(2,): scale})
+
+
+def _scaled_darboux3(scale):
+    """θ = scale·(dz - y dx), a contact form at every scale."""
+    return ContactStructure(Chart("darboux3", 3, [(-2, 2)] * 3),
+                            {(0,): lambda x, y, z: -scale * y, (2,): scale})
+
+
 def test_check_contact_darboux(darboux3, pts):
     rep = check_contact(darboux3, pts)
     assert rep.passed
@@ -29,9 +51,35 @@ def test_check_contact_darboux(darboux3, pts):
 
 
 def test_check_contact_fails_for_closed_form(pts):
-    chart = Chart("flat", 3, [(-2, 2)] * 3)
-    C = ContactStructure(chart, {(2,): 1.0})   # θ = dz, dθ = 0
+    assert not check_contact(_flat(), pts).passed   # θ = dz, dθ = 0
+
+
+@pytest.mark.parametrize("name", ["darboux3", "trivgpd", "darboux5", "flat"])
+def test_check_contact_agrees_with_the_volume_oracle(name, request):
+    """The ϖ-nondegeneracy verdict is the wedge-tree one, |θ∧(dθ)ⁿ| > 0,
+    point by point."""
+    C = _flat() if name == "flat" else request.getfixturevalue(name)
+    for p in sample_points(C.chart, 5, seed=24):
+        assert check_contact(C, [p]).passed == (
+            abs(volume_coefficient(C, p)) > 0)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e-6])
+def test_contact_verdicts_ignore_the_scale_of_theta(scale, pts):
+    C = _scaled_darboux3(scale)
+    assert check_contact(C, pts).passed
+    big = slit_chart(C.chart)
+    assert check_symplectization(C, sample_points(big, 10, seed=68)).passed
+    for p in pts:
+        assert curvature_form(varpi_matrix(C, p))[0].dim == 2
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-6])
+def test_closed_form_is_not_contact_at_any_scale(scale, pts):
+    C = _flat(scale)
     assert not check_contact(C, pts).passed
+    with pytest.raises(DegenerateCurvature):
+        curvature_form(varpi_matrix(C, pts[0]))
 
 
 def test_check_contact_trivgpd(trivgpd):
@@ -190,6 +238,23 @@ def test_lcs_symplectic_plane():
     y = coordinate(2, 1)
     for p in pts[:5]:
         assert abs(lcs_bracket(L, x, y, p) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9])
+def test_lcs_verdict_ignores_the_scale_of_omega(scale):
+    chart = Chart("r2", 2, [(-2, 2)] * 2)
+    L = LcsStructure(chart, {}, {(0, 1): scale})
+    assert check_lcs(L, sample_points(chart, 10, seed=26)).passed
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+def test_lcs_rejects_a_singular_omega(scale):
+    # ω = scale·x dx∧dy vanishes on the line x = 0
+    chart = Chart("r2", 2, [(-2, 2)] * 2)
+    L = LcsStructure(chart, {}, {(0, 1): lambda x, y: scale * x})
+    assert check_lcs(L, [[0.5, 0.3]]).passed
+    with pytest.raises(SingularOmega):
+        check_lcs(L, [[0.5, 0.3], [0.0, 0.3]])
 
 
 def test_lcs_bracket_matches_pair_bracket():

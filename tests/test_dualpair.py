@@ -5,14 +5,17 @@ import pytest
 
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, sample_points, tangent_map
+from jdl.cli import CHECKS
+from jdl.contact import ContactStructure
 from jdl.dualpair import (DualPairSpec, centralizer_membership,
                           check_commutation, check_corollary_decomposition,
                           check_curvature_orthogonality, check_rank_relation,
                           check_transversality, check_varpi_orthogonality,
                           check_vertical_dim_sum, verify_dual_pair)
 from jdl.errors import ZeroConformalFactor
-from jdl.fields import ScalarFieldSpec, constant
+from jdl.fields import ScalarFieldSpec, as_field, constant
 from jdl.jacobi import ConformalMap, hamiltonian_field, zero_pair
+from jdl.jets import exp
 from jdl.leaves import check_pullback_distribution
 from jdl.report import HYPOTHESIS_NOT_MET
 
@@ -212,3 +215,43 @@ def test_reports_carry_their_wall_time(trivgpd_dp, tpts):
     assert all(0 < rep.wall_time <= verify_s for rep in reports.values())
     assert 0 < rank.wall_time <= rank_s
     assert rank.as_dict()["wall_time"] == rank.wall_time
+
+
+# -- independence of the trivialization of L --------------------------------
+
+def _retrivialized(u, factors=True):
+    """trivgpd after the change of trivialization u of the line bundle:
+    θ -> uθ and, with ``factors``, a_i -> u·a_i, which is again a dual
+    pair; without, the legs keep the old factors and stop being one."""
+    dp = build("trivgpd")
+    u = as_field(3, u)
+    source = ContactStructure(dp.source.chart, {
+        k: u * f for k, f in dp.source.theta.comps.items()})
+    return DualPairSpec(source, *(
+        (J, ConformalMap(Phi.map, u * Phi.factor if factors else Phi.factor))
+        for J, Phi in dp.legs()))
+
+
+EXP_U = ScalarFieldSpec(3, lambda q, p, w: exp(0.3 * q + 0.2 * p * w))
+
+
+def _cli_reports(dp):
+    pts = sample_points(dp.source.chart, 10, seed=1)
+    return [rep for _, check in CHECKS for rep in check(dp, pts)]
+
+
+@pytest.mark.parametrize("u", [EXP_U, 1e-6, 1e-10],
+                         ids=["exp", "1e-6", "1e-10"])
+def test_verdicts_do_not_depend_on_the_trivialization(u):
+    reports = _cli_reports(_retrivialized(u))
+    assert [rep.check_id for rep in reports if not rep.passed] == []
+    assert len(reports) == len(_cli_reports(build("trivgpd")))
+
+
+def test_retrivializing_theta_alone_breaks_the_pair():
+    failed = [rep.check_id for rep in _cli_reports(
+        _retrivialized(EXP_U, factors=False)) if not rep.passed]
+    assert sorted(failed) == sorted([
+        "commutation", "varpi_orthogonality", "morphism_leg1",
+        "morphism_leg2", "rank_relation", "corollary_decomposition",
+        "pullback_distribution"])

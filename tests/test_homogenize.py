@@ -1,10 +1,13 @@
 import itertools
 
 import numpy as np
+import pytest
 
+from jdl import homogenize
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
 from jdl.contact import ContactStructure
+from jdl.errors import OracleMismatch
 from jdl.fields import ScalarFieldSpec, coordinate
 from jdl.homogenize import (_lift_field, check_equivariance,
                             check_homogeneity,
@@ -73,6 +76,17 @@ def test_poissonize_is_poisson(darboux3_pair):
     P = poissonize(darboux3_pair)
     pts = sample_points(P.chart, 10, seed=66)
     assert check_schouten_square(P, pts).passed
+
+
+def test_poissonize_rejects_a_closed_form_its_oracle_refutes(
+        darboux3_pair, monkeypatch):
+    # a planted factor 2 on P's components must trip the bracket oracle
+    def doubled(chart, Pi, E):
+        return JacobiPair(chart, {k: 2.0 * f for k, f in Pi.items()}, E)
+
+    monkeypatch.setattr(homogenize, "JacobiPair", doubled)
+    with pytest.raises(OracleMismatch):
+        poissonize(darboux3_pair)
 
 
 def test_dehomogenize_round_trip(darboux3_pair):

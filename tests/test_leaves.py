@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from jdl.catalog import build
 from jdl.chart import Chart, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
+from jdl.errors import StepOutOfDomain
 from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import aff1, hamiltonian_field, lie_poisson, so3
 from jdl.jets import exp
@@ -103,6 +104,11 @@ def test_trace_near_box_edge_aborts():
     assert len(probe.points) < 201
     assert all(J.chart.in_box(q) for q in probe.points)
     assert probe.rank_steps[-1] == len(probe.points) - 1
+
+
+def test_trace_from_outside_the_box_raises():
+    with pytest.raises(StepOutOfDomain):
+        leaf_trace(_pair("so3"), [2.5, 0.0, 0.0], n_steps=10, seed=5)
 
 
 def test_leaf_correspondence_trivgpd():

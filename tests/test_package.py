@@ -1,11 +1,14 @@
 """Hygiene of the ``jdl`` sources, read with ``ast``: every imported name
 is used (in the test modules too), every definition is referenced, every
 import sits at module level, every public function that builds a report
-is timed, and no function takes a tolerance parameter."""
+is timed, no function takes a tolerance parameter, no determinant decides
+nondegeneracy, and every typed error is raised by some test."""
 import ast
 from pathlib import Path
 
 import pytest
+
+from jdl import errors
 
 TESTS = Path(__file__).resolve().parent
 SOURCES = sorted((TESTS.parent / "src" / "jdl").glob("*.py"))
@@ -109,3 +112,40 @@ def test_every_public_report_builder_is_timed(path):
         if calls & REPORT_BUILDERS and "timed" not in decorators:
             untimed.append(node.name)
     assert untimed == []
+
+
+def _det_calls(node, owner):
+    """The function enclosing each ``*.det(...)`` call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "det"):
+            yield owner
+        inner = child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        yield from _det_calls(child, inner)
+
+
+def test_no_determinant_threshold():
+    """Nondegeneracy is decided by ``linalg.nondegeneracy`` against
+    ``RANK_TOL``, which does not depend on the scale of the matrix; the
+    only determinant left is the exact minor of ``calculus._det_minor``."""
+    calls = [f"{path.stem}.{owner}" for path in SOURCES
+             for owner in _det_calls(_tree(path), "<module>")]
+    assert sorted(set(calls)) == ["calculus._det_minor"]
+
+
+def test_every_error_is_raised_in_a_test():
+    """Each ``JdlError`` subclass has a control: some test expects it in a
+    ``pytest.raises``."""
+    raised = set()
+    for path in TEST_SOURCES:
+        for node in ast.walk(_tree(path)):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "raises" and node.args):
+                raised |= {n.id for n in ast.walk(node.args[0])
+                           if isinstance(n, ast.Name)}
+    declared = {name for name, cls in vars(errors).items()
+                if isinstance(cls, type) and issubclass(cls, errors.JdlError)
+                and cls is not errors.JdlError}
+    assert sorted(declared - raised) == []
