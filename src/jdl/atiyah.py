@@ -1,13 +1,14 @@
-"""The trivial-bundle gauge algebroid: derivations TM ⊕ R, jet pairing,
-der-differential, the symplectic Atiyah form, pushforwards and Hamiltonian
-derivations.
+"""The trivial-bundle gauge algebroid: derivations TM ⊕ R, jets, the
+der-differential, the symplectic Atiyah form and the first-order maps of a
+conformal leg.
 
 On a trivialized line bundle a derivation at p is a pair (X, g) acting on
 functions by f ↦ X(f) + g·f; the identity derivation is 1 = (0, 1) and the
-symbol is σ(X, g) = X.  A jet element is (α, c) with pairing
+symbol is σ(X, g) = X.  A jet is (α, c) with pairing
 ⟨(X,g), (α,c)⟩ = α(X) + g·c, so j¹f at p is (df(p), f(p)).
 
-Coordinates are fixed as (X-components..., g) with 1 the last basis vector.
+Coordinates are fixed as (X-components..., g) with 1 the last basis vector,
+and jets as (α-components..., c).
 
 The Atiyah 2-form of a contact form is computed from the Chevalley-Eilenberg
 formula for d_D(θ∘σ) on constant frame extensions:
@@ -31,87 +32,13 @@ import itertools
 
 import numpy as np
 
-from .calculus import VectorField, lie_bracket
 from .chart import tangent_map
 from .contact import sharp_inverse_residual, varpi_entry_fields, varpi_matrix
-from .fields import as_field, constant
+from .fields import constant
 from .jacobi import default_test_functions, jacobi_bidiff_matrix
 from .linalg import (ANGLE_TOL, annihilator, image, kernel, span_of,
                      subspace_equal)
 from .report import residual_report, timed
-
-
-class Derivation:
-    """A derivation value (X, g) at a base point."""
-
-    __slots__ = ("point", "X", "g")
-
-    def __init__(self, point, X, g):
-        self.point = np.asarray(point, dtype=float)
-        self.X = np.asarray(X, dtype=float)
-        self.g = float(g)
-
-    @property
-    def coords(self):
-        return np.append(self.X, self.g)
-
-    def __repr__(self):
-        return f"Derivation(X={self.X}, g={self.g})"
-
-
-class JetElement:
-    """A first-jet value (α, c) at a base point; j¹f = (df(p), f(p))."""
-
-    __slots__ = ("point", "alpha", "c")
-
-    def __init__(self, point, alpha, c):
-        self.point = np.asarray(point, dtype=float)
-        self.alpha = np.asarray(alpha, dtype=float)
-        self.c = float(c)
-
-    @property
-    def coords(self):
-        return np.append(self.alpha, self.c)
-
-
-def jet_of(f, p):
-    f = as_field(len(np.asarray(p)), f)
-    j = f(p, 1)
-    return JetElement(p, j.grad, j.value)
-
-
-def pairing(d, j):
-    """Natural duality pairing between derivation and jet coordinates."""
-    return float(d.coords @ j.coords)
-
-
-class DerivationField:
-    """Derivation-valued field: a vector field plus a scalar field."""
-
-    def __init__(self, chart, X, g):
-        self.chart = chart
-        self.X = X if isinstance(X, VectorField) else VectorField(chart, X)
-        self.g = as_field(chart.dim, g)
-
-    def at(self, p):
-        return Derivation(p, self.X.at(p), self.g.value(p))
-
-    def apply_field(self, f):
-        """(X, g) acting on a function field: X(f) + g f."""
-        return self.X.apply_field(f) + self.g * f
-
-
-def der_bracket(d1, d2, p):
-    """[(X,g),(Y,h)] = ([X,Y], X(h) - Y(g)) at p, for derivation fields."""
-    Xc = lie_bracket(d1.X, d2.X, p)
-    gc = d1.X.apply_field(d2.g).value(p) - d2.X.apply_field(d1.g).value(p)
-    return Derivation(p, Xc, gc)
-
-
-def jacobi_bidiff(J, j1, j2):
-    """Evaluate the bi-DO on two jet elements at the same point."""
-    M = jacobi_bidiff_matrix(J, j1.point)
-    return float(j1.coords @ M @ j2.coords)
 
 
 @timed
@@ -121,15 +48,6 @@ def check_sharp_inverse(C, J, pts):
     return residual_report(
         "sharp_inverse", "varpi_flat . J_sharp = id on jet coordinates",
         residuals, 1e-9)
-
-
-def gauge_pushforward(Phi, d):
-    """DΦ(X, g) = (Tφ·X, g + X(a)/a) at d.point, for a conformal map Phi.
-
-    Raises ZeroConformalFactor where a vanishes.
-    """
-    v = dphi_matrix(Phi, d.point) @ d.coords
-    return Derivation(Phi.map(d.point), v[:-1], v[-1])
 
 
 def dphi_from(T, a, da):
@@ -161,19 +79,6 @@ def _factor_jet(Phi, p):
 def dphi_matrix(Phi, p):
     """Matrix of DΦ at p; raises ZeroConformalFactor where a vanishes."""
     return dphi_from(tangent_map(Phi.map, p), *_factor_jet(Phi, p))
-
-
-def ker_DPhi(Phi, p):
-    """ker DΦ at p; raises ZeroConformalFactor where a vanishes."""
-    return ker_DPhi_from(kernel(tangent_map(Phi.map, p)),
-                         *_factor_jet(Phi, p))
-
-
-def hamiltonian_derivation(J, f, p):
-    """Δ_f = J♯ j¹f = (X_f, -E(f)) at p, where J♯ = Mᵀ for the bi-DO
-    matrix M of J, so that Δ_f(g) = {f, g}."""
-    v = jacobi_bidiff_matrix(J, p).T @ jet_of(f, p).coords
-    return Derivation(p, v[:-1], v[-1])
 
 
 def one_perp_varpi(C, p):

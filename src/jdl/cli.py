@@ -2,17 +2,19 @@
 
     jdl verify <id> --points N --seed S
 
-runs the dual-pair checks on the catalog entry ``<id>`` (see
-:mod:`jdl.catalog`) at N points sampled from its source chart with seed S,
-and prints one JSON line per report, ``CheckReport.as_dict()``.  A check
-that raises a ``JdlError`` or ``ValueError`` prints one line with its name,
-status ``"error"`` and the exception instead; today those are
-``check_morphisms`` and ``check_pullback_distribution`` on broken-transv,
-whose leg onto a point chart leaves them empty arrays to reduce.  The exit
-status is 0 when every report passes, 1 when one fails, a check raises or
-standard output closes before the last line (``jdl verify ... | head -1``;
-that ends quietly, without a traceback), and 2 on a usage error such as an
-unknown id or ``--points`` below 1, with a one-line message.
+runs the checks of the catalog entry ``<id>``'s kind, the table
+:data:`jdl.catalog.CHECKS`, at N points drawn with seed S by
+:func:`jdl.catalog.points`, and prints one JSON line per report,
+``CheckReport.as_dict()``.  A check that raises a ``JdlError`` or
+``ValueError`` prints one line with its name, status ``"error"`` and the
+exception instead; today those are ``check_morphisms``,
+``check_pullback_distribution`` and ``verify_leaf_correspondence`` on
+broken-transv, whose leg onto a point chart leaves them empty arrays to
+reduce.  The exit status is 0 when every report passes, 1 when one fails, a
+check raises or standard output closes before the last line (``jdl verify
+... | head -1``; that ends quietly, without a traceback), and 2 on a usage
+error such as an unknown id or ``--points`` below 1, with a one-line
+message.
 """
 from __future__ import annotations
 
@@ -21,36 +23,20 @@ import json
 import os
 import sys
 
-from . import catalog, dualpair, homogenize, leaves
-from .chart import sample_points
+from . import catalog
 from .errors import JdlError, UnknownId
-
-CHECKS = (
-    ("check_morphisms", lambda dp, pts: dp.check_morphisms(pts)),
-    ("verify_dual_pair",
-     lambda dp, pts: list(dualpair.verify_dual_pair(dp, pts).values())),
-    ("check_rank_relation",
-     lambda dp, pts: [dualpair.check_rank_relation(dp, pts)]),
-    ("check_corollary_decomposition",
-     lambda dp, pts: [dualpair.check_corollary_decomposition(dp, pts)]),
-    ("check_vertical_dim_sum",
-     lambda dp, pts: [dualpair.check_vertical_dim_sum(dp, pts)]),
-    ("check_homogeneous_sdp_equivalence",
-     lambda dp, pts: [homogenize.check_homogeneous_sdp_equivalence(dp, pts)]),
-    ("check_pullback_distribution",
-     lambda dp, pts: [leaves.check_pullback_distribution(dp, pts)]),
-)
 
 
 def verify(spec_id, points, seed):
-    """Run every check on ``spec_id`` and print its JSON lines; return the
-    exit status."""
-    dp = catalog.build(spec_id)
-    pts = sample_points(dp.source.chart, points, seed=seed)
+    """Run the checks of ``spec_id``'s kind and print their JSON lines;
+    return the exit status."""
+    checks = catalog.CHECKS[catalog.kind(spec_id)]
+    obj = catalog.build(spec_id)
+    pts = catalog.points(obj, points, seed)
     status = 0
-    for name, check in CHECKS:
+    for name, check in checks:
         try:
-            lines = [rep.as_dict() for rep in check(dp, pts)]
+            lines = [rep.as_dict() for rep in check(obj, pts)]
         except (JdlError, ValueError) as exc:  # reported, not fatal
             lines = [{"check_id": name, "status": "error",
                       "error": f"{type(exc).__name__}: {exc}"}]
@@ -66,9 +52,9 @@ def main(argv=None):
         prog="jdl", description="Check contact dual pairs numerically.")
     commands = parser.add_subparsers(dest="command", required=True)
     run = commands.add_parser(
-        "verify", help="run the dual-pair checks on a catalog entry")
+        "verify", help="run the checks of a catalog entry")
     run.add_argument("spec_id", metavar="id",
-                     help=f"catalog id: {', '.join(catalog.BUILDERS)}")
+                     help=f"catalog id: {', '.join(catalog.ENTRIES)}")
     run.add_argument("--points", type=int, default=10)
     run.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)

@@ -217,38 +217,10 @@ def _evaluate(check_id, dp, points):
     return rep, [r < tolerance for _, r in residuals]
 
 
-def _check(check_id, dp, pts):
-    return _evaluate(check_id, dp, dp.point_data(pts))[0]
-
-
 def _defining_conditions(dp):
     """_point -> do conditions 1-3 all hold there?"""
     tests = [(_CONDITIONS[c][0](dp), _CONDITIONS[c][1]) for c in _DEFINING]
     return lambda s: all(residual(s) < t for residual, t in tests)
-
-
-@timed
-def check_transversality(dp, pts):
-    """rank(H_p + ker Tφ_i) = dim M at each point, i = 1, 2."""
-    return _check("transversality", dp, pts)
-
-
-@timed
-def check_commutation(dp, pts):
-    """{Φ1*λ1, Φ2*λ2} = 0 at each point, over the test sections."""
-    return _check("commutation", dp, pts)
-
-
-@timed
-def check_curvature_orthogonality(dp, pts):
-    """(H_1)^⊥c = H_2 at each point, as a principal-angle equality."""
-    return _check("curvature_orthogonality", dp, pts)
-
-
-@timed
-def check_varpi_orthogonality(dp, pts):
-    """(ker DΦ1)^⊥ϖ = ker DΦ2 at each point."""
-    return _check("varpi_orthogonality", dp, pts)
 
 
 @timed

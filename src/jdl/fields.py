@@ -243,12 +243,17 @@ def _taylor_coeffs(M, dim, order):
 
 def _value_inverse(A0):
     """A₀⁻¹ by Gauss-Jordan elimination with partial pivoting, on Python
-    floats, which for the few rows of a jet system beat a numpy loop."""
+    floats, which for the few rows of a jet system beat a numpy loop.
+
+    Raises SingularSystem on a zero pivot or one below 1e-14·max|A₀|, a
+    bound relative to the scale of A₀, so that rescaling the system does
+    not change whether it solves."""
     n = len(A0)
+    floor = 1e-14 * np.abs(A0).max(initial=0.0)
     M = np.hstack([A0, np.eye(n)]).tolist()
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if abs(M[piv][col]) < 1e-14:
+        if abs(M[piv][col]) < floor or M[piv][col] == 0:
             raise SingularSystem("jet linear system is singular")
         M[col], M[piv] = M[piv], M[col]
         p = M[col][col]

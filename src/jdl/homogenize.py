@@ -13,9 +13,9 @@ permanently.  A contact form θ lifts to the exact symplectic form
 the induced Jacobi pair (two independent routes).
 
 The homogenized dual-pair check reads ω~ = [[s·dθ, -θ], [θᵀ, 0]] and
-TΦ~ = [[Tφ, 0], [s·da, a]] in closed form from first-order data at x; the
-lift machinery (:func:`symplectize`, :func:`homogenize_map`) keeps its own
-checks and is the tests' oracle for both.
+TΦ~ = [[Tφ, 0], [s·da, a]] in closed form from first-order data at x;
+:func:`symplectize`, which keeps its own checks, and the lifted map
+(x, s) ↦ (φ(x), a(x)·s) of the tests are the oracles of both.
 
 R^× is modeled as the punctured fiber coordinate s, sampled in
 [-2, -0.5] ∪ [0.5, 2] so both components are exercised.
@@ -27,7 +27,7 @@ import itertools
 import numpy as np
 
 from .calculus import KForm, exterior_d_form, schouten
-from .chart import Chart, SmoothMap, sample_points, tangent_map
+from .chart import Chart, sample_points, tangent_map
 from .contact import contact_to_jacobi
 from .dualpair import _defining_conditions
 from .errors import OracleMismatch
@@ -65,13 +65,9 @@ def _lift_field(f, n):
     return compose(f, base_slots, source_dim=n + 1)
 
 
-def poissonize(J, pts=None):
-    """The pair (P, 0), P = s⁻¹Π + ∂s∧E, on the slit chart, certified
-    against its oracle.
-
-    Raises OracleMismatch if {s·f∘π, s·g∘π}_P deviates from s·({f,g}_J∘π)
-    on coordinate test functions at the sample points.
-    """
+def lifted_pair(J):
+    """The pair (P, 0), P = s⁻¹Π + ∂s∧E, on the slit chart, in closed form;
+    :func:`poissonize` certifies it."""
     n = J.chart.dim
     big = slit_chart(J.chart)
     comps = {}
@@ -80,9 +76,18 @@ def poissonize(J, pts=None):
         comps[(i, j)] = _lift_field(f, n) / s_field
     for i in range(n):
         comps[(i, n)] = -_lift_field(J.E.comps[i], n)   # (∂s∧E)^{i,s} = -E^i
-    P = JacobiPair(big, comps, [constant(n + 1, 0.0)] * (n + 1))
+    return JacobiPair(big, comps, [constant(n + 1, 0.0)] * (n + 1))
+
+
+def poissonize(J, pts=None):
+    """:func:`lifted_pair` of J, certified against its oracle.
+
+    Raises OracleMismatch if {s·f∘π, s·g∘π}_P deviates from s·({f,g}_J∘π)
+    on coordinate test functions at the sample points.
+    """
+    P = lifted_pair(J)
     if pts is None:
-        pts = sample_points(big, 5, seed=61)
+        pts = sample_points(P.chart, 5, seed=61)
     rep = check_poissonization_oracle(P, J, pts)
     if not rep.passed:
         raise OracleMismatch(
@@ -138,24 +143,6 @@ def check_homogeneity(P, pts):
         residuals, 1e-9)
 
 
-def dehomogenize(P, base_chart):
-    """Read (Π, E) back from P at the s = 1 slice."""
-    n = base_chart.dim
-
-    def at_slice(field):
-        slots = [coordinate(n, i) for i in range(n)] + [constant(n, 1.0)]
-        return compose(field, slots)
-
-    pi_comps = {}
-    e_comps = [constant(n, 0.0)] * n
-    for (i, j), f in P.Pi.comps.items():
-        if j < n:
-            pi_comps[(i, j)] = at_slice(f)
-        else:
-            e_comps[i] = at_slice(-f)   # P^{i,s} = -E^i
-    return JacobiPair(base_chart, pi_comps, e_comps)
-
-
 def symplectize(C):
     """ω~ = d(s·π*θ) = ds∧π*θ + s·π*dθ on the slit chart."""
     n = C.chart.dim
@@ -207,60 +194,6 @@ def check_symplectization_consistency(C, pts):
     return residual_report(
         "symplectization_consistency",
         "-(omega~)^{-1} equals the lifted bivector of the induced pair",
-        residuals, 1e-8)
-
-
-def homogenize_map(Phi):
-    """Lift (φ, a) to the slit charts: (x, s) ↦ (φ(x), a(x)·s)."""
-    n = Phi.map.source.dim
-    comps = [_lift_field(c, n) for c in Phi.map.components]
-    comps.append(_lift_field(Phi.factor, n) * coordinate(n + 1, n))
-    return SmoothMap(slit_chart(Phi.map.source), slit_chart(Phi.map.target),
-                     comps)
-
-
-@timed
-def check_equivariance(Phi, pts):
-    """Φ~ ∘ h_t = h_t ∘ Φ~ at sample points."""
-    lifted = homogenize_map(Phi)
-    residuals = []
-    for p in pts:
-        r = 0.0
-        out = lifted(p)
-        for t in (2.0, -1.0, 0.5):
-            q = np.array(p, dtype=float)
-            q[-1] *= t
-            scaled = lifted(q)
-            expect = np.array(out, dtype=float)
-            expect[-1] *= t
-            r = max(r, float(np.abs(scaled - expect).max()))
-        residuals.append((p, r))
-    return residual_report("lift_equivariance",
-                           "lifted map commutes with the fiber scaling",
-                           residuals, 1e-10)
-
-
-@timed
-def check_lifted_poisson_map(Phi, J_source, J_target, pts):
-    """A Jacobi morphism lifts to a Poisson map of the Poissonizations."""
-    P1 = poissonize(J_source)
-    P2 = poissonize(J_target)
-    lifted = homogenize_map(Phi)
-    m = J_target.chart.dim
-    tests = [coordinate(m + 1, i) for i in range(m + 1)]
-    tests.append(coordinate(m + 1, m) * coordinate(m + 1, 0) if m else
-                 coordinate(m + 1, m))
-    fields = []
-    for F, G in itertools.combinations(tests, 2):
-        pullF = compose(F, lifted.components)
-        pullG = compose(G, lifted.components)
-        lhs = bracket_field(P1, pullF, pullG)
-        rhs = compose(bracket_field(P2, F, G), lifted.components)
-        fields.append(lhs - rhs)
-    residuals = [(p, max(abs(f.value(p)) for f in fields)) for p in pts]
-    return residual_report(
-        "lifted_poisson_map",
-        "pullback along the lifted map intertwines the lifted brackets",
         residuals, 1e-8)
 
 

@@ -17,9 +17,6 @@ checked; an exact check needs η as a jet, so that dη is exact too.
 """
 from __future__ import annotations
 
-import csv
-from bisect import bisect_right
-
 import numpy as np
 
 from .atiyah import dphi_from
@@ -75,10 +72,6 @@ class LeafProbe:
     @property
     def parity(self):
         return "odd" if self.dimension % 2 == 1 else "even"
-
-    def rank_at(self, step):
-        """The rank last sampled at or before ``step``."""
-        return self.ranks[bisect_right(self.rank_steps, step) - 1]
 
 
 def _rk4_step(vf, p, dt):
@@ -138,24 +131,6 @@ def leaf_trace(J, p0, n_steps=1000, dt=1e-3, seed=0, casimirs=None):
     rank_steps.append(len(points) - 1)
     return LeafProbe(points, ranks, rank_steps, drift_estimate,
                      casimir_drift, aborted)
-
-
-def trace_to_csv(probe, path, casimir_fields=None):
-    """Columns: step, coordinates..., rank, casimir values.
-
-    The rank of a row is the one last sampled at or before its step.
-    """
-    casimir_fields = casimir_fields or []
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        dim = probe.points[0].size
-        header = ["step"] + [f"x{i}" for i in range(dim)] + ["rank"]
-        header += [f"casimir{i}" for i in range(len(casimir_fields))]
-        w.writerow(header)
-        for step, p in enumerate(probe.points):
-            row = [step] + [repr(float(v)) for v in p] + [probe.rank_at(step)]
-            row += [repr(float(c.value(p))) for c in casimir_fields]
-            w.writerow(row)
 
 
 @timed

@@ -1,6 +1,6 @@
 """Subspace arithmetic with tolerances.
 
-Spans, sums, intersections, annihilators, orthogonal complements with
+Spans, sums, preimages, annihilators, orthogonal complements with
 respect to an antisymmetric bilinear form, and principal-angle equality
 tests.  All ambient dimensions in catalog use are <= 16, so dense SVD-based
 routines are the right tool.
@@ -87,15 +87,6 @@ def annihilator(U):
     """Orthogonal complement under the standard inner product."""
     u = np.linalg.svd(U.basis)[0] if U.dim else np.eye(U.ambient)
     return Subspace(U.ambient, u[:, U.dim:])
-
-
-def intersect(U, V):
-    if U.ambient != V.ambient:
-        raise DimensionMismatch("ambient dims differ")
-    if U.dim == 0 or V.dim == 0:
-        return zero_space(U.ambient)
-    # intersection = annihilator of the sum of annihilators
-    return annihilator(sum_spaces(annihilator(U), annihilator(V)))
 
 
 def kernel(A):

@@ -5,10 +5,10 @@ import pytest
 
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap
-from jdl.contact import ContactStructure
 from jdl.dualpair import DualPairSpec
 from jdl.errors import InconsistentOracle, SingularSystem
 from jdl.fields import constant, coordinate
+from jdl.homogenize import _lift_field, slit_chart
 from jdl.jacobi import ConformalMap, JacobiPair, bracket_field
 from jdl.jets import Jet
 
@@ -23,9 +23,8 @@ def rng():
 
 @pytest.fixture
 def darboux3():
-    """θ = dz - y dx on the box [-2, 2]^3."""
-    chart = Chart("darboux3", 3, [(-2, 2)] * 3)
-    return ContactStructure(chart, {(0,): lambda x, y, z: -y, (2,): 1.0})
+    """θ = dz - y dx on the box [-2, 2]^3, the catalog's darboux3."""
+    return build("darboux3")
 
 
 @pytest.fixture
@@ -57,6 +56,17 @@ def trivgpd_tiny_leg():
 def darboux5():
     """θ = dz - y1 dx1 - y2 dx2, the source of darboux5-product."""
     return build("darboux5-product").source
+
+
+def homogenize_map(Phi):
+    """The lift (x, s) ↦ (φ(x), a(x)·s) of a conformal map to the slit
+    charts, from the lifted component fields; the oracle of the closed-form
+    TΦ~ = [[Tφ, 0], [s·da, a]]."""
+    n = Phi.map.source.dim
+    comps = [_lift_field(c, n) for c in Phi.map.components]
+    comps.append(_lift_field(Phi.factor, n) * coordinate(n + 1, n))
+    return SmoothMap(slit_chart(Phi.map.source), slit_chart(Phi.map.target),
+                     comps)
 
 
 def fd_gradient(f, p, h=1e-5):
@@ -129,7 +139,8 @@ def reference_jet_solve(A, b):
     Takes the same inputs: A an (n, n) array of Jets or numbers, b an (n,)
     or (n, m) one.  Every step is a ``Jet`` operation, so it shares no code
     with the Taylor-mode solve beyond ``Jet`` itself.  Pivoting is by the
-    value part, and a pivot below 1e-14 raises SingularSystem.
+    value part, and a zero pivot or one below 1e-14 times the largest
+    |value| of A raises SingularSystem.
     """
     A = [list(row) for row in A]
     b = np.asarray(b, dtype=object)
@@ -149,9 +160,10 @@ def reference_jet_solve(A, b):
     def reciprocal(x):
         return x._reciprocal() if isinstance(x, Jet) else 1.0 / x
 
+    floor = 1e-14 * max((abs(val(x)) for row in A for x in row), default=0.0)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(val(A[r][col])))
-        if abs(val(A[piv][col])) < 1e-14:
+        if abs(val(A[piv][col])) < floor or val(A[piv][col]) == 0:
             raise SingularSystem("jet linear system is singular")
         A[col], A[piv] = A[piv], A[col]
         B[col], B[piv] = B[piv], B[col]

@@ -2,22 +2,37 @@ import numpy as np
 import pytest
 
 from jdl import atiyah, contact
-from jdl.atiyah import (AtiyahForm, Derivation, DerivationField, JetElement,
-                        check_contracting_homotopy,
+from jdl.atiyah import (AtiyahForm, check_contracting_homotopy,
                         check_one_perp_is_horizontal, check_sharp_inverse,
                         check_technical_lemma, check_varpi_closed,
-                        der_bracket, dphi_matrix, gauge_pushforward,
-                        hamiltonian_derivation, jacobi_bidiff, jet_of,
-                        ker_DPhi, pairing, theta_sigma_form, varpi_form,
-                        varpi_matrix)
-from jdl.chart import Chart, SmoothMap, identity_map, sample_points
+                        dphi_matrix, ker_DPhi_from, theta_sigma_form,
+                        varpi_form, varpi_matrix)
+from jdl.chart import (Chart, SmoothMap, compose_maps, identity_map,
+                       sample_points, tangent_map)
 from jdl.contact import contact_to_jacobi
 from jdl.errors import ZeroConformalFactor
-from jdl.fields import ScalarFieldSpec, constant, coordinate
+from jdl.fields import ScalarFieldSpec, as_field, compose, constant, coordinate
 from jdl.jacobi import (ConformalMap, JacobiPair, bracket_field,
-                        default_test_functions)
+                        default_test_functions, jacobi_bidiff_matrix)
 from jdl.jets import exp
 from jdl.linalg import kernel, span_of, subspace_equal
+
+# Derivations are coordinate vectors (X, g) and jets (α, c), as in the
+# module docstring of jdl.atiyah; a derivation pairs with a jet by the dot
+# product.
+
+
+def _jet(f, p):
+    """j¹f(p) = (df(p), f(p))."""
+    p = np.asarray(p, dtype=float)
+    j = as_field(p.size, f)(p, 1)
+    return np.append(j.grad, j.value)
+
+
+def _ker_dphi(Phi, p):
+    """ker DΦ at p from Tφ(p), a(p) and da(p)."""
+    return ker_DPhi_from(kernel(tangent_map(Phi.map, p)),
+                         Phi.factor_value(p), Phi.factor(p, 1).grad)
 
 
 @pytest.fixture
@@ -25,34 +40,14 @@ def pts(darboux3):
     return sample_points(darboux3.chart, 20, seed=31)
 
 
-def test_der_bracket_constants():
-    c = Chart("r2", 2)
-    dx = DerivationField(c, [1.0, 0.0], 0.0)
-    dy = DerivationField(c, [0.0, 1.0], 0.0)
-    one = DerivationField(c, [0.0, 0.0], 1.0)
-    b = der_bracket(dx, dy, [0.3, 0.4])
-    assert np.abs(b.coords).max() < 1e-14
-    b = der_bracket(one, dx, [0.3, 0.4])
-    assert np.abs(b.coords).max() < 1e-14
-
-
-def test_der_bracket_nonconstant():
-    c = Chart("r2", 2)
-    xdy = DerivationField(c, [lambda x, y: 0.0 * x, lambda x, y: x], 0.0)
-    dx = DerivationField(c, [1.0, 0.0], 0.0)
-    b = der_bracket(xdy, dx, [0.5, 0.5])
-    assert np.allclose(b.X, [0.0, -1.0]) and abs(b.g) < 1e-14
-
-
 def test_pairing_is_derivation_action():
     # ⟨(X,g), j¹f⟩ = X(f) + g f
     p = np.array([0.4, -0.3])
     f = ScalarFieldSpec(2, lambda x, y: x * x * y + y)
-    j = jet_of(f, p)
-    d = Derivation(p, [1.0, 2.0], 0.5)
+    d = np.array([1.0, 2.0, 0.5])
     manual = (f.partial(0).value(p) * 1.0 + f.partial(1).value(p) * 2.0
               + 0.5 * f.value(p))
-    assert abs(pairing(d, j) - manual) < 1e-12
+    assert abs(d @ _jet(f, p) - manual) < 1e-12
 
 
 def test_varpi_trivgpd_values(trivgpd, pts):
@@ -78,26 +73,23 @@ def test_one_perp_is_horizontal(darboux3):
 
 def test_bidiff_reproduces_bracket(darboux3, pts):
     J = contact_to_jacobi(darboux3)
-    rng = np.random.default_rng(34)
     f = ScalarFieldSpec(3, lambda x, y, z: x * y + z)
     g = ScalarFieldSpec(3, lambda x, y, z: y * z - x)
     for p in pts[:10]:
-        lhs = jacobi_bidiff(J, jet_of(f, p), jet_of(g, p))
+        lhs = _jet(f, p) @ jacobi_bidiff_matrix(J, p) @ _jet(g, p)
         rhs = bracket_field(J, f, g).value(p)
         assert abs(lhs - rhs) < 1e-10
 
 
 def test_bidiff_slots(darboux3):
     J = contact_to_jacobi(darboux3)
-    p = np.array([0.2, 0.5, -0.1])
+    M = jacobi_bidiff_matrix(J, np.array([0.2, 0.5, -0.1]))
     # J((dx,0),(dy,0)) = Π(dx,dy) = 1
-    jx = JetElement(p, [1, 0, 0], 0.0)
-    jy = JetElement(p, [0, 1, 0], 0.0)
-    assert abs(jacobi_bidiff(J, jx, jy) - 1.0) < 1e-10
+    jx, jy = np.array([1.0, 0, 0, 0]), np.array([0, 1.0, 0, 0])
+    assert abs(jx @ M @ jy - 1.0) < 1e-10
     # J((0,1),(β,0)) = β(E)
-    j1 = JetElement(p, [0, 0, 0], 1.0)
-    jb = JetElement(p, [0.3, -0.2, 0.7], 0.0)
-    assert abs(jacobi_bidiff(J, j1, jb) - 0.7) < 1e-10
+    j1, jb = np.array([0, 0, 0, 1.0]), np.array([0.3, -0.2, 0.7, 0.0])
+    assert abs(j1 @ M @ jb - 0.7) < 1e-10
 
 
 def test_sharp_inverse(darboux3, trivgpd):
@@ -112,14 +104,13 @@ def test_sharp_inverse(darboux3, trivgpd):
         assert not check_sharp_inverse(C, broken, pts).passed
 
 
-def _pushforward_oracle_error(Phi, d):
-    """Worst |(DΦ δ)(μ) - Φ_x(δ(Φ*μ))| over the target test sections μ:
-    the closed form against the defining action, in which Φ*μ = a·(μ∘φ)
-    and Φ_x multiplies by 1/a(x)."""
-    out = gauge_pushforward(Phi, d)
-    a = Phi.factor.value(d.point)
-    return max(abs(pairing(out, jet_of(mu, out.point))
-                   - pairing(d, jet_of(Phi.pullback(mu), d.point)) / a)
+def _pushforward_oracle_error(Phi, d, p):
+    """Worst |(DΦ δ)(μ) - Φ_x(δ(Φ*μ))| over the target test sections μ, for
+    the derivation δ = d at p: the closed form against the defining action,
+    in which Φ*μ = a·(μ∘φ) and Φ_x multiplies by 1/a(x)."""
+    out, q = dphi_matrix(Phi, p) @ d, Phi.map(p)
+    a = Phi.factor.value(p)
+    return max(abs(out @ _jet(mu, q) - d @ _jet(Phi.pullback(mu), p) / a)
                for mu in default_test_functions(Phi.map.target))
 
 
@@ -129,24 +120,25 @@ def test_gauge_pushforward_closed_form():
     # a ≡ 1: DΦ(X,g) = (TφX, g)
     F = SmoothMap(src, dst, [lambda x, y: x + y, lambda x, y: y])
     Phi = ConformalMap(F)
-    d = Derivation([0.2, 0.3], [1.0, 0.0], 0.7)
-    out = gauge_pushforward(Phi, d)
-    assert np.allclose(out.X, [1.0, 0.0]) and abs(out.g - 0.7) < 1e-14
-    assert _pushforward_oracle_error(Phi, d) < 1e-12
+    p = np.array([0.2, 0.3])
+    d = np.array([1.0, 0.0, 0.7])
+    out = dphi_matrix(Phi, p) @ d
+    assert np.allclose(out[:-1], [1.0, 0.0]) and abs(out[-1] - 0.7) < 1e-14
+    assert _pushforward_oracle_error(Phi, d, p) < 1e-12
     # DΦ(1) = 1 always
-    one = Derivation([0.2, 0.3], np.zeros(2), 1.0)
-    out = gauge_pushforward(Phi, one)
-    assert np.abs(out.X).max() < 1e-14 and abs(out.g - 1.0) < 1e-14
-    assert _pushforward_oracle_error(Phi, one) < 1e-12
+    one = np.array([0.0, 0.0, 1.0])
+    out = dphi_matrix(Phi, p) @ one
+    assert np.abs(out[:-1]).max() < 1e-14 and abs(out[-1] - 1.0) < 1e-14
+    assert _pushforward_oracle_error(Phi, one, p) < 1e-12
 
 
 def test_gauge_pushforward_exponential_factor():
     c = Chart("r1", 1, [(-1, 1)])
     Phi = ConformalMap(identity_map(c), ScalarFieldSpec(1, lambda x: exp(x)))
-    d = Derivation([0.4], [1.0], 0.0)
-    out = gauge_pushforward(Phi, d)
-    assert abs(out.g - 1.0) < 1e-12     # X(a)/a = 1 for a = e^x
-    assert _pushforward_oracle_error(Phi, d) < 1e-12
+    p, d = np.array([0.4]), np.array([1.0, 0.0])
+    out = dphi_matrix(Phi, p) @ d
+    assert abs(out[-1] - 1.0) < 1e-12     # X(a)/a = 1 for a = e^x
+    assert _pushforward_oracle_error(Phi, d, p) < 1e-12
 
 
 def test_gauge_pushforward_oracle_mismatch():
@@ -157,8 +149,8 @@ def test_gauge_pushforward_oracle_mismatch():
 
     c = Chart("r2", 2, [(-1, 1)] * 2)
     Phi = DoubledPullback(identity_map(c))
-    d = Derivation([0.2, 0.3], [1.0, 0.5], 0.7)
-    assert _pushforward_oracle_error(Phi, d) > 1e-3
+    d = np.array([1.0, 0.5, 0.7])
+    assert _pushforward_oracle_error(Phi, d, np.array([0.2, 0.3])) > 1e-3
 
 
 def test_gauge_pushforward_zero_factor():
@@ -166,12 +158,12 @@ def test_gauge_pushforward_zero_factor():
     # |j¹a| is about 1 here
     c = Chart("r2", 2, [(-1, 1)] * 2)
     Phi = ConformalMap(identity_map(c), ScalarFieldSpec(2, lambda x, y: x))
+    d = np.array([1.0, 0.0, 0.5])
     for x in (0.0, 1e-10):
-        d = Derivation([x, 0.3], [1.0, 0.0], 0.5)
         with pytest.raises(ZeroConformalFactor):
-            gauge_pushforward(Phi, d)
-    out = gauge_pushforward(Phi, Derivation([0.5, 0.3], [1.0, 0.0], 0.5))
-    assert abs(out.g - 2.5) < 1e-12     # g + X(a)/a = 0.5 + 1/0.5
+            dphi_matrix(Phi, np.array([x, 0.3]))
+    out = dphi_matrix(Phi, np.array([0.5, 0.3])) @ d
+    assert abs(out[-1] - 2.5) < 1e-12     # g + X(a)/a = 0.5 + 1/0.5
 
 
 def test_pushforward_functoriality():
@@ -182,18 +174,16 @@ def test_pushforward_functoriality():
                      ScalarFieldSpec(2, lambda x, y: 1.0 + 0.5 * x * x))
     G = ConformalMap(SmoothMap(b, c, [lambda u, v: u * v, lambda u, v: u + v]),
                      ScalarFieldSpec(2, lambda u, v: exp(0.3 * u)))
-    from jdl.chart import compose_maps
-    from jdl.fields import compose
     comp_map = compose_maps(G.map, F.map)
     comp_factor = F.factor * compose(G.factor, F.map.components)
     GF = ConformalMap(comp_map, comp_factor)
     rng = np.random.default_rng(36)
     for _ in range(10):
         p = rng.uniform(-0.9, 0.9, 2)
-        d = Derivation(p, rng.normal(size=2), rng.normal())
-        one_step = gauge_pushforward(GF, d)
-        two_step = gauge_pushforward(G, gauge_pushforward(F, d))
-        assert np.abs(one_step.coords - two_step.coords).max() < 1e-10
+        d = rng.normal(size=3)
+        one_step = dphi_matrix(GF, p) @ d
+        two_step = dphi_matrix(G, F.map(p)) @ (dphi_matrix(F, p) @ d)
+        assert np.abs(one_step - two_step).max() < 1e-10
 
 
 def _q_leg(C, scale=1.0):
@@ -211,7 +201,7 @@ def test_ker_dphi_shapes(trivgpd):
     # the projection, and the same leg scaled by 1e-10, where the
     # relative-rank SVD kernel of DΦ drops the Tφ row and reads dim 3
     for scale in (1.0, 1e-10):
-        K = ker_DPhi(_q_leg(trivgpd, scale), p)
+        K = _ker_dphi(_q_leg(trivgpd, scale), p)
         assert K.dim == 2
         same, _ = subspace_equal(K, expected)
         assert same
@@ -219,13 +209,13 @@ def test_ker_dphi_shapes(trivgpd):
     # map to a point chart: kernel is all (X, -X(a)/a), dim = chart dim
     point = Chart("pt", 1, [(-1, 1)])
     compress = ConformalMap(SmoothMap(total, point, [lambda q, p, u: 0.0 * q]))
-    assert ker_DPhi(compress, p).dim == 3
+    assert _ker_dphi(compress, p).dim == 3
     # immersion: zero kernel
     base = Chart("base", 1, [(-2, 2)])
     big = Chart("big", 4, [(-2, 2)] * 4)
     emb = ConformalMap(SmoothMap(base, big, [lambda t: t, lambda t: t * t,
                                              lambda t: 0.0 * t, lambda t: 1.0 + 0.0 * t]))
-    assert ker_DPhi(emb, [0.3]).dim == 0
+    assert _ker_dphi(emb, np.array([0.3])).dim == 0
 
 
 def test_dphi_symbol_compatibility():
@@ -235,21 +225,25 @@ def test_dphi_symbol_compatibility():
     Phi = ConformalMap(
         SmoothMap(total, base, [lambda x, y, z: x * y, lambda x, y, z: z]),
         ScalarFieldSpec(3, lambda x, y, z: 1.0 + 0.1 * x))
-    from jdl.chart import tangent_map
     rng = np.random.default_rng(37)
     for _ in range(5):
         p = rng.uniform(-0.9, 0.9, 3)
         M = dphi_matrix(Phi, p)
         T = tangent_map(Phi.map, p)
         assert np.abs(M[:2, :3] - T).max() < 1e-12
-        assert ker_DPhi(Phi, p).dim == kernel(T).dim
+        assert _ker_dphi(Phi, p).dim == kernel(T).dim
+
+
+def _hamiltonian_derivation(J, f, p):
+    """Δ_f = J♯ j¹f at p, with J♯ = Mᵀ for the bi-DO matrix M of J."""
+    return jacobi_bidiff_matrix(J, p).T @ _jet(f, p)
 
 
 def _derivation_oracle_error(J, f, p, oracle=None):
     """Worst |Δ_f(g) - {f, g}(p)| over the test sections g, with the
     bracket read from the field tree of ``oracle`` (default J)."""
-    d = hamiltonian_derivation(J, f, p)
-    return max(abs(pairing(d, jet_of(g, p))
+    d = _hamiltonian_derivation(J, f, p)
+    return max(abs(d @ _jet(g, p)
                    - bracket_field(oracle or J, f, g).value(p))
                for g in default_test_functions(J.chart))
 
@@ -259,10 +253,10 @@ def test_hamiltonian_derivation_values(darboux3, pts):
     one = constant(3, 1.0)
     z = coordinate(3, 2)
     for p in pts[:5]:
-        d = hamiltonian_derivation(J, one, p)
-        assert np.allclose(d.X, [0, 0, 1], atol=1e-10) and abs(d.g) < 1e-10
-        d = hamiltonian_derivation(J, z, p)
-        assert abs(d.g + 1.0) < 1e-10     # -E(z) = -1
+        d = _hamiltonian_derivation(J, one, p)
+        assert np.allclose(d, [0, 0, 1, 0], atol=1e-10)
+        d = _hamiltonian_derivation(J, z, p)
+        assert abs(d[-1] + 1.0) < 1e-10     # -E(z) = -1
         for f in (one, z, coordinate(3, 0), darboux3.theta.comps[(0,)]):
             assert _derivation_oracle_error(J, f, p) < 1e-10
 

@@ -9,23 +9,17 @@ from jdl import catalog
 from jdl.cli import main
 from jdl.errors import UnknownId
 
-DUAL_PAIR_REPORTS = {
-    "morphism_leg1", "morphism_leg2", "transversality", "commutation",
-    "curvature_orthogonality", "varpi_orthogonality", "equivalence",
-    "rank_relation", "corollary_decomposition", "vertical_dim_sum",
-    "homogeneous_sdp_equivalence", "pullback_distribution"}
-
 
 def _lines(capsys):
     return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
 
 
 def test_catalog_builds_fresh_specs_by_id():
-    assert set(catalog.BUILDERS) == {"trivgpd", "darboux5-product",
-                                     "broken-comm", "broken-orth",
-                                     "broken-transv"}
+    assert {catalog.kind(i) for i in catalog.ENTRIES} == set(catalog.CHECKS)
+    for spec_id in catalog.ENTRIES:
+        assert catalog.build(spec_id) is not catalog.build(spec_id)
     first, second = catalog.build("trivgpd"), catalog.build("trivgpd")
-    assert first is not second and first.source is not second.source
+    assert first.source is not second.source
     assert catalog.build("broken-comm").name == "broken-comm"
 
 
@@ -35,13 +29,21 @@ def test_catalog_unknown_id_raises():
 
 
 def test_verify_prints_one_json_line_per_report(capsys):
-    assert main(["verify", "trivgpd", "--points", "3", "--seed", "2"]) == 0
-    lines = _lines(capsys)
-    assert {line["check_id"] for line in lines} == DUAL_PAIR_REPORTS
-    assert len(lines) == len(DUAL_PAIR_REPORTS)
-    for line in lines:
-        assert line["status"] == "pass" and line["samples"] == 3
-        assert line["wall_time"] > 0
+    # the first entry of each kind is a positive control
+    firsts = {}
+    for spec_id in catalog.ENTRIES:
+        firsts.setdefault(catalog.kind(spec_id), spec_id)
+    for kind, spec_id in firsts.items():
+        obj = catalog.build(spec_id)
+        pts = catalog.points(obj, 3, 2)
+        want = [rep.check_id for _, check in catalog.CHECKS[kind]
+                for rep in check(obj, pts)]
+        assert main(["verify", spec_id, "--points", "3", "--seed", "2"]) == 0
+        lines = _lines(capsys)
+        assert [line["check_id"] for line in lines] == want
+        for line in lines:
+            assert line["status"] == "pass" and line["samples"] == 3
+            assert line["wall_time"] > 0
 
 
 def test_verify_broken_spec_fails_and_reports_the_raising_check(capsys):
@@ -51,6 +53,8 @@ def test_verify_broken_spec_fails_and_reports_the_raising_check(capsys):
     assert by_id["check_morphisms"]["error"].startswith("ValueError")
     assert by_id["check_pullback_distribution"]["status"] == "error"
     assert by_id["check_pullback_distribution"]["error"].startswith(
+        "ValueError")
+    assert by_id["verify_leaf_correspondence"]["error"].startswith(
         "ValueError")
     assert by_id["transversality"]["status"] == "fail"
     assert by_id["equivalence"]["status"] == "pass"

@@ -121,11 +121,18 @@ def test_numbers_only_solve_to_numbers():
     assert np.allclose(np.asarray(X, dtype=float), [2.0, 1.0])
 
 
-@pytest.mark.parametrize("values", [
+SINGULAR = [
     [[1.0, 2.0], [2.0, 4.0]],                 # exactly singular
     [[1.0, 1.0], [1.0, 1.0 + 4e-15]],         # second pivot 4e-15
     [[5e-15, 0.0], [0.0, 1.0]],               # first pivot 5e-15
-])
+]
+
+
+# the pivot bound is relative to max |A₀|: each case scaled by 1e-15 is
+# still singular
+@pytest.mark.parametrize("values", SINGULAR + [
+    pytest.param(1e-15 * np.array(values), id=f"values{i}-times-1e-15")
+    for i, values in enumerate(SINGULAR)])
 def test_singular_value_matrix_raises(values):
     rng = np.random.default_rng(8)
     A = _mixed(rng, np.array(values), 2, 2, 0.0)
@@ -135,7 +142,11 @@ def test_singular_value_matrix_raises(values):
 
 
 def test_pivot_just_above_the_threshold_solves():
-    rng = np.random.default_rng(9)
-    A = _mixed(rng, np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), 2, 1, 0.0)
-    X = jet_solve(A, [1.0, 2.0])
-    assert abs(X[1].value - 1e13) / 1e13 < 1e-2
+    # second pivot 1e-13·scale against max |A₀| = scale, at either scale
+    for scale in (1.0, 1e-15):
+        rng = np.random.default_rng(9)
+        A = _mixed(rng, scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
+                   2, 1, 0.0)
+        X = jet_solve(A, [1.0, 2.0])
+        want = 1e13 / scale
+        assert abs(X[1].value - want) / want < 1e-2

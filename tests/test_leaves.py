@@ -1,4 +1,3 @@
-import csv
 from functools import cache
 
 import numpy as np
@@ -11,11 +10,11 @@ from jdl.chart import Chart, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.errors import StepOutOfDomain
 from jdl.fields import ScalarFieldSpec, constant, coordinate
-from jdl.jacobi import aff1, hamiltonian_field, lie_poisson, so3
+from jdl.jacobi import hamiltonian_field
 from jdl.jets import exp
-from jdl.leaves import (LeafProbe, characteristic_subspace,
-                        characteristic_vectors, check_pullback_distribution,
-                        leaf_trace, trace_to_csv, verify_leaf_correspondence)
+from jdl.leaves import (characteristic_subspace, characteristic_vectors,
+                        check_pullback_distribution, leaf_trace,
+                        verify_leaf_correspondence)
 
 CASIMIR_TOL = 1e-9
 SO3_CASIMIR = ScalarFieldSpec(3, lambda x, y, z: x * x + y * y + z * z)
@@ -23,11 +22,10 @@ SO3_CASIMIR = ScalarFieldSpec(3, lambda x, y, z: x * x + y * y + z * z)
 
 @cache
 def _pair(name):
-    """so3, aff1, or "curved"; darboux3 is the conftest pair."""
-    if name == "so3":
-        return lie_poisson(so3())
-    if name == "aff1":
-        return lie_poisson(aff1())
+    """The catalog's so3 or aff1, or "curved"; darboux3 is the conftest
+    pair."""
+    if name in ("so3", "aff1"):
+        return build(name)
     chart = Chart(name, 3, [(-2, 2)] * 3)
     # e^{0.3x + 0.2z}(dz - y dx): Π and E both non-linear
     return contact_to_jacobi(ContactStructure(chart, {
@@ -131,32 +129,3 @@ def test_pullback_distribution_controls(trivgpd_tiny_leg):
     assert check_pullback_distribution(trivgpd_tiny_leg, pts).passed
     broken = build("broken-comm")
     assert not check_pullback_distribution(broken, pts).passed
-
-
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        return list(csv.reader(fh))
-
-
-def test_csv_rank_column_follows_samples(tmp_path):
-    pts = [np.array([float(k), 0.0]) for k in range(5)]
-    probe = LeafProbe(pts, [2, 0, 2], [0, 2, 4], 0.0, 0.0, False)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(probe, path)
-    rows = _read_csv(path)
-    assert rows[0] == ["step", "x0", "x1", "rank"]
-    assert [int(r[-1]) for r in rows[1:]] == [2, 2, 0, 0, 2]
-
-
-def test_csv_round_trip_so3(tmp_path):
-    probe = leaf_trace(_pair("so3"), [0.3, -0.2, 0.4], n_steps=30, seed=6)
-    path = tmp_path / "so3.csv"
-    trace_to_csv(probe, path, casimir_fields=[SO3_CASIMIR])
-    rows = _read_csv(path)
-    assert rows[0] == ["step", "x0", "x1", "x2", "rank", "casimir0"]
-    assert len(rows) == len(probe.points) + 1
-    for row, q in zip(rows[1:], probe.points):
-        step = int(row[0])
-        assert np.array_equal([float(v) for v in row[1:4]], q)
-        assert int(row[4]) == probe.rank_at(step) == 2
-        assert float(row[5]) == SO3_CASIMIR.value(q)

@@ -3,7 +3,7 @@ import pytest
 
 from jdl.errors import NotContained
 from jdl.linalg import (BilinearForm, annihilator, full_space, image,
-                        intersect, kernel, orth_complement_wrt, preimage,
+                        kernel, orth_complement_wrt, preimage,
                         principal_angles, span_of, subspace_equal, sum_spaces,
                         zero_space)
 
@@ -20,7 +20,8 @@ def test_span_sum_intersect_annihilator():
     assert sum_spaces(s1, s2).dim == 2
     s12 = span_of([e(0, 3), e(1, 3)])
     s23 = span_of([e(1, 3), e(2, 3)])
-    inter = intersect(s12, s23)
+    # U ∩ V = (U° + V°)°
+    inter = annihilator(sum_spaces(annihilator(s12), annihilator(s23)))
     assert inter.dim == 1
     assert inter.contains_vector(e(1, 3))
     ann = annihilator(s1)

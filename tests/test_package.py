@@ -1,9 +1,12 @@
 """Hygiene of the ``jdl`` sources, read with ``ast``: every imported name
 is used (in the test modules too), every definition is referenced, every
 import sits at module level, every public function that builds a report
-is timed, no function takes a tolerance parameter, no determinant decides
-nondegeneracy, and every typed error is raised by some test."""
+is timed, every timed check is in the catalog's table of checks, a public
+definition that only tests reach is a named oracle, no function takes a
+tolerance parameter, no determinant decides nondegeneracy, and every typed
+error is raised by some test."""
 import ast
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -13,8 +16,10 @@ from jdl import errors
 TESTS = Path(__file__).resolve().parent
 SOURCES = sorted((TESTS.parent / "src" / "jdl").glob("*.py"))
 TEST_SOURCES = sorted(TESTS.glob("*.py"))
+BENCHMARK_SOURCES = sorted((TESTS.parent / "perfbench").glob("*.py"))
 
 
+@cache
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -53,11 +58,11 @@ def _definitions(node, prefix=""):
             yield from _definitions(child, prefix)
 
 
-def test_every_definition_is_referenced():
-    """Each function, class and method of ``jdl`` is referenced by name, as
-    a Name, an Attribute or an import alias, in ``jdl`` or in the tests."""
+def _referenced(paths):
+    """Every name referenced in ``paths``, as a Name, an Attribute or an
+    import alias."""
     referenced = set()
-    for path in SOURCES + TEST_SOURCES:
+    for path in paths:
         for node in ast.walk(_tree(path)):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
@@ -65,10 +70,81 @@ def test_every_definition_is_referenced():
                 referenced.add(node.attr)
             elif isinstance(node, ast.alias):
                 referenced.add(node.name.split(".")[-1])
+    return referenced
+
+
+def test_every_definition_is_referenced():
+    """Each function, class and method of ``jdl`` is referenced by name, as
+    a Name, an Attribute or an import alias, in ``jdl`` or in the tests."""
+    referenced = _referenced(SOURCES + TEST_SOURCES)
     dead = [f"{path.stem}.{qualified}" for path in SOURCES
             for qualified, name in _definitions(_tree(path))
             if name not in referenced]
     assert dead == []
+
+
+def _timed_checks():
+    """The name of each public function and method of ``jdl`` decorated
+    with ``timed``."""
+    return {node.name for path in SOURCES for node in ast.walk(_tree(path))
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and any(isinstance(d, ast.Name) and d.id == "timed"
+                    for d in node.decorator_list)}
+
+
+# Timed checks that ``catalog.CHECKS`` does not run, and why.
+NOT_REGISTERED = {
+    "centralizer_membership":
+        "takes a section lambda besides the dual pair; no entry supplies one",
+    "check_lcs": "takes an l.c.s. structure, which no catalog kind is",
+    "check_jacobi_morphism":
+        "runs on each leg inside the registered DualPairSpec.check_morphisms",
+}
+
+
+def test_every_timed_check_is_in_the_catalog_table():
+    """``jdl verify`` runs every public timed check on some catalog id, or
+    the check is on NOT_REGISTERED with its reason."""
+    tree = _tree(TESTS.parent / "src" / "jdl" / "catalog.py")
+    called = {getattr(node, "id", getattr(node, "attr", None))
+              for node in ast.walk(tree)
+              if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(_timed_checks() - called) == sorted(NOT_REGISTERED)
+
+
+# Public definitions of ``jdl`` that only tests reference, each with a test
+# module that uses it as an oracle or a control.  Everything else public is
+# reached from ``jdl`` itself or from the benchmark.
+ORACLES = {
+    "atiyah.dphi_matrix": "test_pointdata",
+    "calculus.pullback_form": "test_calculus",
+    "chart.compose_maps": "test_atiyah",
+    "chart.identity_map": "test_jacobi",
+    "contact.contact_field_property": "test_contact",
+    "contact.lcs_bracket": "test_contact",
+    "contact.lcs_from_even_pair": "test_contact",
+    "contact.reeb": "test_contact",
+    "jacobi.JacobiPair.negated": "test_atiyah",
+    "jacobi.abelian": "test_jacobi",
+    "jacobi.conformal_change": "test_jacobi",
+    "jacobi.projective_chart": "test_jacobi",
+    "jacobi.projectivized_bracket_field": "test_jacobi",
+    "leaves.LeafProbe.parity": "test_leaves",
+}
+
+
+def test_definitions_only_tests_reach_are_named_oracles():
+    """A public definition that neither ``jdl`` nor the benchmark
+    references, timed checks aside, is on ORACLES, and the test module
+    named there references it; ORACLES names nothing else."""
+    reached = _referenced(SOURCES + BENCHMARK_SOURCES) | _timed_checks()
+    test_only = {f"{path.stem}.{qualified}": name for path in SOURCES
+                 for qualified, name in _definitions(_tree(path))
+                 if not name.startswith("_") and name not in reached}
+    assert sorted(test_only) == sorted(ORACLES)
+    for qualified, module in ORACLES.items():
+        assert test_only[qualified] in _referenced([TESTS / f"{module}.py"])
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -94,7 +170,7 @@ def test_no_tolerance_parameter():
 
 
 REPORT_BUILDERS = {"residual_report", "threshold_report", "CheckReport",
-                   "_check", "_evaluate"}
+                   "_evaluate"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
