@@ -115,27 +115,9 @@ def _perm_sign(perm):
 class KForm(_Antisym):
     """Differential k-form with field components over increasing indices."""
 
-    def __call__(self, p, *vectors):
-        """Evaluate on k tangent vectors at p."""
-        if len(vectors) != self.degree:
-            raise DimensionMismatch(
-                f"{self.degree}-form applied to {len(vectors)} vectors")
-        val = 0.0
-        for key, f in self.comps.items():
-            c = f.value(p)
-            if self.degree == 0:
-                return c
-            val += c * _det_minor(vectors, key)
-        return val
-
 
 class Multivector(_Antisym):
     """Multivector field of degree 1..3 with field components."""
-
-
-def _det_minor(vectors, key):
-    M = np.array([[np.asarray(v)[i] for v in vectors] for i in key])
-    return float(np.linalg.det(M))
 
 
 class VectorField:

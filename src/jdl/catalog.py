@@ -37,11 +37,11 @@ reports, and ``name`` labels the one error line of a check that raises.
   ``check_vertical_dim_sum``, ``check_homogeneous_sdp_equivalence``,
   ``check_pullback_distribution``, ``check_technical_lemma`` (one report
   per leg, against the source pair) and ``verify_leaf_correspondence``.
-* ``contact``: ``check_contact``, ``check_varpi_closed``,
-  ``check_one_perp_is_horizontal``, ``check_sharp_inverse`` against
-  ``contact_to_jacobi(C)``, ``check_contracting_homotopy`` on ϖ and on
-  θ∘σ, ``check_symplectization``, ``check_symplectization_consistency``
-  and ``check_jacobi_pair`` of the induced pair.
+* ``contact``: ``check_contact``, ``check_one_perp_is_horizontal``
+  (ι_1 ϖ = θ∘σ), ``check_sharp_inverse`` against ``contact_to_jacobi(C)``,
+  ``check_symplectization`` (d_D ϖ = 0 and the contracting homotopy, read
+  on ω~), ``check_symplectization_consistency`` and ``check_jacobi_pair``
+  of the induced pair.
 * ``jacobi``: ``check_jacobi_pair`` and the Poissonization checks
   (``check_poissonization_oracle``, ``check_homogeneity`` and
   ``check_schouten_square``).
@@ -52,9 +52,8 @@ chart itself read the first coordinates of each point.
 """
 from __future__ import annotations
 
-from .atiyah import (check_contracting_homotopy, check_one_perp_is_horizontal,
-                     check_sharp_inverse, check_technical_lemma,
-                     check_varpi_closed, theta_sigma_form, varpi_form)
+from .atiyah import (check_one_perp_is_horizontal, check_sharp_inverse,
+                     check_technical_lemma)
 from .chart import Chart, SmoothMap, sample_points
 from .contact import ContactStructure, check_contact, contact_to_jacobi
 from .dualpair import (DualPairSpec, check_corollary_decomposition,
@@ -161,18 +160,6 @@ def _technical_lemma(dp, pts):
     return reps
 
 
-def _contracting_homotopy(C, pts):
-    """check_contracting_homotopy on ϖ and on θ∘σ."""
-    base = _base(C, pts)
-    reps = []
-    for name, form in (("varpi", varpi_form(C)),
-                       ("theta_sigma", theta_sigma_form(C))):
-        rep = check_contracting_homotopy(form, base)
-        rep.check_id += f"_{name}"
-        reps.append(rep)
-    return reps
-
-
 def _poissonization(J, pts):
     """The Poissonization checks of J at points of chart × R^×."""
     P = lifted_pair(J)   # the oracle report certifies it
@@ -192,11 +179,9 @@ CHECKS = {
         *_each(verify_leaf_correspondence),
     ),
     "contact": (
-        *_each(check_contact, check_varpi_closed,
-               check_one_perp_is_horizontal),
+        *_each(check_contact, check_one_perp_is_horizontal),
         ("check_sharp_inverse", lambda C, pts: [check_sharp_inverse(
             C, contact_to_jacobi(C), _base(C, pts))]),
-        ("check_contracting_homotopy", _contracting_homotopy),
         ("check_symplectization",
          lambda C, pts: [check_symplectization(C, pts)]),
         ("check_symplectization_consistency",

@@ -259,8 +259,7 @@ def check_rank_relation(dp, pts):
         for i, (leg, other) in enumerate(zip(s.legs, s.legs[::-1])):
             ranks[i].add(leg.rank)
             span = span_of(_hamiltonian(s, other.jets), n, normalize=True)
-            same, ang = subspace_equal(leg.K, span)
-            r = max(r, ang if same else np.pi / 2)
+            r = max(r, subspace_equal(leg.K, span)[1])
         residuals.append((s.p, r))
     rep = residual_report(
         "rank_relation",
@@ -291,9 +290,9 @@ def check_corollary_decomposition(dp, pts):
             line = span_of(_hamiltonian(s, np.append(other.da, other.a)),
                            ambient=n)
             total = sum_spaces(line, comp_ambient)
-            same, ang = subspace_equal(total, leg.K)
             direct = total.dim == line.dim + comp_ambient.dim
-            r = max(r, ang if same and direct else np.pi / 2)
+            r = max(r, subspace_equal(total, leg.K)[1] if direct
+                    else np.pi / 2)
         residuals.append((s.p, r))
     return residual_report(
         "corollary_decomposition",

@@ -102,7 +102,7 @@ class Field:
         return Field(self.dim, lambda p, o: -self(p, o))
 
     def __pow__(self, n):
-        return Field(self.dim, lambda p, o: self(p, o) ** n)
+        return self._lift2(n, lambda a, b: a ** b)
 
 
 class ScalarFieldSpec(Field):

@@ -12,6 +12,13 @@ permanently.  A contact form θ lifts to the exact symplectic form
 ω~ = d(s·π*θ), and inverting ω~ pointwise reproduces the Poissonization of
 the induced Jacobi pair (two independent routes).
 
+ω~ is also the symplectic Atiyah form ϖ = d_D(θ∘σ) of the trivial line
+bundle, with d_D = d and ι_1 = ι_{s∂s} on homogeneous forms (see
+:mod:`jdl.atiyah`).  So :func:`check_symplectization` carries the
+der-complex identities: dω~ = 0 is d_D ϖ = 0, and dω~ = 0 with the
+construction ω~ = d(s·π*θ) is the contracting homotopy
+(d_D ι_1 + ι_1 d_D) ϖ = ϖ.
+
 The homogenized dual-pair check reads ω~ = [[s·dθ, -θ], [θᵀ, 0]] and
 TΦ~ = [[Tφ, 0], [s·da, a]] in closed form from first-order data at x;
 :func:`symplectize`, which keeps its own checks, and the lifted map
@@ -158,7 +165,13 @@ def symplectize(C):
 
 @timed
 def check_symplectization(C, pts):
-    """dω~ = 0, ω~ nondegenerate (else residual 1), h_t* ω~ = t ω~."""
+    """dω~ = 0, ω~ nondegenerate (else residual 1), h_t* ω~ = t ω~.
+
+    With ω~ = ϖ (module docstring), dω~ = 0 is d_D ϖ = 0, and together with
+    ω~ = d(s·π*θ), which :func:`symplectize` builds, it is the contracting
+    homotopy ϖ = d_D ι_1 ϖ with ι_1 ϖ = θ∘σ; h_t* ω~ = t ω~ says ω~ is
+    homogeneous, so that it is an Atiyah form.
+    """
     omega, big = symplectize(C)
     d_omega = exterior_d_form(omega)
     residuals = []
@@ -235,7 +248,7 @@ def check_homogeneous_sdp_equivalence(dp, pts):
             W = BilinearForm(_lifted_form(base.varpi, s))
             same, ang = subspace_equal(K1, orth_complement_wrt(W, K2, ambient))
             lifted_ok = lifted_ok and same
-            worst = max(worst, ang if same else np.pi / 2)
+            worst = max(worst, ang)
         if lifted_ok != base_ok:
             mismatches += 1
         residuals.append((base.p, worst if base_ok else 0.0))

@@ -156,12 +156,10 @@ def check_pullback_distribution(dp, pts):
             im = image(jacobi_bidiff_matrix(J, q).T)   # im J♯
             lhs = preimage(dphi_from(T, leg.a, leg.da), im)
             perp = orth_complement_wrt(W, leg.ker_D, full_space(n + 1))
-            same, ang = subspace_equal(lhs, sum_spaces(leg.ker_D, perp))
-            r = max(r, ang if same else np.pi / 2)
+            r = max(r, subspace_equal(lhs, sum_spaces(leg.ker_D, perp))[1])
             # tangent level
             lhs_t = preimage(T, characteristic_subspace(J, q))
-            same, ang = subspace_equal(lhs_t, D)
-            r = max(r, ang if same else np.pi / 2)
+            r = max(r, subspace_equal(lhs_t, D)[1])
         residuals.append((s.p, r))
     return residual_report(
         "pullback_distribution",

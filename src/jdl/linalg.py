@@ -192,7 +192,9 @@ def principal_angles(U, V):
 
 
 def subspace_equal(U, V):
-    """(equal?, max principal angle).  Equality needs matching dims too."""
+    """(equal?, worst principal angle).  Equality needs matching dims too,
+    and the angle is π/2 when they differ, so it is the residual of the
+    equality."""
     if U.ambient != V.ambient:
         raise DimensionMismatch("ambient dims differ")
     if U.dim != V.dim:

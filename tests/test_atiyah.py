@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from jdl import atiyah, contact
-from jdl.atiyah import (AtiyahForm, check_contracting_homotopy,
-                        check_one_perp_is_horizontal, check_sharp_inverse,
-                        check_technical_lemma, check_varpi_closed,
-                        dphi_matrix, ker_DPhi_from, theta_sigma_form,
-                        varpi_form, varpi_matrix)
+from jdl.atiyah import (check_one_perp_is_horizontal, check_sharp_inverse,
+                        check_technical_lemma, dphi_matrix, ker_DPhi_from,
+                        varpi_matrix)
 from jdl.chart import (Chart, SmoothMap, compose_maps, identity_map,
                        sample_points, tangent_map)
 from jdl.contact import contact_to_jacobi
@@ -285,46 +282,3 @@ def test_technical_lemma_identity_and_point(darboux3):
     to_pt = ConformalMap(SmoothMap(darboux3.chart, point,
                                    [lambda x, y, z: 0.0 * x]))
     assert check_technical_lemma(to_pt, J, pts).passed
-
-
-def test_varpi_closed(darboux3, trivgpd):
-    for C in (darboux3, trivgpd):
-        pts = sample_points(C.chart, 10, seed=40)
-        assert check_varpi_closed(C, pts).passed
-
-
-def test_contracting_homotopy(darboux3, trivgpd):
-    pts = sample_points(darboux3.chart, 10, seed=41)
-    assert check_contracting_homotopy(theta_sigma_form(darboux3), pts).passed
-    assert check_contracting_homotopy(varpi_form(darboux3), pts).passed
-    pts2 = sample_points(trivgpd.chart, 10, seed=42)
-    assert check_contracting_homotopy(varpi_form(trivgpd), pts2).passed
-
-
-def _doubled_dtheta(C):
-    """ϖ's entry fields with the dθ block doubled."""
-    W = contact.varpi_entry_fields(C)
-    return [[2.0 * w for w in row[:-1]] + row[-1:] for row in W[:-1]] + W[-1:]
-
-
-def test_varpi_closed_catches_a_doubled_dtheta(trivgpd, monkeypatch):
-    monkeypatch.setattr(atiyah, "varpi_entry_fields", _doubled_dtheta)
-    pts = sample_points(trivgpd.chart, 10, seed=40)
-    rep = check_varpi_closed(trivgpd, pts)
-    assert not rep.passed and rep.max_residual > 1e-3
-
-
-def _contract_slot_0(form):
-    """ι on the frame slot 0 instead of the 1-slot n."""
-    if form.degree == 1:
-        return AtiyahForm(form.chart, 0, form.entries[0])
-    return AtiyahForm(form.chart, 1, list(form.entries[0]))
-
-
-def test_contracting_homotopy_catches_a_contraction_in_slot_0(
-        darboux3, monkeypatch):
-    monkeypatch.setattr(atiyah, "der_contract_one", _contract_slot_0)
-    pts = sample_points(darboux3.chart, 10, seed=41)
-    for form in (theta_sigma_form(darboux3), varpi_form(darboux3)):
-        rep = check_contracting_homotopy(form, pts)
-        assert not rep.passed and rep.max_residual > 1e-3

@@ -174,6 +174,19 @@ def test_rank_relation_broken():
     assert not check_rank_relation(dp, pts).passed
 
 
+def test_rank_relation_catches_a_nonconstant_rank(trivgpd_dp):
+    # φ1 = q² has rank 0 at q = 0 and rank 1 elsewhere
+    square = ConformalMap(SmoothMap(trivgpd_dp.source.chart,
+                                    trivgpd_dp.Phi1.map.target,
+                                    [lambda q, p, u: q * q]))
+    dp = DualPairSpec(trivgpd_dp.source, (trivgpd_dp.J1, square),
+                      (trivgpd_dp.J2, trivgpd_dp.Phi2))
+    pts = [np.array([0.0, 0.3, 0.2]), np.array([0.5, 0.3, 0.2])]
+    rep = check_rank_relation(dp, pts)
+    assert not rep.passed
+    assert rep.notes == "nonconstant ranks: [0, 1], [1]"
+
+
 def test_corollary_decomposition_trivgpd(trivgpd_dp, tpts):
     assert check_corollary_decomposition(trivgpd_dp, tpts).passed
 

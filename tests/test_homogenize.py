@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jdl import homogenize
+from jdl.calculus import KForm
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
 from jdl.contact import ContactStructure
@@ -144,6 +145,59 @@ def test_symplectize_trivgpd_form(trivgpd):
     assert abs(M[1, 0] - p[3]) < 1e-12
 
 
+# the contact sources of the catalog entries: each entry's own contact
+# structure or its dual pair's source (the broken pairs share these)
+CONTACT_SOURCES = ("darboux3", "trivgpd", "darboux5-product")
+_symplectize = homogenize.symplectize
+
+
+def _contact_source(spec_id):
+    obj = build(spec_id)
+    return obj if isinstance(obj, ContactStructure) else obj.source
+
+
+def _doubled_dtheta(C):
+    """ω~ with its s·dθ block doubled: dω~ = ds∧dθ ≠ 0."""
+    omega, big = _symplectize(C)
+    n = C.chart.dim
+    return KForm(big, 2, {k: 2.0 * f if k[1] < n else f
+                          for k, f in omega.comps.items()}), big
+
+
+def _theta_column_times_s(C):
+    """ω~ with s·ds∧θ for ds∧θ: not closed, and not homogeneous."""
+    omega, big = _symplectize(C)
+    n = C.chart.dim
+    s = coordinate(n + 1, n)
+    return KForm(big, 2, {k: f * s if k[1] == n else f
+                          for k, f in omega.comps.items()}), big
+
+
+def _theta_is_dz(C):
+    """ω~ = d(s·dz) = ds∧dz: closed and homogeneous, but of rank 2."""
+    return _symplectize(ContactStructure(C.chart, {(C.chart.dim - 1,): 1.0}))
+
+
+@pytest.mark.parametrize("spec_id", CONTACT_SOURCES)
+def test_symplectization_of_every_contact_source(spec_id):
+    C = _contact_source(spec_id)
+    pts = sample_points(slit_chart(C.chart), 10, seed=68)
+    assert check_symplectization(C, pts).passed
+
+
+@pytest.mark.parametrize("broken", (_doubled_dtheta, _theta_column_times_s,
+                                    _theta_is_dz), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("spec_id", CONTACT_SOURCES)
+def test_symplectization_catches_a_broken_form(spec_id, broken, monkeypatch):
+    monkeypatch.setattr(homogenize, "symplectize", broken)
+    C = _contact_source(spec_id)
+    pts = sample_points(slit_chart(C.chart), 10, seed=68)
+    rep = check_symplectization(C, pts)
+    assert not rep.passed and rep.max_residual > 1e-3
+    if broken is _theta_is_dz:
+        assert rep.max_residual == 1.0   # only the nondegeneracy branch
+
+
 def test_symplectization_consistency(darboux3):
     omega, big = symplectize(darboux3)
     pts = sample_points(big, 20, seed=69)
@@ -219,6 +273,19 @@ def test_homogeneous_sdp_equivalence_broken():
     rep = check_homogeneous_sdp_equivalence(dp, pts)
     # fails upstairs and downstairs consistently: verdicts agree
     assert rep.passed
+
+
+def test_homogeneous_sdp_equivalence_catches_a_lift_without_da(monkeypatch):
+    # TΦ~ without its s·da entry: broken-comm's second leg, with factor
+    # e^p, then looks orthogonal upstairs while commutation fails below
+    lifted_tangent = homogenize._lifted_tangent
+    monkeypatch.setattr(homogenize, "_lifted_tangent",
+                        lambda T, a, da, s: lifted_tangent(T, a, 0 * da, s))
+    dp = build("broken-comm")
+    pts = sample_points(dp.source.chart, 10, seed=75)
+    rep = check_homogeneous_sdp_equivalence(dp, pts)
+    assert not rep.passed
+    assert rep.notes == "10 points with upstairs/downstairs mismatch"
 
 
 def test_slit_chart_samples_both_components():

@@ -8,7 +8,7 @@ import sympy
 
 from jdl import jets
 from jdl.errors import DimensionMismatch, DomainViolation, OrderUnsupported
-from jdl.fields import ScalarFieldSpec, compose
+from jdl.fields import ScalarFieldSpec, compose, coordinate
 from jdl.jets import Jet, jet_lift, taylor_compose
 
 from conftest import fd_gradient, fd_hessian
@@ -188,24 +188,40 @@ def test_third_order_symbolic():
     assert np.allclose(t, t.transpose(2, 1, 0))
 
 
-_OPS = {"+": (operator.add,) * 2, "-": (operator.sub,) * 2,
-        "*": (operator.mul,) * 2, "/": (operator.truediv,) * 2,
-        "exp": (jets.exp, sympy.exp), "sin": (jets.sin, sympy.sin),
-        "sqrt": (jets.sqrt, sympy.sqrt)}
-_BINARY = ("+", "-", "*", "/")
-# where the last operand of an operation may sit: divisors and square-root
-# arguments away from 0, exponents at most 4
-_DOMAIN = {"/": lambda v: abs(v) >= 0.25, "sqrt": lambda v: v >= 0.25,
-           "exp": lambda v: v <= 4.0}
+def _on_fields(fn):
+    """fn applied to a field by composition."""
+    return lambda f: compose(ScalarFieldSpec(1, fn), [f])
 
 
-def _fits(op, v):
-    return _DOMAIN.get(op, lambda v: True)(v)
+# op -> (on jets, on sympy expressions, on fields); "0.5-" and "2/" put a
+# number first, which reaches __rsub__ and __rtruediv__, and "**" raises to
+# a constant or to a jet
+_OPS = {"+": (operator.add,) * 3, "-": (operator.sub,) * 3,
+        "*": (operator.mul,) * 3, "/": (operator.truediv,) * 3,
+        "0.5-": (lambda a: 0.5 - a,) * 3, "2/": (lambda a: 2.0 / a,) * 3,
+        "**": (operator.pow,) * 3, "**3": (lambda a: a ** 3,) * 3,
+        "**-2": (lambda a: a ** -2,) * 3, "**1.5": (lambda a: a ** 1.5,) * 3,
+        "exp": (jets.exp, sympy.exp, _on_fields(jets.exp)),
+        "sin": (jets.sin, sympy.sin, _on_fields(jets.sin)),
+        "sqrt": (jets.sqrt, sympy.sqrt, _on_fields(jets.sqrt))}
+_BINARY = ("+", "-", "*", "/", "**")
+# where the tree so far u and the second operand v of an operation may
+# sit: divisors at least 1/4 in size, bases of square roots and of powers
+# to a jet or a fraction at least 1/4, exp's argument at most 4 and a
+# power's exponent at most 2 in size
+_DOMAIN = {"/": lambda u, v: abs(v) >= 0.25, "2/": lambda u: abs(u) >= 0.25,
+           "**": lambda u, v: u >= 0.25 and abs(v) <= 2.0,
+           "**-2": lambda u: abs(u) >= 0.25, "**1.5": lambda u: u >= 0.25,
+           "sqrt": lambda u: u >= 0.25, "exp": lambda u: u <= 4.0}
+
+
+def _fits(op, *values):
+    return _DOMAIN.get(op, lambda *values: True)(*values)
 
 
 def _random_expression(rng, p, n_ops=4):
     """A random expression tree at p that applies ``n_ops`` distinct ones of
-    +, -, *, /, exp, sin and sqrt, as ``(op, operand trees...)`` tuples.
+    the operations of ``_OPS``, as ``(op, operand trees...)`` tuples.
 
     Each operation takes the tree so far as its first operand; a binary one
     takes a coordinate, a constant or an earlier subtree as its second.  The
@@ -219,15 +235,18 @@ def _random_expression(rng, p, n_ops=4):
         todo = [str(op) for op in
                 rng.choice(sorted(_OPS), n_ops, replace=False)]
         while todo:
-            ready = [op for op in todo if op in _BINARY or _fits(op, value)]
+            seconds = {op: [node for node in pool if node[0] is not tree
+                            and _fits(op, value, node[1])]
+                       for op in todo if op in _BINARY}
+            ready = [op for op in todo
+                     if (seconds[op] if op in _BINARY else _fits(op, value))]
             if not ready:
                 break
             op = ready[rng.integers(len(ready))]
             todo.remove(op)
             args = [(tree, value)]
             if op in _BINARY:
-                fits = [node for node in pool
-                        if node[0] is not tree and _fits(op, node[1])]
+                fits = seconds[op]
                 args.append(fits[rng.integers(len(fits))])
             value = _OPS[op][0](*(v for _, v in args))
             tree = (op, *(t for t, _ in args))
@@ -237,8 +256,8 @@ def _random_expression(rng, p, n_ops=4):
 
 
 def _build(tree, xs, lib):
-    """The tree over coordinates ``xs``, with jets.* (lib 0) or sympy (lib 1)
-    functions."""
+    """The tree over coordinates ``xs``, with the operations on jets (lib 0),
+    sympy expressions (lib 1) or fields (lib 2)."""
     head, *args = tree
     if head == "x":
         return xs[args[0]]
@@ -247,14 +266,26 @@ def _build(tree, xs, lib):
     return _OPS[head][lib](*(_build(t, xs, lib) for t in args))
 
 
+def _ops_in(tree):
+    """The operations of an expression tree."""
+    head, *args = tree
+    if head not in _OPS:
+        return set()
+    return {head}.union(*map(_ops_in, args))
+
+
 def test_jets_match_sympy_to_third_order():
-    # random expressions in 2-3 variables, of four operations each;
-    # sympy differentiates each distinct partial derivative once
+    # random expressions in 2-3 variables, of four operations each, on jets
+    # and on fields; sympy differentiates each distinct partial once
     rng = np.random.default_rng(11)
+    drawn = set()
     for _ in range(20):
         p = rng.uniform(-1.5, 1.5, size=int(rng.integers(2, 4)))
         tree = _random_expression(rng, p)
+        drawn |= _ops_in(tree)
         j = jet_lift(lambda *xs: _build(tree, xs, 0), p, 3)
+        fields = [coordinate(p.size, i) for i in range(p.size)]
+        fj = _build(tree, fields, 2)(p, 3)
         syms = sympy.symbols(f"x0:{p.size}")
         at = dict(zip(syms, p))
         derivs = {(): sympy.sympify(_build(tree, syms, 1))}
@@ -263,9 +294,12 @@ def test_jets_match_sympy_to_third_order():
                 for k in (1, 2, 3)):
             derivs[idx] = sympy.diff(derivs[idx[:-1]], syms[idx[-1]])
         for idx, d in derivs.items():
-            got = np.asarray((j.value, j.grad, j.hess, j.third)[len(idx)])[idx]
             want = float(d.subs(at))
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+            for jet in (j, fj):
+                got = np.asarray(
+                    (jet.value, jet.grad, jet.hess, jet.third)[len(idx)])[idx]
+                assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+    assert drawn == set(_OPS)
 
 
 def test_partial_jet_shift():
