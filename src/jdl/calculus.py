@@ -6,10 +6,10 @@ antisymmetric arrays.  Derived objects (d of a form, pullbacks, interior
 products) are again forms with exact jet-evaluable components, so iterated
 operations (d∘d tests, Lie derivatives, naturality checks) stay exact.
 
-Sign conventions, pinned by unit tests against the darboux3 catalog pair:
-dα(X,Y) = X(α(Y)) - Y(α(X)) - α([X,Y]); [[X,Y]] is the Lie bracket;
-[[X,Π]] = L_X Π; and [[Π,Π]] is normalized so that the integrability
-condition for a Jacobi pair reads [[Π,Π]] = 2 E∧Π.
+Sign conventions, pinned by unit tests: dα(X,Y) = X(α(Y)) - Y(α(X)) -
+α([X,Y]), and the Schouten square of a bivector is normalized as
+[[P,P]]^{abc} = 2 Σ_cyc(abc) P^{lc} ∂_l P^{ab}, so that a bivector is
+Poisson exactly when [[P,P]] = 0.
 """
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import DegreeUnsupported, DimensionMismatch
 from .fields import as_field, compose, constant
-from .jets import Jet
 
 
 def _sorted_key(idx):
@@ -54,13 +53,6 @@ class _Antisym:
     def coeff(self, idx, p):
         f, sign = self.component(idx)
         return 0.0 if f is None else sign * f.value(p)
-
-    def coeff_jet(self, idx, p, order=1):
-        f, sign = self.component(idx)
-        if f is None:
-            return Jet.constant(0.0, self.chart.dim, order)
-        j = f(p, order)
-        return j if sign == 1 else -j
 
     def dense(self, p):
         """Dense antisymmetric value array at p, shape (dim,)*degree."""
@@ -141,17 +133,6 @@ class VectorField:
         for t in terms[1:]:
             out = out + t
         return out
-
-
-def lie_bracket(X, Y, p):
-    """[X,Y] at p: X(Y^i) - Y(X^i) via order-1 jets."""
-    xj = [c(p, 1) for c in X.comps]
-    yj = [c(p, 1) for c in Y.comps]
-    xv = np.array([j.value for j in xj])
-    yv = np.array([j.value for j in yj])
-    xg = np.stack([j.grad for j in xj])
-    yg = np.stack([j.grad for j in yj])
-    return yg @ xv - xg @ yv
 
 
 # -- exterior derivative ------------------------------------------------------
@@ -276,81 +257,23 @@ def _det_field(partials, rows, cols, dim):
     return acc if acc is not None else constant(dim, 0.0)
 
 
-# -- Schouten-Nijenhuis bracket ----------------------------------------------
+# -- Schouten-Nijenhuis square ----------------------------------------------
 
-def schouten(P, Q, p):
-    """Schouten-Nijenhuis bracket value at p for degrees (1,1), (1,2), (2,2).
-
-    Returns a dict over increasing index tuples of the resulting multivector
-    of degree deg P + deg Q - 1.
-    """
-    degs = (getattr(P, "degree", 1), getattr(Q, "degree", 1))
-    if isinstance(P, VectorField) and isinstance(Q, VectorField):
-        v = lie_bracket(P, Q, p)
-        return {(i,): v[i] for i in range(P.chart.dim)}
-    if isinstance(P, VectorField) and isinstance(Q, Multivector) and Q.degree == 2:
-        return _lie_der_bivector(P, Q, p)
-    if isinstance(Q, VectorField) and isinstance(P, Multivector) and P.degree == 2:
-        # graded symmetry: [[Π,X]] = [[X,Π]] for (a,b) = (2,1)
-        return _lie_der_bivector(Q, P, p)
-    if isinstance(P, Multivector) and isinstance(Q, Multivector) \
-            and P.degree == 2 and Q.degree == 2:
-        return _schouten_22(P, Q, p)
-    raise DegreeUnsupported(f"schouten bracket unsupported for degrees {degs}")
-
-
-def _lie_der_bivector(X, P, p):
-    """(L_X Π)^{jk} = X(Π^{jk}) - Π^{lk} ∂_l X^j - Π^{jl} ∂_l X^k."""
-    n = X.chart.dim
-    Pm, dP = _biv_jets(P, p)   # dP[l, j, k] = ∂_l Π^{jk}
-    Xv = np.array([c.value(p) for c in X.comps])
-    dX = np.stack([c(p, 1).grad for c in X.comps])   # dX[j, l] = ∂_l X^j
-    out = (np.einsum("l,ljk->jk", Xv, dP)
-           - np.einsum("lk,jl->jk", Pm, dX)
-           - np.einsum("jl,kl->jk", Pm, dX))
-    return {key: out[key] for key in itertools.combinations(range(n), 2)}
-
-
-def _schouten_22(P, Q, p):
-    """[[P,Q]]^{ijk} = Σ_cyc(ijk) (P^{lk} ∂_l Q^{ij} + Q^{lk} ∂_l P^{ij}).
-
-    Normalized so that the Jacobi-pair condition is [[Π,Π]] = 2E∧Π and the
-    Poisson condition is [[Π,Π]] = 0.
-    """
-    n = P.chart.dim
-    Pm, dP = _biv_jets(P, p)
-    Qm, dQ = _biv_jets(Q, p)
-    out = {}
-    for key in itertools.combinations(range(n), 3):
-        total = 0.0
-        for (i, j, k) in ((key[0], key[1], key[2]),
-                          (key[1], key[2], key[0]),
-                          (key[2], key[0], key[1])):
-            total += float(Pm[:, k] @ dQ[:, i, j] + Qm[:, k] @ dP[:, i, j])
-        out[key] = total
-    return out
-
-
-def _biv_jets(P, p):
+def bivector_jet(P, p):
+    """Value and first derivatives of a bivector at p, as dense arrays
+    (Π, dΠ) with dΠ[l, j, k] = ∂_l Π^{jk}."""
     n = P.chart.dim
     Pm = np.zeros((n, n))
     dP = np.zeros((n, n, n))
-    for key in itertools.combinations(range(n), 2):
-        j = P.coeff_jet(key, p, 1)
-        Pm[key] = j.value
-        Pm[key[::-1]] = -j.value
-        dP[:, key[0], key[1]] = j.grad
-        dP[:, key[1], key[0]] = -j.grad
+    for (i, j), f in P.comps.items():
+        jet = f(p, 1)
+        Pm[i, j], Pm[j, i] = jet.value, -jet.value
+        dP[:, i, j], dP[:, j, i] = jet.grad, -jet.grad
     return Pm, dP
 
 
-def wedge_vec_biv(E, P, p):
-    """(E ∧ Π)^{ijk} = E^i Π^{jk} - E^j Π^{ik} + E^k Π^{ij} at p."""
-    n = E.chart.dim
-    Ev = E.at(p)
-    Pm, _ = _biv_jets(P, p)
-    out = {}
-    for key in itertools.combinations(range(n), 3):
-        i, j, k = key
-        out[key] = Ev[i] * Pm[j, k] - Ev[j] * Pm[i, k] + Ev[k] * Pm[i, j]
-    return out
+def schouten_square(P, dP):
+    """[[P,P]]^{abc} = 2 Σ_cyc(abc) P^{lc} ∂_l P^{ab} as a dense array, from
+    a bivector 1-jet (P, dP) as :func:`bivector_jet` returns it."""
+    T = 2.0 * np.einsum("lc,lab->abc", P, dP)
+    return T + T.transpose(2, 0, 1) + T.transpose(1, 2, 0)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .calculus import KForm, exterior_d_form, lie_derivative, wedge_form
 from .chart import sample_points
-from .errors import (DegenerateCurvature, EvenDimension, InconsistentOracle,
+from .errors import (DegenerateCurvature, EvenDimension, OracleMismatch,
                      SingularOmega, SingularSystem)
 from .fields import Field, as_field, constant, jet_solve, point_memo
 from .jacobi import JacobiPair, hamiltonian_field, jacobi_bidiff_matrix
@@ -137,7 +137,7 @@ def contact_to_jacobi(C):
     points of C's chart (seed 23) from the float dθ and θ matrices, which
     read the stored components and not the jet inverse or the
     ``field_matrix`` layout it is built from; a residual above 1e-8 raises
-    InconsistentOracle, and a singular ϖ raises SingularSystem.  The
+    OracleMismatch, and a singular ϖ raises SingularSystem.  The
     defining-equation oracle, through bracket extraction, lives in the
     tests.
 
@@ -148,7 +148,7 @@ def contact_to_jacobi(C):
     worst = max((sharp_inverse_residual(C, J, p)
                  for p in sample_points(C.chart, 5, seed=23)), default=0.0)
     if worst > 1e-8:
-        raise InconsistentOracle(
+        raise OracleMismatch(
             f"closed-form Jacobi pair fails varpi_flat . J_sharp = id "
             f"(residual {worst:.2e})")
     C._pair = J

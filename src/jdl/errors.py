@@ -26,7 +26,8 @@ class NotContained(JdlError):
 
 
 class DegreeUnsupported(JdlError):
-    """Schouten bracket requested for degrees outside (1,1), (1,2), (2,2)."""
+    """A field matrix was requested of a form or multivector whose degree is
+    not 1 or 2."""
 
 
 class EvenDimension(JdlError):
@@ -41,10 +42,6 @@ class DegenerateCurvature(JdlError):
     """The restricted curvature form is degenerate at the point."""
 
 
-class InconsistentOracle(JdlError):
-    """The closed-form Jacobi pair of a contact structure fails ϖ♭∘J♯ = id."""
-
-
 class ZeroConformalFactor(JdlError):
     """A conformal factor vanishes at a sampled point."""
 
@@ -54,7 +51,9 @@ class ChartIndexInvalid(JdlError):
 
 
 class OracleMismatch(JdlError):
-    """A derived closed form disagrees with its defining oracle."""
+    """A closed form disagrees with its defining oracle: the Jacobi pair of
+    a contact structure fails ϖ♭∘J♯ = id, a Poissonization fails its
+    bracket oracle, or a bracket is not first-order and antisymmetric."""
 
 
 class SingularOmega(JdlError):

@@ -6,7 +6,7 @@ import pytest
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap
 from jdl.dualpair import DualPairSpec
-from jdl.errors import InconsistentOracle, SingularSystem
+from jdl.errors import OracleMismatch, SingularSystem
 from jdl.fields import constant, coordinate
 from jdl.homogenize import _lift_field, slit_chart
 from jdl.jacobi import ConformalMap, JacobiPair, bracket_field
@@ -126,7 +126,7 @@ def extract_pair_from_bracket(oracle, chart, pts, tol=1e-8):
             worst = max(worst, abs(lhs - rhs_f.value(p)),
                         abs(lhs + anti_f.value(p)))
     if worst > tol:
-        raise InconsistentOracle(
+        raise OracleMismatch(
             f"bracket oracle is not first-order/antisymmetric "
             f"(residual {worst:.2e})")
     return J

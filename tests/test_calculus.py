@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from jdl.calculus import (KForm, Multivector, VectorField, exterior_d_form,
-                          interior_form, lie_bracket, lie_derivative,
-                          pullback_form, schouten, wedge_form, wedge_vec_biv)
+from jdl.calculus import (KForm, Multivector, VectorField, bivector_jet,
+                          exterior_d_form, interior_form, lie_derivative,
+                          pullback_form, schouten_square, wedge_form)
 from jdl.chart import Chart, SmoothMap
 from jdl.errors import DegreeUnsupported
 
@@ -55,45 +55,17 @@ def test_d_squared_on_random_one_forms(r3):
         assert max(abs(dd.coeff(key, p)) for key in dd.keys_all()) < 1e-10
 
 
-def test_lie_bracket_values(r2):
-    X = VectorField(r2, [lambda x, y: 0.0 * x, lambda x, y: x])   # x ∂y
-    Y = VectorField(r2, [1.0, 0.0])                               # ∂x
-    v = lie_bracket(X, Y, [0.7, 0.1])
-    assert np.allclose(v, [0.0, -1.0])   # [x∂y, ∂x] = -∂y
-    Zx = VectorField(r2, [1.0, 0.0])
-    Zy = VectorField(r2, [0.0, 1.0])
-    assert np.allclose(lie_bracket(Zx, Zy, [0.0, 0.0]), 0.0)
-
-
-def test_lie_bracket_antisymmetry(r2):
-    rng = np.random.default_rng(33)
-    X = VectorField(r2, [lambda x, y: x * y, lambda x, y: y * y - x])
-    for _ in range(5):
-        p = rng.uniform(-1, 1, 2)
-        assert np.abs(lie_bracket(X, X, p)).max() < 1e-12
-        Y = VectorField(r2, [lambda x, y: x + y, lambda x, y: x * x])
-        assert np.abs(lie_bracket(X, Y, p) + lie_bracket(Y, X, p)).max() < 1e-12
-
-
 def test_schouten_constant_bivectors(r3):
     P = Multivector(r3, 2, {(0, 1): 1.0})
-    out = schouten(P, P, [0.1, 0.2, 0.3])
-    assert max(abs(v) for v in out.values()) < 1e-14
+    out = schouten_square(*bivector_jet(P, [0.1, 0.2, 0.3]))
+    assert np.abs(out).max() < 1e-14
 
 
-def test_schouten_darboux_pair_is_jacobi(r3):
-    # Π = (∂x + y ∂z) ∧ ∂y = ∂x∧∂y - y ∂y∧∂z,  E = ∂z
+def test_schouten_square_normalization(r3):
+    # Π = ∂x∧∂y - y ∂y∧∂z: [[Π,Π]] = 2 ∂x∧∂y∧∂z, which is 2E∧Π for E = ∂z
     P = Multivector(r3, 2, {(0, 1): 1.0, (1, 2): lambda x, y, z: -y})
-    E = VectorField(r3, [0.0, 0.0, 1.0])
-    rng = np.random.default_rng(37)
-    for _ in range(10):
-        p = rng.uniform(-1, 1, 3)
-        pp = schouten(P, P, p)
-        ep = wedge_vec_biv(E, P, p)
-        for key in pp:
-            assert abs(pp[key] - 2.0 * ep[key]) < 1e-12
-        lep = schouten(E, P, p)
-        assert max(abs(v) for v in lep.values()) < 1e-12
+    out = schouten_square(*bivector_jet(P, [0.3, -0.7, 0.5]))
+    assert out[0, 1, 2] == out[1, 2, 0] == 2.0 and out[1, 0, 2] == -2.0
 
 
 def test_schouten_so3_lie_poisson(r3):
@@ -104,15 +76,14 @@ def test_schouten_so3_lie_poisson(r3):
     rng = np.random.default_rng(39)
     for _ in range(10):
         p = rng.uniform(-1, 1, 3)
-        pp = schouten(P, P, p)
-        assert max(abs(v) for v in pp.values()) < 1e-12
+        pp = schouten_square(*bivector_jet(P, p))
+        assert np.abs(pp).max() < 1e-12
 
 
-def test_schouten_rejects_high_degree(r3):
-    T = Multivector(r3, 3, {(0, 1, 2): 1.0})
-    P = Multivector(r3, 2, {(0, 1): 1.0})
+def test_field_matrix_rejects_degree_three(r3):
+    T = KForm(r3, 3, {(0, 1, 2): 1.0})
     with pytest.raises(DegreeUnsupported):
-        schouten(T, P, [0, 0, 0])
+        T.field_matrix()
 
 
 def test_interior_and_lie_derivative(r3):
@@ -167,14 +138,3 @@ def test_pullback_naturality_with_d():
         rhs = rhs_form.coeff((0, 1), p)
         assert abs(lhs - rhs) < 1e-9
 
-
-def test_graded_jacobi_constant_multivectors(r3):
-    # brackets of constant-coefficient multivectors vanish; the graded
-    # Jacobi identity is then the statement that all nestings stay zero
-    rng = np.random.default_rng(43)
-    for _ in range(5):
-        cs = rng.normal(size=3)
-        X = VectorField(r3, [float(cs[0]), float(cs[1]), float(cs[2])])
-        P = Multivector(r3, 2, {(0, 1): float(cs[0]), (1, 2): float(cs[1])})
-        xp = schouten(X, P, rng.uniform(-1, 1, 3))
-        assert max(abs(v) for v in xp.values()) < 1e-10

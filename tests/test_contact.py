@@ -8,9 +8,8 @@ from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          contact_to_jacobi, curvature_form, lcs_bracket,
                          lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
                          varpi_matrix)
-from jdl.errors import (DegenerateCurvature, EvenDimension,
-                        InconsistentOracle, OrderUnsupported, SingularOmega,
-                        SingularSystem)
+from jdl.errors import (DegenerateCurvature, EvenDimension, OracleMismatch,
+                        OrderUnsupported, SingularOmega, SingularSystem)
 from jdl.fields import Field, ScalarFieldSpec, constant, coordinate, point_memo
 from jdl.homogenize import check_symplectization, slit_chart
 from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
@@ -424,5 +423,5 @@ def test_contact_to_jacobi_rejects_tampered_varpi(darboux3):
     # the jet entries see 2·dθ, the float validation sees the true dθ
     darboux3.dtheta._field_matrix = [[2.0 * f for f in row]
                                      for row in darboux3.dtheta.field_matrix()]
-    with pytest.raises(InconsistentOracle):
+    with pytest.raises(OracleMismatch):
         contact_to_jacobi(darboux3)

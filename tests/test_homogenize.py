@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from jdl import homogenize
-from jdl.calculus import KForm
+from jdl.calculus import KForm, bivector_jet
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
-from jdl.contact import ContactStructure
+from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.errors import OracleMismatch
 from jdl.fields import ScalarFieldSpec, compose, coordinate
 from jdl.homogenize import (_lift_field, check_homogeneity,
@@ -17,7 +17,8 @@ from jdl.homogenize import (_lift_field, check_homogeneity,
                             check_symplectization_consistency, lifted_pair,
                             poissonize, slit_chart, symplectize)
 from jdl.jacobi import (ConformalMap, JacobiPair, bracket_field,
-                        check_jacobi_morphism, lie_poisson, so3, zero_pair)
+                        check_jacobi_morphism, jacobi_bidiff_matrix,
+                        lie_poisson, poissonization_jet, so3, zero_pair)
 
 from conftest import homogenize_map
 
@@ -110,6 +111,23 @@ def test_poissonize_is_poisson(darboux3_pair):
     P = poissonize(darboux3_pair)
     pts = sample_points(P.chart, 10, seed=66)
     assert check_schouten_square(P, pts).passed
+
+
+@pytest.mark.parametrize("source", ["so3", "aff1", "darboux3",
+                                    "darboux5-product", "darboux3_pair"])
+def test_poissonization_jet_is_the_lifted_pairs(source, request):
+    # the closed-form 1-jet that check_jacobi_pair squares, against the
+    # lifted fields at s = 1; its value is the bi-DO matrix
+    J = {"darboux3": lambda: contact_to_jacobi(build(source)),
+         "darboux5-product": lambda: build(source).source_pair,
+         "darboux3_pair": lambda: request.getfixturevalue(source),
+         }.get(source, lambda: build(source))()
+    P = lifted_pair(J)
+    for p in sample_points(J.chart, 5, seed=67):
+        M, dM = poissonization_jet(J, p)
+        L, dL = bivector_jet(P.Pi, np.append(p, 1.0))
+        assert np.abs(M - L).max() == 0.0 and np.abs(dM - dL).max() == 0.0
+        assert np.abs(M - jacobi_bidiff_matrix(J, p)).max() == 0.0
 
 
 def test_poissonize_rejects_a_closed_form_its_oracle_refutes(

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from jdl.chart import Chart, SmoothMap, sample_points
-from jdl.errors import ChartIndexInvalid, InconsistentOracle
+from jdl.errors import ChartIndexInvalid, OracleMismatch
 from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import (ConformalMap, JacobiPair, aff1, abelian,
                         bracket_field, check_jacobi_morphism,
@@ -45,6 +45,22 @@ def test_broken_pair_fails(darboux3_pair, pts):
                    [1.0, 0.0, 0.0])
     rep = check_jacobi_pair(J, pts)
     assert not rep.passed
+
+
+def test_broken_e_pi_half_fails():
+    # Π = ∂x∧∂y and E = x∂x: [[Π,Π]] = 2E∧Π holds (both are 3-vectors on
+    # R^2) but [[E,Π]] = -∂x∧∂y, so the only nonzero components of the
+    # Poissonization's square are its ∂s components -2[[E,Π]]
+    c = Chart("r2", 2)
+    J = JacobiPair(c, {(0, 1): 1.0}, [coordinate(2, 0), 0.0])
+    rep = check_jacobi_pair(J, sample_points(c, 10, seed=3))
+    assert not rep.passed and rep.max_residual == 2.0
+
+
+def test_point_chart_pair_is_jacobi():
+    J = zero_pair(Chart("pt", 0, []))
+    rep = check_jacobi_pair(J, [np.zeros(0)])
+    assert rep.passed and rep.max_residual == 0.0
 
 
 def test_darboux3_brackets(darboux3_pair, pts):
@@ -257,7 +273,7 @@ def test_extract_rejects_inconsistent_oracle():
     c = Chart("r2", 2)
     # not antisymmetric: {f,g} = f·g
     oracle = lambda f, g: f * g
-    with pytest.raises(InconsistentOracle):
+    with pytest.raises(OracleMismatch):
         extract_pair_from_bracket(oracle, c, sample_points(c, 3, seed=19))
 
 
