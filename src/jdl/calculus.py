@@ -1,10 +1,17 @@
-"""Pointwise exterior calculus and bracket calculus on chart fields.
+"""Exterior calculus and bracket calculus on chart fields.
 
 Differential forms and multivector fields are stored sparsely as component
-fields over increasing multi-indices; pointwise evaluation produces dense
-antisymmetric arrays.  Derived objects (d of a form, pullbacks, interior
-products) are again forms with exact jet-evaluable components, so iterated
-operations (d∘d tests, Lie derivatives, naturality checks) stay exact.
+fields over increasing multi-indices.  :meth:`_Antisym.jet` is the one
+pointwise reader: it returns the dense antisymmetric value and first
+derivatives of a degree-1 or degree-2 object at a point, and every
+first-order identity is read from it.  With :func:`cyclic`, the three-slot
+cyclic sum, d of a 1-form is dA - dAᵀ, d of a 2-form is cyclic(dA), and
+ω∧η is cyclic(η ⊗ ω) for a 2-form ω and a 1-form η.
+
+:func:`exterior_d_form` is the one tree operator: it returns dω as a form
+with exact jet-evaluable components, for objects whose derivatives are read
+again (ϖ's jet inverse, the symplectization).  Pullbacks are trees too, so
+d commutes with them exactly (a naturality test).
 
 Sign conventions, pinned by unit tests: dα(X,Y) = X(α(Y)) - Y(α(X)) -
 α([X,Y]), and the Schouten square of a bivector is normalized as
@@ -21,17 +28,6 @@ from .errors import DegreeUnsupported, DimensionMismatch
 from .fields import as_field, compose, constant
 
 
-def _sorted_key(idx):
-    """(sorted tuple, sign) for an antisymmetric index lookup; sign 0 if
-    repeated, else the sign of the sorting permutation."""
-    idx = tuple(idx)
-    perm = sorted(range(len(idx)), key=idx.__getitem__)
-    key = tuple(idx[a] for a in perm)
-    if len(set(key)) < len(key):
-        return key, 0
-    return key, _perm_sign(perm)
-
-
 class _Antisym:
     """Shared storage/evaluation for forms and multivectors."""
 
@@ -44,26 +40,31 @@ class _Antisym:
                 raise DimensionMismatch(f"component index {k} not increasing")
         self._field_matrix = None
 
-    def component(self, idx):
-        key, sign = _sorted_key(idx)
-        if sign == 0 or key not in self.comps:
-            return None, 0
-        return self.comps[key], sign
+    def coeff(self, key, p):
+        """The component at the increasing index ``key`` at p, 0 if unset;
+        it reads forms of any degree."""
+        f = self.comps.get(tuple(key))
+        return 0.0 if f is None else f.value(p)
 
-    def coeff(self, idx, p):
-        f, sign = self.component(idx)
-        return 0.0 if f is None else sign * f.value(p)
+    def jet(self, p):
+        """Dense value and first derivatives at p, (A, dA) with
+        dA[l, ...] = ∂_l A[...], for degree 1 and 2: the one pointwise
+        reader of forms and multivectors."""
+        n = self.chart.dim
+        if self.degree not in (1, 2):
+            raise DegreeUnsupported(f"jet needs degree 1 or 2, got {self.degree}")
+        A = np.zeros((n,) * self.degree)
+        dA = np.zeros((n,) * (self.degree + 1))
+        for key, f in self.comps.items():
+            j = f(p, 1)
+            A[key], dA[(slice(None),) + key] = j.value, j.grad
+        if self.degree == 2:
+            return A - A.T, dA - dA.transpose(0, 2, 1)
+        return A, dA
 
     def dense(self, p):
-        """Dense antisymmetric value array at p, shape (dim,)*degree."""
-        n = self.chart.dim
-        out = np.zeros((n,) * self.degree)
-        for key, f in self.comps.items():
-            v = f.value(p)
-            for perm in itertools.permutations(range(self.degree)):
-                sgn = _perm_sign(perm)
-                out[tuple(key[a] for a in perm)] = sgn * v
-        return out
+        """Dense antisymmetric value array at p, the value part of :meth:`jet`."""
+        return self.jet(p)[0]
 
     def field_matrix(self):
         """The component fields laid out as :meth:`dense`, zero-filled and
@@ -84,24 +85,10 @@ class _Antisym:
             self._field_matrix = out
         return self._field_matrix
 
-    def keys_all(self):
-        return itertools.combinations(range(self.chart.dim), self.degree)
-
 
 def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1 by the parity of the inversions of ``perm``."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 class KForm(_Antisym):
@@ -123,6 +110,14 @@ class VectorField:
 
     def at(self, p):
         return np.array([c.value(p) for c in self.comps])
+
+    def jet(self, p):
+        """(X, dX) at p with dX[l, i] = ∂_l X^i, laid out as
+        :meth:`_Antisym.jet`."""
+        jets = [c(p, 1) for c in self.comps]
+        n = self.chart.dim
+        return (np.array([j.value for j in jets]),
+                np.array([j.grad for j in jets]).reshape(n, n).T)
 
     def apply_field(self, f):
         """X(f) as a derived field."""
@@ -146,10 +141,10 @@ def exterior_d_form(omega):
         terms = []
         for a in range(k + 1):
             sub = key[:a] + key[a + 1:]
-            f, sign = omega.component(sub)
+            f = omega.comps.get(sub)
             if f is None:
                 continue
-            terms.append(((-1) ** a * sign, f.partial(key[a])))
+            terms.append(((-1) ** a, f.partial(key[a])))
         if not terms:
             continue
         acc = terms[0][1] * terms[0][0]
@@ -159,56 +154,30 @@ def exterior_d_form(omega):
     return KForm(omega.chart, k + 1, comps)
 
 
-def interior_form(X, omega):
-    """i_X ω as a derived (k-1)-form."""
-    n = omega.chart.dim
-    k = omega.degree
-    comps = {}
-    for key in itertools.combinations(range(n), k - 1):
-        terms = []
-        for j in range(n):
-            f, sign = omega.component((j,) + key)
-            if f is None:
-                continue
-            terms.append(X.comps[j] * f * sign)
-        if terms:
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = acc + t
-            comps[key] = acc
-    return KForm(omega.chart, k - 1, comps)
-
-
 def wedge_form(alpha, beta):
-    """α ∧ β as a derived form, convention (dx∧dy)(∂x,∂y) = 1."""
-    n = alpha.chart.dim
+    """α ∧ β as a derived form, convention (dx∧dy)(∂x,∂y) = 1; the tests
+    read θ∧(dθ)ⁿ from it as the volume oracle of the contact check."""
     k, l = alpha.degree, beta.degree
     comps = {}
-    for key in itertools.combinations(range(n), k + l):
+    for key in itertools.combinations(range(alpha.chart.dim), k + l):
         terms = []
         for pick in itertools.combinations(range(k + l), k):
             rest = tuple(a for a in range(k + l) if a not in pick)
-            sgn = _perm_sign(pick + rest)
-            fa, sa = alpha.component(tuple(key[a] for a in pick))
-            fb, sb = beta.component(tuple(key[a] for a in rest))
-            if fa is None or fb is None:
-                continue
-            terms.append((sgn * sa * sb, fa, fb))
+            fa = alpha.comps.get(tuple(key[a] for a in pick))
+            fb = beta.comps.get(tuple(key[a] for a in rest))
+            if fa is not None and fb is not None:
+                terms.append(fa * fb * _perm_sign(pick + rest))
         if terms:
-            acc = terms[0][1] * terms[0][2] * terms[0][0]
-            for s, fa, fb in terms[1:]:
-                acc = acc + fa * fb * s
-            comps[key] = acc
+            comps[key] = sum(terms[1:], terms[0])
     return KForm(alpha.chart, k + l, comps)
 
 
-def lie_derivative(X, omega, p):
-    """L_X ω at p via Cartan: i_X dω + d i_X ω, as a value dict."""
-    d_omega = exterior_d_form(omega)
-    part1 = interior_form(X, d_omega)
-    part2 = exterior_d_form(interior_form(X, omega))
-    return {key: part1.coeff(key, p) + part2.coeff(key, p)
-            for key in part1.keys_all()}
+def lie_derivative(X, alpha, p):
+    """L_X α of a 1-form at p from the 1-jets of X and α:
+    (L_X α)_j = X^i ∂_i α_j + α_i ∂_j X^i."""
+    x, dx = X.jet(p)
+    a, da = alpha.jet(p)
+    return x @ da + dx @ a
 
 
 def pullback_form(F, omega):
@@ -259,21 +228,12 @@ def _det_field(partials, rows, cols, dim):
 
 # -- Schouten-Nijenhuis square ----------------------------------------------
 
-def bivector_jet(P, p):
-    """Value and first derivatives of a bivector at p, as dense arrays
-    (Π, dΠ) with dΠ[l, j, k] = ∂_l Π^{jk}."""
-    n = P.chart.dim
-    Pm = np.zeros((n, n))
-    dP = np.zeros((n, n, n))
-    for (i, j), f in P.comps.items():
-        jet = f(p, 1)
-        Pm[i, j], Pm[j, i] = jet.value, -jet.value
-        dP[:, i, j], dP[:, j, i] = jet.grad, -jet.grad
-    return Pm, dP
+def cyclic(T):
+    """The cyclic sum T_{abc} + T_{bca} + T_{cab} of a 3-slot array."""
+    return T + T.transpose(2, 0, 1) + T.transpose(1, 2, 0)
 
 
 def schouten_square(P, dP):
     """[[P,P]]^{abc} = 2 Σ_cyc(abc) P^{lc} ∂_l P^{ab} as a dense array, from
-    a bivector 1-jet (P, dP) as :func:`bivector_jet` returns it."""
-    T = 2.0 * np.einsum("lc,lab->abc", P, dP)
-    return T + T.transpose(2, 0, 1) + T.transpose(1, 2, 0)
+    a bivector 1-jet (P, dP) as :meth:`_Antisym.jet` returns it."""
+    return cyclic(2.0 * np.einsum("lc,lab->abc", P, dP))

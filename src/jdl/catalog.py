@@ -26,6 +26,9 @@ Each entry has a kind and a builder that returns fresh objects, so the lazy
 
 * ``so3``, ``aff1``: the Lie-Poisson pairs of so(3) and of the affine
   algebra of the line.
+* ``broken-jacobi``: Π = ∂x∧∂y and E = x∂x on the box [-2, 2]^2;
+  [[E,Π]] = -∂x∧∂y ≠ 0, so ``jacobi_pair`` and ``lifted_poisson`` fail,
+  while the Poissonization oracle and homogeneity hold.
 
 :data:`CHECKS` maps each kind to its ``(name, check)`` entries, in the
 order ``jdl verify`` runs them; ``check(obj, pts)`` returns a list of
@@ -111,6 +114,11 @@ def _darboux3():
                             {(0,): lambda x, y, z: -y, (2,): 1.0})
 
 
+def _broken_jacobi():
+    return JacobiPair(Chart("r2", 2, [(-2, 2)] * 2), {(0, 1): 1.0},
+                      [lambda x, y: x, 0.0])
+
+
 def _broken_transv():
     C = _darboux3()
     m1 = Chart("xz", 2, [(-2, 2)] * 2)
@@ -134,6 +142,7 @@ ENTRIES = {
     "darboux3": ("contact", _darboux3),
     "so3": ("jacobi", lambda: lie_poisson(so3())),
     "aff1": ("jacobi", lambda: lie_poisson(aff1())),
+    "broken-jacobi": ("jacobi", _broken_jacobi),
 }
 
 

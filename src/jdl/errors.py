@@ -26,8 +26,8 @@ class NotContained(JdlError):
 
 
 class DegreeUnsupported(JdlError):
-    """A field matrix was requested of a form or multivector whose degree is
-    not 1 or 2."""
+    """A field matrix or a jet was requested of a form or multivector whose
+    degree is not 1 or 2."""
 
 
 class EvenDimension(JdlError):

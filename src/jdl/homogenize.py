@@ -19,7 +19,8 @@ bundle, with d_D = d and ι_1 = ι_{s∂s} on homogeneous forms (see
 :mod:`jdl.atiyah`).  So :func:`check_symplectization` carries the
 der-complex identities: dω~ = 0 is d_D ϖ = 0, and dω~ = 0 with the
 construction ω~ = d(s·π*θ) is the contracting homotopy
-(d_D ι_1 + ι_1 d_D) ϖ = ϖ.
+(d_D ι_1 + ι_1 d_D) ϖ = ϖ.  It reads dω~ = cyclic(dA) from the 1-jet
+(A, dA) of ω~, so it evaluates θ to second order and builds no dω~ field.
 
 The homogenized dual-pair check reads ω~ = [[s·dθ, -θ], [θᵀ, 0]] and
 TΦ~ = [[Tφ, 0], [s·da, a]] in closed form from first-order data at x;
@@ -35,8 +36,7 @@ import itertools
 
 import numpy as np
 
-from .calculus import (KForm, bivector_jet, exterior_d_form,
-                       schouten_square)
+from .calculus import KForm, cyclic, schouten_square
 from .chart import Chart, sample_points, tangent_map
 from .contact import contact_to_jacobi
 from .dualpair import _defining_conditions
@@ -175,13 +175,11 @@ def check_symplectization(C, pts):
     homotopy ϖ = d_D ι_1 ϖ with ι_1 ϖ = θ∘σ; h_t* ω~ = t ω~ says ω~ is
     homogeneous, so that it is an Atiyah form.
     """
-    omega, big = symplectize(C)
-    d_omega = exterior_d_form(omega)
+    omega, _ = symplectize(C)
     residuals = []
     for p in pts:
-        r = max((abs(f.value(p)) for f in d_omega.comps.values()),
-                default=0.0)
-        M = omega.dense(p)
+        M, dM = omega.jet(p)
+        r = float(np.abs(cyclic(dM)).max())
         if nondegeneracy(M) <= RANK_TOL:
             r = max(r, 1.0)
         for t in (2.0, -1.0):
@@ -273,7 +271,7 @@ def check_schouten_square(P, pts):
     the closed-form 1-jet of P instead of from the lifted fields."""
     residuals = []
     for p in pts:
-        r = np.abs(schouten_square(*bivector_jet(P.Pi, p))).max()
+        r = np.abs(schouten_square(*P.Pi.jet(p))).max()
         residuals.append((p, float(r)))
     return residual_report("lifted_poisson", "[[P,P]] = 0 on the slit chart",
                            residuals, 1e-9)

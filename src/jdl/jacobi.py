@@ -20,8 +20,7 @@ import itertools
 
 import numpy as np
 
-from .calculus import (Multivector, VectorField, bivector_jet,
-                       schouten_square)
+from .calculus import Multivector, VectorField, schouten_square
 from .chart import Chart, tangent_map
 from .errors import ChartIndexInvalid, DimensionMismatch, ZeroConformalFactor
 from .fields import Field, ScalarFieldSpec, as_field, compose, constant, coordinate
@@ -94,13 +93,10 @@ def poissonization_jet(J, p):
     """The 1-jet of the Poissonization P = s⁻¹Π + ∂s∧E at (p, 1), in closed
     form from one 1-jet of (Π, E): the value is the bi-DO matrix
     [[Π, -E], [Eᵀ, 0]], ∂_l P is the same block of (∂_lΠ, ∂_lE), and
-    ∂_s P = [[-Π, 0], [0, 0]].  Laid out as :func:`bivector_jet`."""
-    n = J.chart.dim
-    Pi, dPi = bivector_jet(J.Pi, p)
-    jets = [c(p, 1) for c in J.E.comps]
-    E = np.array([j.value for j in jets])
-    dE = np.array([j.grad for j in jets]).reshape(n, n).T   # dE[l, j] = ∂_l E^j
-    ds = _bidiff_block(-Pi, np.zeros(n))
+    ∂_s P = [[-Π, 0], [0, 0]].  Laid out as :meth:`Multivector.jet`."""
+    Pi, dPi = J.Pi.jet(p)
+    E, dE = J.E.jet(p)
+    ds = _bidiff_block(-Pi, np.zeros(J.chart.dim))
     return _bidiff_block(Pi, E), np.concatenate([_bidiff_block(dPi, dE),
                                                  ds[None]])
 
@@ -251,9 +247,9 @@ def lie_poisson(g):
 
             def fld(*mu, ck=ck):
                 acc = 0.0
-                for k, coeff in enumerate(ck):
-                    if coeff != 0:
-                        acc = acc + coeff * mu[k]
+                for k, c in enumerate(ck):
+                    if c != 0:
+                        acc = acc + c * mu[k]
                 return acc
 
             comps[(i, j)] = ScalarFieldSpec(g.dim, fld)

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from jdl import catalog
+from jdl import catalog, jets
 from jdl.cli import main
-from jdl.errors import UnknownId
+from jdl.errors import OrderUnsupported, UnknownId
 
 
 def _lines(capsys):
@@ -44,6 +44,26 @@ def test_verify_prints_one_json_line_per_report(capsys):
         for line in lines:
             assert line["status"] == "pass" and line["samples"] == 3
             assert line["wall_time"] > 0
+
+
+def test_verify_builds_no_order_three_jet(monkeypatch, capsys):
+    # every identity jdl verify checks is read from jets of order 1 or 2 of
+    # the catalog's fields; an order-3 jet is refused and recorded, so a
+    # check that swallows the refusal into an error line still fails here
+    refused = []
+    check_order = jets._check_order
+
+    def refuse_order_three(order):
+        if order == 3:
+            refused.append(order)
+            raise OrderUnsupported("order 3 refused")
+        check_order(order)
+
+    monkeypatch.setattr(jets, "_check_order", refuse_order_three)
+    for spec_id in catalog.ENTRIES:
+        main(["verify", spec_id, "--points", "3", "--seed", "2"])
+    capsys.readouterr()
+    assert refused == []
 
 
 def test_verify_broken_spec_fails_and_reports_the_raising_check(capsys):

@@ -13,7 +13,8 @@ from jdl.errors import (DegenerateCurvature, EvenDimension, OracleMismatch,
 from jdl.fields import Field, ScalarFieldSpec, constant, coordinate, point_memo
 from jdl.homogenize import check_symplectization, slit_chart
 from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
-                        hamiltonian_field)
+                        conformal_change, hamiltonian_field)
+from jdl.jets import exp
 
 from conftest import extract_pair_from_bracket, reference_jet_solve
 
@@ -272,13 +273,46 @@ def test_lcs_bracket_matches_pair_bracket():
 
 def test_lcs_exponential_example():
     # (η, ω) = (dx, e^x dx∧dy) on R^2: a genuine l.c.s. structure
-    from jdl.jets import exp
     chart = Chart("r2", 2, [(-1, 1)] * 2)
     L = LcsStructure(chart, {(0,): 1.0},
                      {(0, 1): lambda x, y: exp(x)})
     rep = check_lcs(L, sample_points(chart, 10, seed=28))
     assert rep.passed
     assert "degenerate-dimension" in rep.notes
+
+
+def _r4_lcs(eta0):
+    """(η, ω) = (eta0·dx0, e^{x0}(dx0∧dx1 + dx2∧dx3)) on [-1, 1]^4."""
+    chart = Chart("r4", 4, [(-1, 1)] * 4)
+    return LcsStructure(chart, {(0,): eta0},
+                        {(0, 1): lambda a, b, c, d: exp(a),
+                         (2, 3): lambda a, b, c, d: exp(a)})
+
+
+def test_lcs_checks_d_omega_equals_eta_wedge_omega():
+    # dω = e^{x0} dx0∧dx2∧dx3 = η∧ω for η = dx0, the sign of d∇ω = 0 with
+    # the module's d∇ = d - η∧
+    L = _r4_lcs(1.0)
+    rep = check_lcs(L, sample_points(L.chart, 10, seed=32))
+    assert rep.passed and rep.notes == ""
+
+
+def test_lcs_rejects_the_opposite_lee_form():
+    # the broken control: η = -dx0 gives dω - η∧ω = 2e^{x0} dx0∧dx2∧dx3
+    L = _r4_lcs(-1.0)
+    assert not check_lcs(L, sample_points(L.chart, 10, seed=32)).passed
+
+
+def test_lcs_from_a_four_dim_even_pair():
+    # the conformal change of the symplectic R^4 by e^{0.5 x0 + 0.3 x2} has
+    # E ≠ 0, so its η is nonzero and its ω is not closed
+    chart = Chart("r4", 4, [(-1, 1)] * 4)
+    J0 = JacobiPair(chart, {(0, 1): 1.0, (2, 3): 1.0}, [0.0] * 4)
+    J = conformal_change(J0, ScalarFieldSpec(
+        4, lambda a, b, c, d: exp(0.5 * a + 0.3 * c)))
+    pts = sample_points(chart, 10, seed=31)
+    assert check_jacobi_pair(J, pts).passed
+    assert check_lcs(lcs_from_even_pair(J), pts).passed
 
 
 def test_lcs_from_even_pair_round_trip():
@@ -301,8 +335,6 @@ def test_lcs_from_even_pair_with_nonzero_e():
     # transitive even pair with E ≠ 0: E must lie in the image of Π♯;
     # take Π = ∂x∧∂y, E = x∂x brackets... need a certified pair: use the
     # conformal change of the symplectic plane by c = e^x, which twists E
-    from jdl.jacobi import conformal_change
-    from jdl.jets import exp
     chart = Chart("r2", 2, [(-2, 2)] * 2)
     J0 = JacobiPair(chart, {(0, 1): 1.0}, [0.0, 0.0])
     c = ScalarFieldSpec(2, lambda x, y: exp(0.5 * x))
@@ -366,7 +398,6 @@ def _defining_pair(C, pts):
 
 def _conformal_darboux3():
     # e^{0.3x + 0.2z}(dz - y dx): curved coefficients, so Hessians are nonzero
-    from jdl.jets import exp
     chart = Chart("darboux3e", 3, [(-2, 2)] * 3)
     return ContactStructure(chart, {
         (0,): lambda x, y, z: -y * exp(0.3 * x + 0.2 * z),

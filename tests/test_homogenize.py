@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jdl import homogenize
-from jdl.calculus import KForm, bivector_jet
+from jdl.calculus import KForm
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
@@ -125,7 +125,7 @@ def test_poissonization_jet_is_the_lifted_pairs(source, request):
     P = lifted_pair(J)
     for p in sample_points(J.chart, 5, seed=67):
         M, dM = poissonization_jet(J, p)
-        L, dL = bivector_jet(P.Pi, np.append(p, 1.0))
+        L, dL = P.Pi.jet(np.append(p, 1.0))
         assert np.abs(M - L).max() == 0.0 and np.abs(dM - dL).max() == 0.0
         assert np.abs(M - jacobi_bidiff_matrix(J, p)).max() == 0.0
 

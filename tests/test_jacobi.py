@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, sample_points
 from jdl.errors import ChartIndexInvalid, OracleMismatch
 from jdl.fields import ScalarFieldSpec, constant, coordinate
@@ -51,9 +52,8 @@ def test_broken_e_pi_half_fails():
     # Π = ∂x∧∂y and E = x∂x: [[Π,Π]] = 2E∧Π holds (both are 3-vectors on
     # R^2) but [[E,Π]] = -∂x∧∂y, so the only nonzero components of the
     # Poissonization's square are its ∂s components -2[[E,Π]]
-    c = Chart("r2", 2)
-    J = JacobiPair(c, {(0, 1): 1.0}, [coordinate(2, 0), 0.0])
-    rep = check_jacobi_pair(J, sample_points(c, 10, seed=3))
+    J = build("broken-jacobi")
+    rep = check_jacobi_pair(J, sample_points(J.chart, 10, seed=3))
     assert not rep.passed and rep.max_residual == 2.0
 
 

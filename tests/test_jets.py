@@ -202,17 +202,21 @@ _OPS = {"+": (operator.add,) * 3, "-": (operator.sub,) * 3,
         "**": (operator.pow,) * 3, "**3": (lambda a: a ** 3,) * 3,
         "**-2": (lambda a: a ** -2,) * 3, "**1.5": (lambda a: a ** 1.5,) * 3,
         "exp": (jets.exp, sympy.exp, _on_fields(jets.exp)),
+        "log": (jets.log, sympy.log, _on_fields(jets.log)),
         "sin": (jets.sin, sympy.sin, _on_fields(jets.sin)),
+        "cos": (jets.cos, sympy.cos, _on_fields(jets.cos)),
+        "atan": (jets.atan, sympy.atan, _on_fields(jets.atan)),
         "sqrt": (jets.sqrt, sympy.sqrt, _on_fields(jets.sqrt))}
 _BINARY = ("+", "-", "*", "/", "**")
 # where the tree so far u and the second operand v of an operation may
-# sit: divisors at least 1/4 in size, bases of square roots and of powers
-# to a jet or a fraction at least 1/4, exp's argument at most 4 and a
-# power's exponent at most 2 in size
+# sit: divisors at least 1/4 in size; bases of square roots and of powers
+# to a jet or a fraction, and arguments of logarithms, at least 1/4; exp's
+# argument at most 4 and a power's exponent at most 2 in size
 _DOMAIN = {"/": lambda u, v: abs(v) >= 0.25, "2/": lambda u: abs(u) >= 0.25,
            "**": lambda u, v: u >= 0.25 and abs(v) <= 2.0,
            "**-2": lambda u: abs(u) >= 0.25, "**1.5": lambda u: u >= 0.25,
-           "sqrt": lambda u: u >= 0.25, "exp": lambda u: u <= 4.0}
+           "sqrt": lambda u: u >= 0.25, "log": lambda u: u >= 0.25,
+           "exp": lambda u: u <= 4.0}
 
 
 def _fits(op, *values):
