@@ -13,8 +13,8 @@ broken-transv, whose leg onto a point chart leaves them empty arrays to
 reduce.  The exit status is 0 when every report passes, 1 when one fails, a
 check raises or standard output closes before the last line (``jdl verify
 ... | head -1``; that ends quietly, without a traceback), and 2 on a usage
-error such as an unknown id or ``--points`` below 1, with a one-line
-message.
+error such as an unknown id, ``--points`` below 1 or ``--seed`` below 0,
+with a one-line message.
 """
 from __future__ import annotations
 
@@ -58,10 +58,11 @@ def main(argv=None):
     run.add_argument("--points", type=int, default=10)
     run.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.points < 1:
-        print(f"jdl: --points must be at least 1, got {args.points}",
-              file=sys.stderr)
-        return 2
+    for flag, least in (("points", 1), ("seed", 0)):
+        if (value := getattr(args, flag)) < least:
+            print(f"jdl: --{flag} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            return 2
     try:
         status = verify(args.spec_id, args.points, args.seed)
         sys.stdout.flush()

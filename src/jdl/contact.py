@@ -141,8 +141,9 @@ def contact_to_jacobi(C):
     defining-equation oracle, through bracket extraction, lives in the
     tests.
 
-    The pair evaluates only up to order 2: ϖ holds dθ, so it needs one
-    more derivative of θ than the pair does, and jets stop at order 3.
+    The pair evaluates only to order 1, the only order a check reads: ϖ
+    holds dθ, so it needs one more derivative of θ than the pair does, and
+    jets stop at order 2.
     """
     J = C._pair or _closed_form_pair(C)
     worst = max((sharp_inverse_residual(C, J, p)

@@ -10,7 +10,7 @@ class DomainViolation(JdlError):
 
 
 class OrderUnsupported(JdlError):
-    """Requested jet order is not in {1, 2, 3}."""
+    """Requested jet order is not in {1, 2}."""
 
 
 class DimensionMismatch(JdlError):

@@ -20,7 +20,7 @@ class Field:
     """Scalar field given by a jet evaluator ``(p, order) -> Jet``.
 
     Evaluations are memoized per instance, for the point being evaluated
-    only: fields are immutable and derived field trees (nested brackets,
+    only: fields are immutable and derived field trees (brackets, partials,
     pullbacks) revisit shared subexpressions, so caching turns exponential
     tree walks into linear ones.  Those revisits all happen at the point of
     the outermost call, and checks loop point by point, so the memo keeps
@@ -36,7 +36,7 @@ class Field:
         self._eval = eval_jet
         self._cache = {}
 
-    def __call__(self, p, order=2):
+    def __call__(self, p, order):
         p = np.asarray(p, dtype=float)
         key = (p.tobytes(), order)
         hit = self._cache.get(key)
@@ -55,16 +55,14 @@ class Field:
         return self(p, 1).grad
 
     def partial(self, i):
-        """Exact ∂_i of this field (costs one extra jet order inside)."""
+        """Exact ∂_i of this field, to order 1 only: it reads the field's
+        2-jet, and jets stop at order 2."""
         def ev(p, order):
-            if order == 3:
+            if order != 1:
                 raise OrderUnsupported("∂_i reads one jet order more and jets "
-                                       "stop at 3: only up to order 2")
-            full = self(p, order + 1)
-            out = Jet(self.dim, order, full.grad[i], full.hess[i])
-            if order == 2:
-                out.hess = full.third[i]
-            return out
+                                       "stop at 2: only order 1")
+            full = self(p, 2)
+            return Jet(self.dim, 1, full.grad[i], full.hess[i])
         return Field(self.dim, ev)
 
     # pointwise ring structure; numbers promote to constants
@@ -208,14 +206,9 @@ def jet_solve(A, b):
     X = [inv @ B0]      # X[k][a, b, ..., i, j] = ∂_a ∂_b ... x_ij
     if order >= 1:
         X.append(inv @ (B_[0] - A_[0] @ X[0]))
-    if order >= 2:
+    if order == 2:
         t = A_[0][:, None] @ X[1]                   # A_a X_b
         X.append(inv @ (B_[1] - A_[1] @ X[0] - t - t.swapaxes(0, 1)))
-    if order == 3:
-        # A_a X_bc + A_bc X_a, symmetrized over the three derivative slots
-        t = A_[0][:, None, None] @ X[2] + A_[1] @ X[1][:, None, None]
-        X.append(inv @ (B_[2] - A_[2] @ X[0] - t - t.transpose(1, 0, 2, 3, 4)
-                        - t.transpose(2, 1, 0, 3, 4)))
     out = X[0].astype(object)
     if first is not None:
         X = [x.transpose(k, k + 1, *range(k)) for k, x in enumerate(X)]
@@ -235,7 +228,7 @@ def _taylor_coeffs(M, dim, order):
         elif (x.dim, x.order) != (dim, order):
             raise DimensionMismatch("jet dims or orders differ")
         else:
-            parts.append((x.value, x.grad, x.hess, x.third))
+            parts.append((x.value, x.grad, x.hess))
     return [np.array([p[k] for p in parts], dtype=float)
             .transpose(*range(1, k + 1), 0).reshape((dim,) * k + M.shape)
             for k in range(order + 1)]

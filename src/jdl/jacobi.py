@@ -11,8 +11,8 @@ associated bracket on functions is
     {f, g} = Π(df, dg) + f E(g) - g E(f),
 
 with Hamiltonian vector field X_f = Π♯(df) + f E and distinguished field
-E = X_1.  All derived objects stay jet-evaluable, so nested brackets are
-exact (no finite-difference layer is needed for Jacobi-identity checks).
+E = X_1.  Derived objects stay jet-evaluable, so a bracket of two fields
+has an exact 1-jet; no finite-difference layer enters any check.
 """
 from __future__ import annotations
 
@@ -114,7 +114,7 @@ def check_jacobi_pair(J, pts):
 
 
 def bracket_field(J, f, g):
-    """{f,g} as a derived field (exact jets; supports nesting)."""
+    """{f,g} as a derived field, exact to order 1."""
     f = as_field(J.chart.dim, f)
     g = as_field(J.chart.dim, g)
     acc = f * J.E.apply_field(g) - g * J.E.apply_field(f)

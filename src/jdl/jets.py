@@ -1,10 +1,12 @@
-"""Forward-mode truncated jets: exact value/gradient/Hessian (and optionally
-third derivatives) of scalar expressions at a point.
+"""Forward-mode truncated jets: exact value, gradient and Hessian of scalar
+expressions at a point.
 
 A :class:`Jet` carries the Taylor data of a scalar quantity with respect to
-``dim`` ambient coordinates, truncated at ``order`` (1, 2 or 3).  Arithmetic
-on jets propagates derivatives exactly; no finite differences enter the main
-code path.  Plain Python numbers mix freely with jets in expressions.
+``dim`` ambient coordinates, truncated at ``order``, 1 or 2, which every
+caller names.  Each checked identity is first order, and ∂_i of a field
+reads its 2-jet, so jets stop there.  Arithmetic on jets propagates
+derivatives exactly; no finite differences enter the main code path.  Plain
+Python numbers mix freely with jets in expressions.
 """
 from __future__ import annotations
 
@@ -16,8 +18,8 @@ from .errors import DimensionMismatch, DomainViolation, OrderUnsupported
 
 
 def _check_order(order: int) -> None:
-    if order not in (1, 2, 3):
-        raise OrderUnsupported(f"jet order must be 1, 2 or 3, got {order}")
+    if order not in (1, 2):
+        raise OrderUnsupported(f"jet order must be 1 or 2, got {order}")
 
 
 class Jet:
@@ -28,39 +30,33 @@ class Jet:
     dim : int
         Number of ambient coordinates.
     order : int
-        Truncation order (1, 2 or 3).
+        Truncation order (1 or 2).
     value : float
     grad : ndarray, shape (dim,)
-    hess : ndarray, shape (dim, dim), present iff order >= 2
-    third : ndarray, shape (dim, dim, dim), present iff order == 3
+    hess : ndarray, shape (dim, dim), present iff order == 2
     """
 
-    __slots__ = ("dim", "order", "value", "grad", "hess", "third")
+    __slots__ = ("dim", "order", "value", "grad", "hess")
 
-    def __init__(self, dim, order, value, grad=None, hess=None, third=None):
+    def __init__(self, dim, order, value, grad=None, hess=None):
         _check_order(order)
         self.dim = int(dim)
         self.order = int(order)
         self.value = float(value)
         self.grad = np.zeros(dim) if grad is None else np.asarray(grad, dtype=float)
-        if order >= 2:
+        if order == 2:
             self.hess = np.zeros((dim, dim)) if hess is None else np.asarray(hess, dtype=float)
         else:
             self.hess = None
-        if order == 3:
-            self.third = (np.zeros((dim, dim, dim)) if third is None
-                          else np.asarray(third, dtype=float))
-        else:
-            self.third = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(c, dim, order=2):
+    def constant(c, dim, order):
         return Jet(dim, order, c)
 
     @staticmethod
-    def variable(i, p, order=2):
+    def variable(i, p, order):
         """Jet of the i-th coordinate function at point p."""
         p = np.asarray(p, dtype=float)
         g = np.zeros(p.size)
@@ -83,20 +79,16 @@ class Jet:
     def __add__(self, other):
         o = self._coerce(other)
         out = Jet(self.dim, self.order, self.value + o.value, self.grad + o.grad)
-        if self.order >= 2:
+        if self.order == 2:
             out.hess = self.hess + o.hess
-        if self.order == 3:
-            out.third = self.third + o.third
         return out
 
     __radd__ = __add__
 
     def __neg__(self):
         out = Jet(self.dim, self.order, -self.value, -self.grad)
-        if self.order >= 2:
+        if self.order == 2:
             out.hess = -self.hess
-        if self.order == 3:
-            out.third = -self.third
         return out
 
     def __sub__(self, other):
@@ -110,13 +102,9 @@ class Jet:
         a, b = self, o
         out = Jet(self.dim, self.order, a.value * b.value,
                   a.value * b.grad + b.value * a.grad)
-        if self.order >= 2:
+        if self.order == 2:
             cross = np.outer(a.grad, b.grad)
             out.hess = a.value * b.hess + b.value * a.hess + cross + cross.T
-        if self.order == 3:
-            t = (a.value * b.third + b.value * a.third
-                 + _sym_grad_hess(a.grad, b.hess) + _sym_grad_hess(b.grad, a.hess))
-            out.third = t
         return out
 
     __rmul__ = __mul__
@@ -132,7 +120,7 @@ class Jet:
         u = self.value
         if u == 0.0:
             raise DomainViolation("division by a jet with zero value")
-        return self._lift(1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
+        return self._lift(1.0 / u, -1.0 / u**2, 2.0 / u**3)
 
     def __pow__(self, n):
         if isinstance(n, Jet):
@@ -151,39 +139,34 @@ class Jet:
         if self.value <= 0.0:
             raise DomainViolation(f"x**{n} needs x > 0, got x = {self.value}")
         u = self.value
-        return self._lift(u**n, n * u**(n - 1), n * (n - 1) * u**(n - 2),
-                          n * (n - 1) * (n - 2) * u**(n - 3))
+        return self._lift(u**n, n * u**(n - 1), n * (n - 1) * u**(n - 2))
 
     # -- analytic functions -------------------------------------------------
 
-    def _lift(self, f0, f1, f2, f3):
+    def _lift(self, f0, f1, f2):
         """Compose with a scalar function given derivatives at self.value."""
         out = Jet(self.dim, self.order, f0, f1 * self.grad)
-        if self.order >= 2:
+        if self.order == 2:
             out.hess = f1 * self.hess + f2 * np.outer(self.grad, self.grad)
-        if self.order == 3:
-            out.third = (f1 * self.third
-                         + f2 * _sym_grad_hess(self.grad, self.hess)
-                         + f3 * np.einsum("i,j,k->ijk", self.grad, self.grad, self.grad))
         return out
 
     def exp(self):
         e = math.exp(self.value)
-        return self._lift(e, e, e, e)
+        return self._lift(e, e, e)
 
     def log(self):
         u = self.value
         if u <= 0.0:
             raise DomainViolation(f"log needs a positive argument, got {u}")
-        return self._lift(math.log(u), 1.0 / u, -1.0 / u**2, 2.0 / u**3)
+        return self._lift(math.log(u), 1.0 / u, -1.0 / u**2)
 
     def sin(self):
         s, c = math.sin(self.value), math.cos(self.value)
-        return self._lift(s, c, -s, -c)
+        return self._lift(s, c, -s)
 
     def cos(self):
         s, c = math.sin(self.value), math.cos(self.value)
-        return self._lift(c, -s, -c, s)
+        return self._lift(c, -s, -c)
 
     def sqrt(self):
         u = self.value
@@ -192,22 +175,15 @@ class Jet:
         if u == 0.0:
             raise DomainViolation("sqrt is not differentiable at 0")
         r = math.sqrt(u)
-        return self._lift(r, 0.5 / r, -0.25 / (r * u), 0.375 / (r * u * u))
+        return self._lift(r, 0.5 / r, -0.25 / (r * u))
 
     def atan(self):
         u = self.value
         d = 1.0 + u * u
-        return self._lift(math.atan(u), 1.0 / d, -2.0 * u / d**2,
-                          (6.0 * u * u - 2.0) / d**3)
+        return self._lift(math.atan(u), 1.0 / d, -2.0 * u / d**2)
 
     def __repr__(self):
         return f"Jet(order={self.order}, value={self.value}, grad={self.grad})"
-
-
-def _sym_grad_hess(g, h):
-    """Symmetrized g_i h_jk + g_j h_ik + g_k h_ij."""
-    t = np.einsum("i,jk->ijk", g, h)
-    return t + t.transpose(1, 0, 2) + t.transpose(2, 1, 0)
 
 
 # -- module-level function forms so expressions read naturally --------------
@@ -271,13 +247,13 @@ def atan2(y, x):
 
 # -- lifting and composition -------------------------------------------------
 
-def coordinate_jets(p, order=2):
+def coordinate_jets(p, order):
     """Jets of all coordinate functions at p."""
     p = np.asarray(p, dtype=float)
     return [Jet.variable(i, p, order) for i in range(p.size)]
 
 
-def jet_lift(f, p, order=2):
+def jet_lift(f, p, order):
     """Exact Taylor data of the scalar field f at p to the requested order.
 
     ``f`` is anything callable on coordinate jets (a ``ScalarFieldSpec`` or a
@@ -311,14 +287,8 @@ def taylor_compose(gjet, fjets):
     g1 = gjet.grad
     grads = np.stack([f.grad for f in fjets])          # (m, n)
     out = Jet(n, order, gjet.value, g1 @ grads)
-    if order >= 2:
+    if order == 2:
         hesss = np.stack([f.hess for f in fjets])      # (m, n, n)
         out.hess = (np.einsum("j,jab->ab", g1, hesss)
                     + np.einsum("jl,ja,lb->ab", gjet.hess, grads, grads))
-    if order == 3:
-        thirds = np.stack([f.third for f in fjets])    # (m, n, n, n)
-        mixed = np.einsum("jl,ja,lbc->abc", gjet.hess, grads, hesss)
-        out.third = (np.einsum("j,jabc->abc", g1, thirds)
-                     + mixed + mixed.transpose(1, 0, 2) + mixed.transpose(2, 1, 0)
-                     + np.einsum("jlm,ja,lb,mc->abc", gjet.third, grads, grads, grads))
     return out

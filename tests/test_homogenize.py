@@ -5,7 +5,7 @@ import pytest
 
 from jdl import homogenize
 from jdl.calculus import KForm
-from jdl.catalog import build
+from jdl.catalog import build, points
 from jdl.chart import Chart, SmoothMap, identity_map, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.errors import OracleMismatch
@@ -20,7 +20,7 @@ from jdl.jacobi import (ConformalMap, JacobiPair, bracket_field,
                         check_jacobi_morphism, jacobi_bidiff_matrix,
                         lie_poisson, poissonization_jet, so3, zero_pair)
 
-from conftest import homogenize_map
+from conftest import EXP_U, homogenize_map, retrivialized
 
 
 def _equivariance_error(Phi, pts):
@@ -301,6 +301,20 @@ def test_homogeneous_sdp_equivalence_catches_a_lift_without_da(monkeypatch):
                         lambda T, a, da, s: lifted_tangent(T, a, 0 * da, s))
     dp = build("broken-comm")
     pts = sample_points(dp.source.chart, 10, seed=75)
+    rep = check_homogeneous_sdp_equivalence(dp, pts)
+    assert not rep.passed
+    assert rep.notes == "10 points with upstairs/downstairs mismatch"
+
+
+def test_homogeneous_sdp_equivalence_reads_a_negative_slice(monkeypatch):
+    # trivgpd retrivialized by u = e^{0.3q + 0.2pw} has da_i ≠ 0, so TΦ~'s
+    # s·da row tells s = -1 from s = 1: a lift with |s|·da fails there
+    dp = retrivialized(EXP_U)
+    pts = points(dp, 10, 1)
+    assert check_homogeneous_sdp_equivalence(dp, pts).passed
+    lifted_tangent = homogenize._lifted_tangent
+    monkeypatch.setattr(homogenize, "_lifted_tangent",
+                        lambda T, a, da, s: lifted_tangent(T, a, da, abs(s)))
     rep = check_homogeneous_sdp_equivalence(dp, pts)
     assert not rep.passed
     assert rep.notes == "10 points with upstairs/downstairs mismatch"

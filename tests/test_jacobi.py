@@ -8,7 +8,7 @@ from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import (ConformalMap, JacobiPair, aff1, abelian,
                         bracket_field, check_jacobi_morphism,
                         check_jacobi_pair, conformal_change,
-                        hamiltonian_field, lie_poisson,
+                        hamiltonian_field, jacobi_bidiff_matrix, lie_poisson,
                         projectivized_bracket_field, projective_chart, so3,
                         zero_pair)
 
@@ -116,8 +116,16 @@ def test_jacobi_pairs_certified(pts):
         assert check_jacobi_pair(J, sample).passed
 
 
+def _one_jet(f, p):
+    """j¹f(p) = (df, f) in the jet coordinates of jacobi_bidiff_matrix."""
+    j = f(p, 1)
+    return np.append(j.grad, j.value)
+
+
 def test_nested_bracket_jacobi_identity(darboux3_pair):
-    # {f,{g,h}} + {g,{h,f}} + {h,{f,g}} = 0, exact nesting via derived fields
+    # {f,{g,h}} + {g,{h,f}} + {h,{f,g}} = 0: the inner bracket a derived
+    # field, the outer one j¹f · M(p) · j¹{g,h}(p), independent of the
+    # Schouten route of check_jacobi_pair
     J = darboux3_pair
     rng = np.random.default_rng(5)
     pts = sample_points(J.chart, 100, seed=6)
@@ -126,11 +134,12 @@ def test_nested_bracket_jacobi_identity(darboux3_pair):
         f = ScalarFieldSpec(3, lambda x, y, z, c=c: c[0] * x + c[1] * y * z + c[2])
         g = ScalarFieldSpec(3, lambda x, y, z, c=c: c[3] * y + c[4] * x * x + c[5])
         h = ScalarFieldSpec(3, lambda x, y, z, c=c: c[6] * z + c[7] * x * y + c[8])
-        cyc = (bracket_field(J, f, bracket_field(J, g, h))
-               + bracket_field(J, g, bracket_field(J, h, f))
-               + bracket_field(J, h, bracket_field(J, f, g)))
+        outer = [(a, bracket_field(J, b, c))
+                 for a, b, c in ((f, g, h), (g, h, f), (h, f, g))]
         for p in pts[:5]:
-            assert abs(cyc.value(p)) < 1e-8
+            M = jacobi_bidiff_matrix(J, p)
+            cyc = sum(_one_jet(a, p) @ M @ _one_jet(bc, p) for a, bc in outer)
+            assert abs(cyc) < 1e-8
 
 
 def test_e_equals_x1(darboux3_pair, pts):

@@ -12,17 +12,14 @@ from jdl.jets import Jet
 
 from conftest import reference_jet_solve
 
-PARTS = ("value", "grad", "hess", "third")
+PARTS = ("value", "grad", "hess")
 
 
 def _random_jet(rng, dim, order, value):
     """A jet with the given value and random symmetric derivatives."""
     g = rng.normal(size=dim)
     h = rng.normal(size=(dim, dim))
-    t = rng.normal(size=(dim,) * 3)
-    t = sum(t.transpose(s) for s in ((0, 1, 2), (0, 2, 1), (1, 0, 2),
-                                     (1, 2, 0), (2, 0, 1), (2, 1, 0)))
-    return Jet(dim, order, value, g, h + h.T, t / 6)
+    return Jet(dim, order, value, g, h + h.T)
 
 
 def _mixed(rng, values, dim, order, number_share):
@@ -58,7 +55,7 @@ def _assert_agrees(A, b, tol=1e-12):
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 6), m=st.sampled_from([None, 1, 3]),
-       dim=st.integers(1, 3), order=st.integers(1, 3),
+       dim=st.integers(1, 3), order=st.integers(1, 2),
        a_share=st.sampled_from([0.0, 0.3, 1.0]),
        b_share=st.sampled_from([0.0, 0.3, 1.0]),
        seed=st.integers(0, 2**32 - 1))
@@ -84,16 +81,16 @@ def _product_residual(A, X, b):
 
 def test_zero_leading_value_forces_a_pivot_swap():
     rng = np.random.default_rng(5)
-    A = [[_random_jet(rng, 2, 3, 0.0), _random_jet(rng, 2, 3, 1.0)],
-         [2.0, _random_jet(rng, 2, 3, -1.0)]]
-    b = [_random_jet(rng, 2, 3, 0.5), 1.0]
+    A = [[_random_jet(rng, 2, 2, 0.0), _random_jet(rng, 2, 2, 1.0)],
+         [2.0, _random_jet(rng, 2, 2, -1.0)]]
+    b = [_random_jet(rng, 2, 2, 0.5), 1.0]
     X = _assert_agrees(A, b)
     assert _product_residual(A, X, b) <= 1e-13
 
 
 def test_inverse_of_a_jet_matrix():
     # x ↦ [[e^x, y], [0, 1]] has inverse [[e^-x, -y e^-x], [0, 1]]
-    x, y = jets.coordinate_jets([0.3, -0.7], 3)
+    x, y = jets.coordinate_jets([0.3, -0.7], 2)
     X = jet_solve([[jets.exp(x), y], [0.0, 1.0]], np.eye(2))
     for got, want in ((X[0, 0], jets.exp(-x)), (X[0, 1], -y * jets.exp(-x))):
         assert _relative_gap(got, want) <= 1e-15

@@ -176,16 +176,13 @@ def test_order1_order2_agree():
     assert np.allclose(j1.grad, j2.grad)
 
 
-def test_third_order_symbolic():
-    # f = sin(x y): f_xxy = -2y sin(xy) - x y^2 cos(xy)
-    x, y = 0.3, -0.7
-    j = jet_lift(lambda a, b: jets.sin(a * b), [x, y], 3)
-    expected = -2 * y * math.sin(x * y) - x * y * y * math.cos(x * y)
-    assert abs(j.third[0, 0, 1] - expected) < 1e-12
-    # full symmetry of the third-order tensor
-    t = j.third
-    assert np.allclose(t, t.transpose(1, 0, 2))
-    assert np.allclose(t, t.transpose(2, 1, 0))
+def test_order_three_is_refused():
+    # every checked identity is first order, and jets stop at order 2
+    with pytest.raises(OrderUnsupported, match="1 or 2, got 3"):
+        Jet(2, 3, 0.5)
+    with pytest.raises(OrderUnsupported, match="1 or 2, got 3"):
+        jet_lift(lambda a, b: jets.sin(a * b), [0.3, -0.7], 3)
+    assert not hasattr(jet_lift(lambda a: a, [0.3], 2), "third")
 
 
 def _on_fields(fn):
@@ -278,7 +275,7 @@ def _ops_in(tree):
     return {head}.union(*map(_ops_in, args))
 
 
-def test_jets_match_sympy_to_third_order():
+def test_jets_match_sympy_to_second_order():
     # random expressions in 2-3 variables, of four operations each, on jets
     # and on fields; sympy differentiates each distinct partial once
     rng = np.random.default_rng(11)
@@ -287,21 +284,21 @@ def test_jets_match_sympy_to_third_order():
         p = rng.uniform(-1.5, 1.5, size=int(rng.integers(2, 4)))
         tree = _random_expression(rng, p)
         drawn |= _ops_in(tree)
-        j = jet_lift(lambda *xs: _build(tree, xs, 0), p, 3)
+        j = jet_lift(lambda *xs: _build(tree, xs, 0), p, 2)
         fields = [coordinate(p.size, i) for i in range(p.size)]
-        fj = _build(tree, fields, 2)(p, 3)
+        fj = _build(tree, fields, 2)(p, 2)
         syms = sympy.symbols(f"x0:{p.size}")
         at = dict(zip(syms, p))
         derivs = {(): sympy.sympify(_build(tree, syms, 1))}
         for idx in itertools.chain.from_iterable(
                 itertools.combinations_with_replacement(range(p.size), k)
-                for k in (1, 2, 3)):
+                for k in (1, 2)):
             derivs[idx] = sympy.diff(derivs[idx[:-1]], syms[idx[-1]])
         for idx, d in derivs.items():
             want = float(d.subs(at))
             for jet in (j, fj):
                 got = np.asarray(
-                    (jet.value, jet.grad, jet.hess, jet.third)[len(idx)])[idx]
+                    (jet.value, jet.grad, jet.hess)[len(idx)])[idx]
                 assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
     assert drawn == set(_OPS)
 
@@ -315,7 +312,7 @@ def test_partial_jet_shift():
 
 def test_taylor_compose_matches_direct():
     rng = np.random.default_rng(23)
-    for order in (1, 2, 3):
+    for order in (1, 2):
         p = rng.uniform(-1, 1, size=2)
         comp = [jet_lift(lambda x, y: x * y + y, p, order),
                 jet_lift(lambda x, y: x + 2.0, p, order)]
@@ -329,10 +326,8 @@ def test_taylor_compose_matches_direct():
         direct = g(*comp)
         assert abs(via_taylor.value - direct.value) < 1e-12
         assert np.abs(via_taylor.grad - direct.grad).max() < 1e-11
-        if order >= 2:
+        if order == 2:
             assert np.abs(via_taylor.hess - direct.hess).max() < 1e-11
-        if order == 3:
-            assert np.abs(via_taylor.third - direct.third).max() < 1e-10
 
 
 def test_dim_mismatch_raises():
@@ -344,25 +339,24 @@ def test_dim_mismatch_raises():
 
 # -- the Field memo holds one point; point_memo holds every point ------------
 
-def _so3_brackets():
-    """{f, g} and {f, {f, g}} on the so3 Lie-Poisson pair, with its chart."""
+def _so3_bracket():
+    """{f, g} on the so3 Lie-Poisson pair, with its chart."""
     from jdl.jacobi import bracket_field, lie_poisson, so3
     J = lie_poisson(so3())
     f = ScalarFieldSpec(3, lambda x, y, z: x * y + z)
     g = ScalarFieldSpec(3, lambda x, y, z: jets.exp(x) * z)
-    fg = bracket_field(J, f, g)
-    return fg, bracket_field(J, f, fg), J.chart
+    return bracket_field(J, f, g), J.chart
 
 
 def _peak_bytes_over(n_points):
     import tracemalloc
     from jdl.chart import sample_points
-    _, nested, chart = _so3_brackets()
+    fg, chart = _so3_bracket()
     pts = sample_points(chart, n_points, seed=61)
     tracemalloc.start()
     try:
         for p in pts:
-            nested(p, 1)
+            fg(p, 1)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,13 +368,12 @@ def test_field_memo_memory_does_not_grow_with_points():
 
 
 def test_field_memo_revisit_matches_fresh_field():
-    field = _so3_brackets()[0]
+    field = _so3_bracket()[0]
     p, q = np.array([0.3, -0.7, 1.1]), np.array([-1.2, 0.4, 0.9])
     for x in (p, q, p):
-        got, fresh = field(x), _so3_brackets()[0](x)
+        got, fresh = field(x, 1), _so3_bracket()[0](x, 1)
         assert got.value == fresh.value
         assert np.array_equal(got.grad, fresh.grad)
-        assert np.array_equal(got.hess, fresh.hess)
 
 
 def test_point_memo_keeps_every_point():

@@ -12,9 +12,9 @@ from jdl.errors import StepOutOfDomain
 from jdl.fields import ScalarFieldSpec, constant, coordinate
 from jdl.jacobi import hamiltonian_field
 from jdl.jets import exp
-from jdl.leaves import (characteristic_subspace, characteristic_vectors,
-                        check_pullback_distribution, leaf_trace,
-                        verify_leaf_correspondence)
+from jdl.leaves import (SWITCH_EVERY, characteristic_subspace,
+                        characteristic_vectors, check_pullback_distribution,
+                        leaf_trace, verify_leaf_correspondence)
 
 CASIMIR_TOL = 1e-9
 SO3_CASIMIR = ScalarFieldSpec(3, lambda x, y, z: x * x + y * y + z * z)
@@ -84,6 +84,28 @@ def test_so3_trace_keeps_casimir_and_rank():
     assert probe.rank_steps == [0, 100, 200, 300, 400, 400]
     # the trace moved: it is not a fixed point of the flow
     assert np.abs(probe.points[-1] - probe.points[0]).max() > 1e-2
+
+
+def test_trace_redraws_its_frame_combination_at_the_switch():
+    # steps 1 … SWITCH_EVERY - 1 are plain RK4 along X(q) = V(q) @ c, with
+    # c the first draw of default_rng(seed); step SWITCH_EVERY leaves it
+    J, p0, seed, dt = _pair("so3"), np.array([0.3, -0.2, 0.4]), 7, 1e-3
+    probe = leaf_trace(J, p0, n_steps=SWITCH_EVERY, dt=dt, seed=seed)
+    assert len(probe.points) == SWITCH_EVERY + 1
+    c = np.random.default_rng(seed).normal(size=4)
+
+    def vf(q):
+        return characteristic_vectors(J, q) @ c
+
+    p = p0
+    for step, q in enumerate(probe.points[1:], start=1):
+        k1 = vf(p)
+        k2 = vf(p + 0.5 * dt * k1)
+        k3 = vf(p + 0.5 * dt * k2)
+        k4 = vf(p + dt * k3)
+        p = p + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        gap = np.abs(q - p).max()
+        assert gap <= 1e-12 if step < SWITCH_EVERY else gap > 1e-6
 
 
 def test_non_casimir_drifts():

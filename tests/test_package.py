@@ -3,9 +3,10 @@ is used (in the test modules too), every definition is referenced, every
 import sits at module level, every public function that builds a report
 is timed, every timed check is in the catalog's table of checks, a public
 definition that only tests reach is a named oracle, no function takes a
-tolerance parameter, no determinant decides nondegeneracy, and every typed
-error is raised by some test."""
+tolerance parameter or a default jet order, no determinant decides
+nondegeneracy, and every typed error is raised by some test."""
 import ast
+import textwrap
 from functools import cache
 from pathlib import Path
 
@@ -58,19 +59,63 @@ def _definitions(node, prefix=""):
             yield from _definitions(child, prefix)
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _bound(func):
+    """The names ``func`` binds itself: its parameters, and the assignment,
+    loop and comprehension targets of its body."""
+    names = {a.arg for a in ast.walk(func.args) if isinstance(a, ast.arg)}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _names(node, local=frozenset()):
+    """Every name referenced under ``node``, as a Name, an Attribute or an
+    import alias; a Name that an enclosing function binds (``local``) is
+    that function's own and refers to no definition."""
+    if isinstance(node, _FUNCTIONS):
+        local = local | _bound(node)
+    if isinstance(node, ast.Name):
+        return set() if node.id in local else {node.id}
+    found = set()
+    if isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    elif isinstance(node, ast.alias):
+        found.add(node.name.split(".")[-1])
+    for child in ast.iter_child_nodes(node):
+        found |= _names(child, local)
+    return found
+
+
 def _referenced(paths):
-    """Every name referenced in ``paths``, as a Name, an Attribute or an
-    import alias."""
-    referenced = set()
-    for path in paths:
-        for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name.split(".")[-1])
-    return referenced
+    """Every name referenced in ``paths``, as :func:`_names` reads them."""
+    return set().union(*(_names(_tree(path)) for path in paths))
+
+
+def test_a_name_a_function_binds_references_no_definition(tmp_path):
+    # a loop variable, a parameter and a comprehension target that share a
+    # method's name do not reach it; an attribute does
+    module = tmp_path / "synthetic.py"
+    module.write_text(textwrap.dedent("""
+        class Form:
+            def coeff(self): ...
+            def degree(self): ...
+        def total(terms, degree):
+            acc = 0
+            for coeff in terms:
+                acc = acc + coeff * degree
+            return acc + sum(degree for degree in terms)
+        def degree_of():
+            return Form().degree()
+        """))
+    assert _referenced([module]) == {"Form", "degree", "sum"}
 
 
 def test_every_definition_is_referenced():
@@ -169,6 +214,24 @@ def test_no_tolerance_parameter():
              for arg in ast.walk(node.args) if isinstance(arg, ast.arg)
              and (arg.arg == "tol" or arg.arg.endswith("_tol"))]
     assert knobs == []
+
+
+def test_no_defaulted_order_parameter():
+    """Jets stop at order 2 and every caller names the order it reads: no
+    function or method of ``jdl`` gives a parameter named ``order`` a
+    default."""
+    defaulted = []
+    for path in SOURCES:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, _FUNCTIONS):
+                continue
+            args = node.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            defaulted += [f"{path.stem}.{getattr(node, 'name', 'lambda')}"
+                          for a in with_default if a.arg == "order"]
+    assert defaulted == []
 
 
 REPORT_BUILDERS = {"residual_report", "threshold_report", "CheckReport",
