@@ -9,9 +9,9 @@ cyclic sum, d of a 1-form is dA - dAᵀ, d of a 2-form is cyclic(dA), and
 ω∧η is cyclic(η ⊗ ω) for a 2-form ω and a 1-form η.
 
 :func:`exterior_d_form` is the one tree operator: it returns dω as a form
-with exact jet-evaluable components, for objects whose derivatives are read
-again (ϖ's jet inverse, the symplectization).  Pullbacks are trees too, so
-d commutes with them exactly (a naturality test).
+with exact jet-evaluable components, for a form whose derivatives are read
+again (the symplectization ω~ = d(s·π*θ)).  Pullbacks are trees too, so d
+commutes with them exactly (a naturality test).
 
 Sign conventions, pinned by unit tests: dα(X,Y) = X(α(Y)) - Y(α(X)) -
 α([X,Y]), and the Schouten square of a bivector is normalized as
@@ -38,7 +38,6 @@ class _Antisym:
         for k in self.comps:
             if list(k) != sorted(k) or len(set(k)) != len(k):
                 raise DimensionMismatch(f"component index {k} not increasing")
-        self._field_matrix = None
 
     def coeff(self, key, p):
         """The component at the increasing index ``key`` at p, 0 if unset;
@@ -65,25 +64,6 @@ class _Antisym:
     def dense(self, p):
         """Dense antisymmetric value array at p, the value part of :meth:`jet`."""
         return self.jet(p)[0]
-
-    def field_matrix(self):
-        """The component fields laid out as :meth:`dense`, zero-filled and
-        signed: a list for degree 1, n×n rows for degree 2.  Built once."""
-        if self._field_matrix is None:
-            n = self.chart.dim
-            zero = constant(n, 0.0)
-            if self.degree == 1:
-                out = [self.comps.get((i,), zero) for i in range(n)]
-            elif self.degree == 2:
-                out = [[zero] * n for _ in range(n)]
-                for (i, j), f in self.comps.items():
-                    out[i][j] = f
-                    out[j][i] = -f
-            else:
-                raise DegreeUnsupported(
-                    f"field_matrix needs degree 1 or 2, got {self.degree}")
-            self._field_matrix = out
-        return self._field_matrix
 
 
 def _perm_sign(perm):

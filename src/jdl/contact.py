@@ -9,10 +9,10 @@ operator matrix of the pair is ϖ^{-T}, so
 
     Π^{ij} = (ϖ⁻¹)_{ji},    E^j = (ϖ⁻¹)_{jn}.
 
-:func:`contact_to_jacobi` computes this with one jet matrix inverse per
-(point, order) and validates ϖ♭∘J♯ = id at sample points from float dθ and θ
-matrices.  The consequences, each pinned by a unit test on the darboux3
-entry:
+:func:`contact_to_jacobi` solves this once per point from (ϖ, ∂ϖ), which
+:func:`varpi_jet` reads from θ's 2-jet, as d(ϖ⁻¹) = -ϖ⁻¹(∂ϖ)ϖ⁻¹, and
+validates ϖ♭∘J♯ = id once.  The consequences, each pinned by a unit test on
+the darboux3 entry:
 
 * Reeb field E: θ(E) = 1 and i_E dθ = 0.
 * Curvature form on H = ker θ: c_H = -(dθ)|_H.
@@ -38,11 +38,11 @@ import itertools
 
 import numpy as np
 
-from .calculus import KForm, cyclic, exterior_d_form, lie_derivative
+from .calculus import KForm, cyclic, lie_derivative
 from .chart import sample_points
 from .errors import (DegenerateCurvature, EvenDimension, OracleMismatch,
                      SingularOmega, SingularSystem)
-from .fields import Field, as_field, constant, jet_solve, point_memo
+from .fields import as_field, entry_field, jet_solve, point_memo
 from .jacobi import JacobiPair, hamiltonian_field, jacobi_bidiff_matrix
 from .linalg import RANK_TOL, BilinearForm, kernel, nondegeneracy
 from .report import residual_report, threshold_report, timed
@@ -61,7 +61,6 @@ class ContactStructure:
         if isinstance(theta, dict):
             theta = KForm(chart, 1, theta)
         self.theta = theta
-        self.dtheta = exterior_d_form(theta)
         self.n = (chart.dim - 1) // 2
         self._pair = None
 
@@ -77,9 +76,11 @@ def check_contact(C, pts):
 
 
 def reeb(C, p):
-    """The unique E with θ(E) = 1 and i_E dθ = 0, by a linear solve."""
+    """The unique E with θ(E) = 1 and i_E dθ = 0, by a linear solve on the
+    θ row and dθ block of :func:`varpi_matrix`."""
     n = C.chart.dim
-    A = np.vstack([C.theta.dense(p), C.dtheta.dense(p).T])
+    M = varpi_matrix(C, p)
+    A = np.vstack([M[-1, :-1], M[:-1, :-1].T])
     b = np.zeros(n + 1)
     b[0] = 1.0
     sol, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
@@ -95,23 +96,29 @@ def varpi_matrix(C, p):
     θ and dθ = dA - dAᵀ are read from the 1-jet (A, dA) of θ, so no derived
     dθ field is evaluated.
     """
+    return _assemble_varpi(*C.theta.jet(p))
+
+
+def varpi_jet(C, p):
+    """(ϖ, ∂ϖ) at p, ∂ϖ[l] = ∂_l ϖ, from θ's 2-jet: ϖ is linear in (θ, ∂θ),
+    so ∂ϖ is the assembly of :func:`varpi_matrix` applied to (∂θ, ∂²θ)."""
     n = C.chart.dim
-    th, dth = C.theta.jet(p)
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = dth - dth.T
-    M[:n, n] = -th
-    M[n, :n] = th
+    th, dth, ddth = np.zeros(n), np.zeros((n, n)), np.zeros((n, n, n))
+    for (i,), f in C.theta.comps.items():
+        j = f(p, 2)
+        th[i], dth[:, i], ddth[:, :, i] = j.value, j.grad, j.hess
+    return _assemble_varpi(th, dth), _assemble_varpi(dth, ddth)
+
+
+def _assemble_varpi(th, dth):
+    """ϖ = [[dθ, -θ], [θᵀ, 0]] from θ and dθ[..., l, i] = ∂_l θ_i, over any
+    leading axes."""
+    n = th.shape[-1]
+    M = np.zeros(th.shape[:-1] + (n + 1, n + 1))
+    M[..., :n, :n] = dth - dth.swapaxes(-1, -2)
+    M[..., :n, n] = -th
+    M[..., n, :n] = th
     return M
-
-
-def varpi_entry_fields(C):
-    """All entries of ϖ as jet-evaluable fields, laid out as varpi_matrix."""
-    n = C.chart.dim
-    d = C.dtheta.field_matrix()
-    theta = C.theta.field_matrix()
-    entries = [d[i] + [-theta[i]] for i in range(n)]
-    entries.append(theta + [constant(n, 0.0)])
-    return entries
 
 
 def curvature_form(varpi):
@@ -131,29 +138,29 @@ def curvature_form(varpi):
 def contact_to_jacobi(C):
     """The nondegenerate Jacobi pair of a contact structure, in closed form.
 
-    Π^{ij} = (ϖ⁻¹)_{ji} and E^j = (ϖ⁻¹)_{jn}, with ϖ⁻¹ one jet inverse of
-    the ϖ-entry fields per (point, order), shared by every entry.  The pair
-    is built once and kept on ``C``.  Each call validates ϖ♭∘J♯ = id at 5
-    points of C's chart (seed 23) from the float dθ and θ matrices, which
-    read the stored components and not the jet inverse or the
-    ``field_matrix`` layout it is built from; a residual above 1e-8 raises
-    OracleMismatch, and a singular ϖ raises SingularSystem.  The
-    defining-equation oracle, through bracket extraction, lives in the
-    tests.
+    Π^{ij} = (ϖ⁻¹)_{ji} and E^j = (ϖ⁻¹)_{jn}, with (ϖ⁻¹, ∂ϖ⁻¹) one
+    :func:`jet_solve` of :func:`varpi_jet` per point, shared by every entry.
+    The pair is built once, kept on ``C`` and validated when it is built:
+    ϖ♭∘J♯ = id at 5 points of C's chart (seed 23), with ϖ♭ the float
+    :func:`varpi_matrix`, which reads θ's 1-jet, not the 2-jet the pair is
+    solved from.  A residual above 1e-8 raises OracleMismatch, and a
+    singular ϖ raises SingularSystem.  The defining-equation oracle,
+    through bracket extraction, lives in the tests.
 
     The pair evaluates only to order 1, the only order a check reads: ϖ
     holds dθ, so it needs one more derivative of θ than the pair does, and
     jets stop at order 2.
     """
-    J = C._pair or _closed_form_pair(C)
-    worst = max((sharp_inverse_residual(C, J, p)
-                 for p in sample_points(C.chart, 5, seed=23)), default=0.0)
-    if worst > 1e-8:
-        raise OracleMismatch(
-            f"closed-form Jacobi pair fails varpi_flat . J_sharp = id "
-            f"(residual {worst:.2e})")
-    C._pair = J
-    return J
+    if C._pair is None:
+        J = _closed_form_pair(C)
+        worst = max((sharp_inverse_residual(C, J, p)
+                     for p in sample_points(C.chart, 5, seed=23)), default=0.0)
+        if worst > 1e-8:
+            raise OracleMismatch(
+                f"closed-form Jacobi pair fails varpi_flat . J_sharp = id "
+                f"(residual {worst:.2e})")
+        C._pair = J
+    return C._pair
 
 
 def sharp_inverse_residual(C, J, p):
@@ -168,16 +175,12 @@ def sharp_inverse_residual(C, J, p):
 
 def _closed_form_pair(C):
     n = C.chart.dim
-    W = varpi_entry_fields(C)
-    eye = np.eye(n + 1)
-    inv = point_memo(lambda p, order: jet_solve(
-        [[w(p, order) for w in row] for row in W], eye))
-
-    def entry(i, j):
-        return Field(n, lambda p, o: inv(p, o)[i, j])
-
-    pi = {(i, j): entry(j, i) for i, j in itertools.combinations(range(n), 2)}
-    return JacobiPair(C.chart, pi, [entry(j, n) for j in range(n)])
+    eye, zero = np.eye(n + 1), np.zeros((n, n + 1, n + 1))
+    inv = point_memo(lambda p: jet_solve(*varpi_jet(C, p), eye, zero))
+    pi = {(i, j): entry_field(n, inv, j, i)
+          for i, j in itertools.combinations(range(n), 2)}
+    return JacobiPair(C.chart, pi, [entry_field(n, inv, j, n)
+                                    for j in range(n)])
 
 
 class LcsStructure:
@@ -235,28 +238,28 @@ def lcs_bracket(L, f, g, p):
 def lcs_from_even_pair(J):
     """The l.c.s. structure of a transitive even Jacobi pair.
 
-    ω = -(Π-matrix)⁻¹ and η = -ω♭(E) = Π⁻¹E, both read off one jet solve of
-    Π against [id | E] per (point, order); then X_f and {f,g} agree with the
-    pair's own Hamiltonian fields and bracket, and (η, ω) satisfies the
+    ω = -(Π-matrix)⁻¹ and η = -ω♭(E) = Π⁻¹E, both read off one
+    :func:`jet_solve` of Π against [id | E] per point, from the 1-jets of Π
+    and E, so they evaluate only to order 1.  Then X_f and {f,g} agree with
+    the pair's own Hamiltonian fields and bracket, and (η, ω) satisfies the
     l.c.s. equations.
     """
     n = J.chart.dim
-    pi_fields = J.Pi.field_matrix()
-    eye = np.eye(n)
+    # columns :n are -ω, column n is η = Π⁻¹E (X_1 = E pins it in the tests)
+    sign = np.append(-np.ones(n), 1.0)
 
-    def solve(p, order):
-        rhs = [list(row) + [e(p, order)] for row, e in zip(eye, J.E.comps)]
-        return jet_solve([[pi_fields[a][b](p, order) for b in range(n)]
-                          for a in range(n)], rhs)
+    def solve(p):
+        (P, dP), (E, dE) = J.Pi.jet(p), J.E.jet(p)
+        X, dX = jet_solve(P, dP, np.column_stack([np.eye(n), E]),
+                          np.concatenate([np.zeros((n, n, n)),
+                                          dE[:, :, None]], axis=2))
+        return sign * X, sign * dX
 
     solve = point_memo(solve)
-    omega = KForm(J.chart, 2, {
-        (i, j): Field(n, lambda p, o, i=i, j=j: -solve(p, o)[i, j])
-        for i, j in itertools.combinations(range(n), 2)})
-    # η_j = Σ_i (Π⁻¹)_{ji} E^i, pinned by X_1 = E in the route-agreement test
-    eta = KForm(J.chart, 1, {
-        (j,): Field(n, lambda p, o, j=j: solve(p, o)[j, n])
-        for j in range(n)})
+    omega = KForm(J.chart, 2, {(i, j): entry_field(n, solve, i, j)
+                               for i, j in itertools.combinations(range(n), 2)})
+    eta = KForm(J.chart, 1, {(j,): entry_field(n, solve, j, n)
+                             for j in range(n)})
     return LcsStructure(J.chart, eta, omega)
 
 

@@ -3,10 +3,11 @@
 A field is anything with ``field(p, order) -> Jet``.  :class:`ScalarFieldSpec`
 wraps a plain Python expression of the coordinates; :class:`Field` wraps an
 arbitrary jet-valued evaluator and supports pointwise arithmetic, exact
-partial-derivative fields and composition along smooth maps.  Derived
-quantities (pulled-back forms, matrix inverses solved order by order in
-Taylor mode) therefore stay differentiable to the same order as their
-ingredients.
+partial-derivative fields and composition along smooth maps, so derived
+quantities (pulled-back forms, brackets) stay differentiable to the same
+order as their ingredients.  :func:`jet_solve` is the one jet linear solve:
+it takes and returns dense first-order arrays, and :func:`entry_field` reads
+its solution back as order-1 fields.
 """
 from __future__ import annotations
 
@@ -160,78 +161,54 @@ def as_field(dim, obj):
 
 
 def point_memo(fn):
-    """Memoize ``fn(p, order)`` per (point, order), over every point.
+    """Memoize ``fn(p)`` per point, over every point.
 
-    For a per-point result that several fields share, such as a jet matrix
-    inverse whose entries are separate fields.  Unlike the one-point memo of
-    :class:`Field`, it keeps every point it has seen (up to 4096 keys, then
-    starts over): the contact pair's ϖ jet solve is read at the same sample
-    points by every check of a spec, and one solve costs as much as a whole
-    tree walk.
+    For a per-point result that several fields share, such as the jet solve
+    whose entries are separate fields.  Unlike the one-point memo of
+    :class:`Field`, it keeps every point it has seen (up to 4096, then
+    starts over): the contact pair's ϖ solve is read at the same sample
+    points by every check of a spec.
     """
     cache = {}
 
-    def ev(p, order):
-        key = (p.tobytes(), order)
+    def ev(p):
+        key = p.tobytes()
         hit = cache.get(key)
         if hit is None:
             if len(cache) > 4096:
                 cache.clear()
-            hit = cache[key] = fn(p, order)
+            hit = cache[key] = fn(p)
         return hit
 
     return ev
 
 
+def entry_field(dim, jet_of, *idx):
+    """The order-1 field p ↦ entry ``idx`` of ``jet_of(p) = (X, dX)``, a
+    dense 1-jet laid out as :meth:`jdl.calculus._Antisym.jet` returns it
+    (dX[l] = ∂_l X)."""
+    def ev(p, order):
+        if order != 1:
+            raise OrderUnsupported("a jet solve reads first-order data: "
+                                   "only order 1")
+        X, dX = jet_of(p)
+        return Jet(dim, 1, X[idx], dX[(slice(None), *idx)])
+    return Field(dim, ev)
+
+
 # -- jet-valued linear algebra ----------------------------------------------
 
-def jet_solve(A, b):
-    """Solve A x = b for jets, in Taylor mode.
+def jet_solve(A, dA, B, dB):
+    """Solve A X = B with its first derivatives, on dense arrays.
 
-    A is an (n, n) array of Jets (or numbers), b an (n,) or (n, m) array of
-    the same, so ``jet_solve(A, np.eye(n))`` is the jet inverse of A.  A and
-    b are packed into one coefficient array per derivative order, the value
-    matrix A₀ is inverted once (pivoting on the largest |value| in the
-    column), and each order k is one stacked solve of A₀ X_k against B_k
-    minus the lower orders' Leibniz terms.  Only the n·m solution jets are
-    built; a system without jets returns floats.
+    A is (n, n) and B (n,) or (n, m); dA and dB hold their derivatives as
+    dA[l] = ∂_l A.  A's value is inverted once (pivoting on the largest
+    |value| in the column), X = A⁻¹B and ∂_l X = A⁻¹(∂_l B - ∂_l A X).
+    Returns (X, dX) in the same layout.
     """
-    A, b = np.asarray(A, dtype=object), np.asarray(b, dtype=object)
-    B = b[:, None] if b.ndim == 1 else b
-    first = next((x for x in (*A.flat, *B.flat) if isinstance(x, Jet)), None)
-    dim, order = (first.dim, first.order) if first is not None else (0, 0)
-    A0, *A_ = _taylor_coeffs(A, dim, order)
-    B0, *B_ = _taylor_coeffs(B, dim, order)
-    inv = _value_inverse(A0)
-    X = [inv @ B0]      # X[k][a, b, ..., i, j] = ∂_a ∂_b ... x_ij
-    if order >= 1:
-        X.append(inv @ (B_[0] - A_[0] @ X[0]))
-    if order == 2:
-        t = A_[0][:, None] @ X[1]                   # A_a X_b
-        X.append(inv @ (B_[1] - A_[1] @ X[0] - t - t.swapaxes(0, 1)))
-    out = X[0].astype(object)
-    if first is not None:
-        X = [x.transpose(k, k + 1, *range(k)) for k, x in enumerate(X)]
-        for i, j in np.ndindex(out.shape):
-            out[i, j] = Jet(dim, order, *(x[i, j] for x in X))
-    return out[:, 0] if b.ndim == 1 else out
-
-
-def _taylor_coeffs(M, dim, order):
-    """The k-th derivatives of a matrix of jets and numbers for k up to
-    ``order``, one array shaped (dim,) * k + M.shape per k."""
-    zero = [np.zeros((dim,) * k) for k in range(1, order + 1)]
-    parts = []
-    for x in M.flat:
-        if not isinstance(x, Jet):
-            parts.append((x, *zero))
-        elif (x.dim, x.order) != (dim, order):
-            raise DimensionMismatch("jet dims or orders differ")
-        else:
-            parts.append((x.value, x.grad, x.hess))
-    return [np.array([p[k] for p in parts], dtype=float)
-            .transpose(*range(1, k + 1), 0).reshape((dim,) * k + M.shape)
-            for k in range(order + 1)]
+    inv = _value_inverse(np.asarray(A, dtype=float))
+    X = inv @ B
+    return X, np.einsum("ij,lj...->li...", inv, dB - dA @ X)
 
 
 def _value_inverse(A0):

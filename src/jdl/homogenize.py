@@ -36,8 +36,8 @@ import itertools
 
 import numpy as np
 
-from .calculus import KForm, cyclic, schouten_square
-from .chart import Chart, sample_points, tangent_map
+from .calculus import KForm, cyclic, exterior_d_form, schouten_square
+from .chart import Chart, tangent_map
 from .contact import contact_to_jacobi
 from .dualpair import _defining_conditions
 from .errors import OracleMismatch
@@ -89,15 +89,13 @@ def lifted_pair(J):
     return JacobiPair(big, comps, [constant(n + 1, 0.0)] * (n + 1))
 
 
-def poissonize(J, pts=None):
+def poissonize(J, pts):
     """:func:`lifted_pair` of J, certified against its oracle.
 
     Raises OracleMismatch if {s·f∘π, s·g∘π}_P deviates from s·({f,g}_J∘π)
-    on coordinate test functions at the sample points.
+    on coordinate test functions at ``pts``, points of the slit chart.
     """
     P = lifted_pair(J)
-    if pts is None:
-        pts = sample_points(P.chart, 5, seed=61)
     rep = check_poissonization_oracle(P, J, pts)
     if not rep.passed:
         raise OracleMismatch(
@@ -159,7 +157,7 @@ def symplectize(C):
     big = slit_chart(C.chart)
     s_field = coordinate(n + 1, n)
     comps = {}
-    for (i, j), f in C.dtheta.comps.items():
+    for (i, j), f in exterior_d_form(C.theta).comps.items():
         comps[(i, j)] = s_field * _lift_field(f, n)
     for (i,), th in C.theta.comps.items():
         comps[(i, n)] = -_lift_field(th, n)   # ds∧θ has ω~(e_i, e_s) = -θ_i
@@ -197,9 +195,10 @@ def check_symplectization(C, pts):
 @timed
 def check_symplectization_consistency(C, pts):
     """Invert ω~ pointwise and compare with the Poissonization of the
-    induced Jacobi pair: the two routes must agree componentwise."""
-    omega, big = symplectize(C)
-    P = poissonize(contact_to_jacobi(C))
+    induced Jacobi pair, certified at the same points: the two routes must
+    agree componentwise."""
+    omega, _ = symplectize(C)
+    P = poissonize(contact_to_jacobi(C), pts)
     residuals = []
     for p in pts:
         P_from_omega = -np.linalg.inv(omega.dense(p))

@@ -156,7 +156,7 @@ def reference_jet_solve(A, b):
 
     Takes the same inputs: A an (n, n) array of Jets or numbers, b an (n,)
     or (n, m) one.  Every step is a ``Jet`` operation, so it shares no code
-    with the Taylor-mode solve beyond ``Jet`` itself.  Pivoting is by the
+    with the dense first-order solve.  Pivoting is by the
     value part, and a zero pivot or one below 1e-14 times the largest
     |value| of A raises SingularSystem.
     """

@@ -83,11 +83,8 @@ def test_schouten_so3_lie_poisson(r3):
         assert np.abs(pp).max() < 1e-12
 
 
-def test_field_matrix_rejects_degree_three(r3):
-    # and so does the pointwise reader, which shares its layout
+def test_jet_rejects_degree_three(r3):
     T = KForm(r3, 3, {(0, 1, 2): 1.0})
-    with pytest.raises(DegreeUnsupported):
-        T.field_matrix()
     with pytest.raises(DegreeUnsupported):
         T.jet([0.1, 0.2, 0.3])
 

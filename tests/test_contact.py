@@ -1,13 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
+import sympy
 
-from jdl.calculus import VectorField, wedge_form
+from jdl import contact
+from jdl.calculus import VectorField, exterior_d_form, wedge_form
+from jdl.catalog import build
 from jdl.chart import Chart, sample_points
 from jdl.contact import (ContactStructure, LcsStructure, check_contact,
                          check_lcs, contact_field_property,
                          contact_to_jacobi, curvature_form, lcs_bracket,
                          lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
-                         varpi_matrix)
+                         varpi_jet, varpi_matrix)
 from jdl.errors import (DegenerateCurvature, EvenDimension, OracleMismatch,
                         OrderUnsupported, SingularOmega, SingularSystem)
 from jdl.fields import Field, ScalarFieldSpec, constant, coordinate, point_memo
@@ -27,9 +32,9 @@ def pts(darboux3):
 def volume_coefficient(C, p):
     """Top coefficient of θ∧(dθ)ⁿ at p, from the wedge trees: the defining
     oracle of check_contact's verdict."""
-    form = C.theta
+    form, dtheta = C.theta, exterior_d_form(C.theta)
     for _ in range(C.n):
-        form = wedge_form(form, C.dtheta)
+        form = wedge_form(form, dtheta)
     return form.coeff(tuple(range(C.chart.dim)), p)
 
 
@@ -207,13 +212,27 @@ def test_contact_pair_stops_at_order_2(trivgpd):
         pi_qp(p, 2)
 
 
+def test_lcs_fields_stop_at_order_1():
+    # ω and η are read off a jet solve of Π's 1-jet, as the contact pair is
+    chart = Chart("r2", 2, [(-2, 2)] * 2)
+    L = lcs_from_even_pair(conformal_change(
+        JacobiPair(chart, {(0, 1): 1.0}, [0.0, 0.0]),
+        ScalarFieldSpec(2, lambda x, y: exp(0.5 * x))))
+    p = np.array([0.4, -0.3])
+    for f in (L.omega.comps[(0, 1)], L.eta.comps[(0,)]):
+        assert f(p, 1).order == 1
+        with pytest.raises(OrderUnsupported, match="only order 1"):
+            f(p, 2)
+
+
 def test_route_agreement(darboux3):
     # the pair's X_f equals the float least-squares solution of
     # θ(X) = f and i_X dθ = -df + E(f)·θ, with E from reeb
     f = ScalarFieldSpec(3, lambda x, y, z: x * z + y)
     Xf = hamiltonian_field(contact_to_jacobi(darboux3), f)
+    dtheta = exterior_d_form(darboux3.theta)
     for p in sample_points(darboux3.chart, 100, seed=25):
-        th, dth = darboux3.theta.dense(p), darboux3.dtheta.dense(p)
+        th, dth = darboux3.theta.dense(p), dtheta.dense(p)
         fj = f(p, 1)
         E = reeb(darboux3, p)
         b = np.append(fj.value, -fj.grad + (fj.grad @ E) * th)
@@ -353,24 +372,38 @@ def test_lcs_from_even_pair_with_nonzero_e():
 
 # -- closed form against the defining equations -------------------------------
 
-def _defining_solve(C, f, Ef):
+def _theta_fields(C):
+    """θ's component fields and dθ's from the tree operator, laid out as
+    their dense arrays; built once per structure, so that every defining
+    solve shares their memos."""
+    n = C.chart.dim
+    zero = constant(n, 0.0)
+    theta = [C.theta.comps.get((j,), zero) for j in range(n)]
+    d = [[zero] * n for _ in range(n)]
+    for (i, j), dij in exterior_d_form(C.theta).comps.items():
+        d[i][j], d[j][i] = dij, -dij
+    return theta, d
+
+
+def _defining_solve(C, theta_fields, f, Ef):
     """X with θ(X) = f and i_X dθ = -df + E(f)·θ, as a jet vector field.
 
     The (n+1)×n system has rank n; the square subsystem with the best
     conditioned value part is solved by the reference elimination.  Shares
-    nothing with the closed form beyond the θ and dθ component fields.
+    nothing with the closed form beyond θ's component fields.
     """
     n = C.chart.dim
-    theta, d = C.theta.field_matrix(), C.dtheta.field_matrix()
+    theta, d = theta_fields
     fpartials = [f.partial(r) for r in range(n)]
 
-    def solve(p, order):
-        A = [[theta[j](p, order) for j in range(n)]]
-        rhs = [f(p, order)]
-        efj = Ef(p, order)
+    def solve(p):
+        # to order 1, where the partial fields in d and fpartials stop
+        A = [[theta[j](p, 1) for j in range(n)]]
+        rhs = [f(p, 1)]
+        efj = Ef(p, 1)
         for r in range(n):
-            A.append([d[j][r](p, order) for j in range(n)])
-            rhs.append(-fpartials[r](p, order) + efj * theta[r](p, order))
+            A.append([d[j][r](p, 1) for j in range(n)])
+            rhs.append(-fpartials[r](p, 1) + efj * theta[r](p, 1))
         vals = np.array([[x.value for x in row] for row in A])
         rows = max(([r for r in range(n + 1) if r != drop]
                     for drop in range(n + 1)),
@@ -380,18 +413,19 @@ def _defining_solve(C, f, Ef):
                                    [rhs[r] for r in rows])
 
     solve = point_memo(solve)
-    return VectorField(C.chart, [Field(n, lambda p, o, i=i: solve(p, o)[i])
+    return VectorField(C.chart, [Field(n, lambda p, o, i=i: solve(p)[i])
                                  for i in range(n)])
 
 
 def _defining_pair(C, pts):
     """The pair extracted from {f,g} = X_f(g) - g·E(f) on the defining X_f."""
     n = C.chart.dim
-    E = _defining_solve(C, constant(n, 1.0), constant(n, 0.0))
+    fields = _theta_fields(C)
+    E = _defining_solve(C, fields, constant(n, 1.0), constant(n, 0.0))
 
     def oracle(f, g):
         Ef = E.apply_field(f)
-        return _defining_solve(C, f, Ef).apply_field(g) - g * Ef
+        return _defining_solve(C, fields, f, Ef).apply_field(g) - g * Ef
 
     return extract_pair_from_bracket(oracle, C.chart, pts)
 
@@ -403,6 +437,75 @@ def _conformal_darboux3():
     return ContactStructure(chart, {
         (0,): lambda x, y, z: -y * exp(0.3 * x + 0.2 * z),
         (2,): lambda x, y, z: exp(0.3 * x + 0.2 * z)})
+
+
+def _curved_darboux3():
+    # (1 + 0.1x²)(dz - y dx): polynomial, so sympy reads the same θ
+    chart = Chart("darboux3c", 3, [(-2, 2)] * 3)
+    return ContactStructure(chart, {
+        (0,): lambda x, y, z: -(1.0 + 0.1 * x * x) * y,
+        (2,): lambda x, y, z: 1.0 + 0.1 * x * x})
+
+
+def _sympy_varpi(C):
+    """ϖ = [[dθ, -θ], [θᵀ, 0]] as a sympy matrix, with its coordinates;
+    θ's components are the spec's own expressions, read on symbols."""
+    n = C.chart.dim
+    xs = sympy.symbols(f"x0:{n}")
+    th = [0] * n
+    for (i,), f in C.theta.comps.items():
+        th[i] = f.fn(*xs) if hasattr(f, "fn") else f.value(np.zeros(n))
+    W = sympy.zeros(n + 1, n + 1)
+    for l, i in itertools.product(range(n), repeat=2):
+        W[l, i] = sympy.diff(th[i], xs[l]) - sympy.diff(th[l], xs[i])
+    for i in range(n):
+        W[i, n], W[n, i] = -th[i], th[i]
+    return W, xs
+
+
+def _sympy_jets(C):
+    """p ↦ (ϖ, ∂ϖ, M, ∂M) from sympy, with M = ϖ⁻ᵀ, so that Π^{ij} = M_ij
+    and E^j = M_nj."""
+    W, xs = _sympy_varpi(C)
+    M = W.inv(method="LU").T
+    return sympy.lambdify(xs, [W, [W.diff(x) for x in xs],
+                               M, [M.diff(x) for x in xs]], cse=True)
+
+
+def _sympy_gap(C, exact, pts):
+    """Worst gap of varpi_jet and of the contact pair's Π and E 1-jets
+    from ``exact`` = :func:`_sympy_jets` of C."""
+    n = C.chart.dim
+    J = contact_to_jacobi(C)
+    entries = [(f, (i, j)) for (i, j), f in J.Pi.comps.items()]
+    entries += [(f, (n, j)) for j, f in enumerate(J.E.comps)]
+    gap = 0.0
+    for p in pts:
+        w, dw, m, dm = (np.array(x, dtype=float) for x in exact(*p))
+        got_w, got_dw = varpi_jet(C, p)
+        gap = max(gap, np.abs(got_w - w).max(), np.abs(got_dw - dw).max())
+        for f, idx in entries:
+            jet = f(p, 1)
+            gap = max(gap, abs(jet.value - m[idx]),
+                      np.abs(jet.grad - dm[(slice(None), *idx)]).max())
+    return gap
+
+
+@pytest.mark.parametrize("name", ["darboux3c", "darboux5"])
+def test_varpi_jet_and_pair_match_sympy(name, monkeypatch):
+    # a fresh structure per call, so that each builds its own pair
+    build_c = (_curved_darboux3 if name == "darboux3c"
+               else lambda: build("darboux5-product").source)
+    exact = _sympy_jets(build_c())
+    pts = sample_points(build_c().chart, 4, seed=45)
+    assert _sympy_gap(build_c(), exact, pts) <= 1e-12
+    # the broken control: a varpi_jet without ∂ϖ keeps the values, which
+    # the validation reads, and loses the gradients
+    true_jet = contact.varpi_jet
+    monkeypatch.setattr(contact, "varpi_jet",
+                        lambda C, p: (true_jet(C, p)[0],
+                                      np.zeros_like(true_jet(C, p)[1])))
+    assert _sympy_gap(build_c(), exact, pts) > 1e-3
 
 
 def _jet_gap(a, b):
@@ -432,8 +535,9 @@ def test_pair_fields_satisfy_defining_equations(name, request):
     f = ScalarFieldSpec(3, lambda x, y, z: x * y * z + x - 0.3 * z * z)
     J = contact_to_jacobi(C)
     Xf, E = hamiltonian_field(J, f), J.E
+    dtheta = exterior_d_form(C.theta)
     for p in sample_points(C.chart, 10, seed=44):
-        th, dth = C.theta.dense(p), C.dtheta.dense(p)
+        th, dth = C.theta.dense(p), dtheta.dense(p)
         fj = f(p, 1)
         e, x = E.at(p), Xf.at(p)
         assert abs(th @ e - 1.0) < 1e-12
@@ -449,9 +553,32 @@ def test_contact_to_jacobi_singular_varpi():
         contact_to_jacobi(C)
 
 
-def test_contact_to_jacobi_rejects_tampered_varpi(darboux3):
-    # the jet entries see 2·dθ, the float validation sees the true dθ
-    darboux3.dtheta._field_matrix = [[2.0 * f for f in row]
-                                     for row in darboux3.dtheta.field_matrix()]
+def test_contact_to_jacobi_rejects_tampered_varpi(darboux3, monkeypatch):
+    # the jet solve sees 2·dθ, the float validation sees the true dθ
+    true_jet = contact.varpi_jet
+
+    def doubled(C, p):
+        W, dW = (x.copy() for x in true_jet(C, p))
+        W[:-1, :-1] *= 2.0
+        dW[:, :-1, :-1] *= 2.0
+        return W, dW
+
+    monkeypatch.setattr(contact, "varpi_jet", doubled)
     with pytest.raises(OracleMismatch):
         contact_to_jacobi(darboux3)
+
+
+def test_contact_to_jacobi_validates_once(darboux3, monkeypatch):
+    # the pair is validated when it is built, and later calls return it
+    calls = []
+    residual = contact.sharp_inverse_residual
+
+    def counted(*args):
+        calls.append(1)
+        return residual(*args)
+
+    monkeypatch.setattr(contact, "sharp_inverse_residual", counted)
+    J = contact_to_jacobi(darboux3)
+    assert len(calls) == 5
+    assert all(contact_to_jacobi(darboux3) is J for _ in range(2))
+    assert len(calls) == 5

@@ -57,8 +57,13 @@ def _lifted_poisson_map_error(Phi, J_source, J_target, pts):
     return max(abs(f.value(p)) for p in pts for f in fields)
 
 
+def _slit_points(J):
+    """Where the Poissonization tests certify P unless they need more."""
+    return sample_points(slit_chart(J.chart), 5, seed=61)
+
+
 def test_poissonize_darboux3_components(darboux3_pair):
-    P = poissonize(darboux3_pair)
+    P = poissonize(darboux3_pair, _slit_points(darboux3_pair))
     p = np.array([0.3, -0.4, 0.8, 1.5])
     M = P.pi_matrix(p)
     s = p[3]
@@ -70,15 +75,15 @@ def test_poissonize_darboux3_components(darboux3_pair):
 
 def test_poissonize_zero_pair():
     chart = Chart("r2", 2, [(-1, 1)] * 2)
-    P = poissonize(zero_pair(chart))
+    J = zero_pair(chart)
+    P = poissonize(J, _slit_points(J))
     assert np.abs(P.pi_matrix([0.3, 0.2, 1.2])).max() == 0.0
 
 
 def test_poissonize_oracle_random_pairs(darboux3_pair):
     # {s·f∘π, s·g∘π}_P = s·({f,g}∘π) beyond the test sections
-    P = poissonize(darboux3_pair)
-    big = P.chart
-    pts = sample_points(big, 20, seed=62)
+    pts = sample_points(slit_chart(darboux3_pair.chart), 20, seed=62)
+    P = poissonize(darboux3_pair, pts)
     rng = np.random.default_rng(63)
     tests = []
     for _ in range(6):
@@ -94,22 +99,22 @@ def test_poissonize_oracle_random_pairs(darboux3_pair):
 
 def test_poissonize_so3(darboux3_pair):
     J = lie_poisson(so3())
-    P = poissonize(J)
-    pts = sample_points(P.chart, 20, seed=64)
+    pts = sample_points(slit_chart(J.chart), 20, seed=64)
+    P = poissonize(J, pts)
     assert check_poissonization_oracle(P, J, pts).passed
     assert check_homogeneity(P, pts).passed
     assert check_schouten_square(P, pts).passed     # Poisson case: [[P,P]] = 0
 
 
 def test_poissonize_homogeneity(darboux3_pair):
-    P = poissonize(darboux3_pair)
-    pts = sample_points(P.chart, 20, seed=65)
+    pts = sample_points(slit_chart(darboux3_pair.chart), 20, seed=65)
+    P = poissonize(darboux3_pair, pts)
     assert check_homogeneity(P, pts).passed
 
 
 def test_poissonize_is_poisson(darboux3_pair):
-    P = poissonize(darboux3_pair)
-    pts = sample_points(P.chart, 10, seed=66)
+    pts = sample_points(slit_chart(darboux3_pair.chart), 10, seed=66)
+    P = poissonize(darboux3_pair, pts)
     assert check_schouten_square(P, pts).passed
 
 
@@ -138,7 +143,7 @@ def test_poissonize_rejects_a_closed_form_its_oracle_refutes(
 
     monkeypatch.setattr(homogenize, "JacobiPair", doubled)
     with pytest.raises(OracleMismatch):
-        poissonize(darboux3_pair)
+        poissonize(darboux3_pair, _slit_points(darboux3_pair))
 
 
 def test_symplectize_darboux3(darboux3):

@@ -275,6 +275,30 @@ def test_no_determinant_threshold():
     assert calls == []
 
 
+def _object_dtypes(tree):
+    """Line of each ``dtype=object`` keyword and ``.astype(object)`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "dtype":
+            hit = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "astype" and node.args):
+            hit = node.args[0]
+        else:
+            continue
+        if isinstance(hit, ast.Name) and hit.id == "object":
+            yield hit.lineno
+
+
+def test_no_object_array():
+    """Jet linear algebra runs on dense float arrays, value and first
+    derivatives apart: no ``jdl`` code builds an object-dtype array."""
+    found = [f"{path.stem}:{line}" for path in SOURCES
+             for line in _object_dtypes(_tree(path))]
+    assert found == []
+    assert sorted(_object_dtypes(ast.parse(
+        "np.asarray(a, dtype=object)\nb.astype(object)\n"))) == [1, 2]
+
+
 def test_every_error_is_raised_in_a_test():
     """Each ``JdlError`` subclass has a control: some test expects it in a
     ``pytest.raises``."""
