@@ -122,17 +122,18 @@ def _assemble_varpi(th, dth):
 
 
 def curvature_form(varpi):
-    """H = ker θ_p and the matrix of c = -(dθ)|_H in the basis of H, read off
-    ``varpi`` = varpi_matrix(C, p): θ is its last row, dθ its top-left block.
-    Raises DegenerateCurvature where nondegeneracy(c) <= RANK_TOL.
+    """H = ker θ_p, a list, and the form c = -(dθ)|_H in the basis of H at
+    each point of ``varpi``, a stack of varpi_matrix(C, p): θ is its last
+    row, dθ its top-left block.  Raises DegenerateCurvature where
+    nondegeneracy(c) <= RANK_TOL.
     """
-    H = kernel(varpi[-1:, :-1])
-    B = H.basis
-    c = -(B.T @ varpi[:-1, :-1] @ B)
-    if (ratio := nondegeneracy(c)) <= RANK_TOL:
+    H = kernel(varpi[:, -1:, :-1])
+    c = [-(h.basis.T @ w[:-1, :-1] @ h.basis) for h, w in zip(H, varpi)]
+    ratio = nondegeneracy(c)
+    if (bad := ratio[ratio <= RANK_TOL]).size:
         raise DegenerateCurvature(
-            f"curvature degenerate: sigma_min/sigma_max of c = {ratio:.2e}")
-    return H, BilinearForm(c)
+            f"curvature degenerate: sigma_min/sigma_max of c = {bad[0]:.2e}")
+    return H, BilinearForm(np.stack(c))
 
 
 def contact_to_jacobi(C):

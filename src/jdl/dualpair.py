@@ -25,12 +25,15 @@ is below the tolerance of its report.
 
 Transversality, both orthogonalities, the rank relation, the corollary
 decomposition and the dimension sum are pointwise and first order: they read
-the floats :func:`_point` builds from θ, Tφ_i, a_i and their first
+the floats :func:`_points` builds from θ, Tφ_i, a_i and their first
 derivatives, with X_f = (Mᵀ j¹f)[:n] for M = ϖ⁻ᵀ (Kirillov 1976; Crainic &
 Salazar 2015), once per point set: every check of a job on one point set
-reads the same snapshots (:meth:`DualPairSpec.point_data`).  The
-centralizer hypothesis reads its brackets {λ, Φ1*λ1}(p) = j¹λ · M ·
-j¹(Φ1*λ1) from the same snapshots.  Commutation and the legs' morphism
+reads the same snapshot (:meth:`DualPairSpec.point_data`).  It is stacked
+over the points (ϖ and M as (N, n+1, n+1) arrays, each subspace a list of
+N), and the checks read it with the stacked operations of :mod:`jdl.linalg`:
+one SVD call per site per point set, and one residual array per condition.
+The centralizer hypothesis reads its brackets {λ, Φ1*λ1}(p) = j¹λ · M ·
+j¹(Φ1*λ1) from the same snapshot.  Commutation and the legs' morphism
 check still walk bracket-field trees: their 1-jet route waits for the
 benchmark to stop holding every timed pass's import (ROADMAP items 1-2).
 """
@@ -40,14 +43,15 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .atiyah import _factor_jet, ker_DPhi_from, pullback_jets
+from .atiyah import leg_data
 from .chart import tangent_map
 from .contact import contact_to_jacobi, curvature_form, varpi_matrix
 from .fields import as_field
 from .jacobi import (bracket_field, check_jacobi_morphism,
                      default_test_functions)
-from .linalg import (ANGLE_TOL, BilinearForm, full_space, image, kernel,
-                     orth_complement_wrt, span_of, subspace_equal, sum_spaces)
+from .linalg import (ANGLE_TOL, BilinearForm, dims, full_space, image,
+                     kernel, orth_complement_wrt, span_of, subspace_equal,
+                     sum_spaces)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
                      residual_report, timed)
 
@@ -75,14 +79,14 @@ class DualPairSpec:
         return (self.J1, self.Phi1), (self.J2, self.Phi2)
 
     def point_data(self, pts):
-        """The :func:`_point` of each of ``pts``, in order, built once per
-        point set: the spec keeps the last set's, keyed by the bytes and
-        shape of the point array, and another set replaces it."""
+        """The :func:`_points` snapshot of ``pts``, built once per point set:
+        the spec keeps the last set's, keyed by the bytes and shape of the
+        point array, and another set replaces it."""
         pts = np.array(pts, dtype=float)
         key = (pts.tobytes(), pts.shape)
         if self._point_data is None or self._point_data[0] != key:
             pts.flags.writeable = False
-            self._point_data = key, [_point(self, p) for p in pts]
+            self._point_data = key, _points(self, pts)
         return self._point_data[1]
 
     def pullback_fields(self, leg):
@@ -106,57 +110,53 @@ class DualPairSpec:
 
 def _frozen(**data):
     """``data`` as a namespace whose arrays, subspace bases and form
-    matrices are read-only."""
+    matrices, also those in lists, are read-only."""
     for v in data.values():
-        arr = getattr(v, "basis", getattr(v, "matrix", v))
-        if isinstance(arr, np.ndarray):
-            arr.flags.writeable = False
+        for x in v if isinstance(v, list) else [v]:
+            arr = getattr(x, "basis", getattr(x, "matrix", x))
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
     return SimpleNamespace(**data)
 
 
-def _leg(Phi, frames, p, H):
-    """One leg's first-order data at p from T = Tφ(p): a = a(p), which
-    raises ZeroConformalFactor where it vanishes, da(p), K = ker Tφ with
-    rank = n - dim K from the same SVD, H_in = H ∩ K in H coordinates,
-    ker_D = ker DΦ and the pullback jets of the target test sections."""
-    T = tangent_map(Phi.map, p)
-    a, da = _factor_jet(Phi, p)
-    K = kernel(T)
-    return _frozen(   # a copy of da: the factor's memoized jet stays writable
-        a=a, da=da.copy(), K=K, rank=p.size - K.dim, H_in=kernel(T @ H.basis),
-        ker_D=ker_DPhi_from(K, a, da),
-        jets=pullback_jets(T, a, da, frames, Phi.map(p)))
+def _leg(Phi, frames, pts, H):
+    """One leg's :func:`~jdl.atiyah.leg_data` from the stack T of Tφ, rank =
+    n - dim K from the same SVD, and H_in = H ∩ K in H coordinates."""
+    T = np.stack([tangent_map(Phi.map, p) for p in pts])
+    a, da, K, ker_D, jets = leg_data(Phi, frames, pts, T)
+    return _frozen(
+        a=a, da=da, K=K, rank=pts.shape[1] - dims(K), ker_D=ker_D, jets=jets,
+        H_in=kernel([t @ h.basis for t, h in zip(T, H)]))
 
 
-def _point(dp, p):
-    """A dual pair's first-order float data at p, read-only, as every check
-    of a point set shares it: ϖ(p), which holds θ and dθ; H = ker θ with
-    c = -dθ|_H; M = ϖ(p)⁻ᵀ from one float solve; the legs."""
-    p = np.asarray(p, dtype=float)
-    varpi = varpi_matrix(dp.source, p)
+def _points(dp, pts):
+    """A dual pair's first-order float data stacked over the points ``pts``,
+    read-only, as every check of a point set shares it: ϖ, which holds θ
+    and dθ; H = ker θ with c = -dθ|_H; M = ϖ⁻ᵀ from one solve; the legs."""
+    varpi = np.stack([varpi_matrix(dp.source, p) for p in pts])
     H, c = curvature_form(varpi)
     return _frozen(
-        p=p, varpi=varpi, H=H, c=c,
-        M=np.linalg.solve(varpi, np.eye(p.size + 1)).T,
-        legs=[_leg(Phi, frames, p, H)
+        p=pts, varpi=varpi, H=H, c=c,
+        M=np.linalg.solve(varpi, np.eye(varpi.shape[-1])).swapaxes(-1, -2),
+        legs=[_leg(Phi, frames, pts, H)
               for (_, Phi), frames in zip(dp.legs(), dp._frames)])
 
 
 def _hamiltonian(s, jets):
-    """Rows X_f = (Mᵀ j¹f)[:n] = Π♯df + f·E at the point s, for the rows
-    j¹f of ``jets``."""
-    return (np.atleast_2d(jets) @ s.M)[:, :-1]
+    """Rows X_f = (Mᵀ j¹f)[:n] = Π♯df + f·E for the rows j¹f of ``jets``."""
+    return (jets @ s.M)[..., :-1]
 
 
-# Each condition is a function of the spec that returns its residual as a
-# function of a _point.  Per-spec set-up, such as the bracket fields, is
-# then built once per check and freed with it rather than kept on the spec.
+# Each condition is a function of the spec that returns its residual at each
+# point as a function of a _points snapshot.  Per-spec set-up, such as the
+# bracket fields, is then built once per check and freed with it rather than
+# kept on the spec.
 
 def _transversality(dp):
     """max over i of dim M - dim(H + ker Tφ_i) = 1 - dim K_i + dim H_i;
     0 iff transversal."""
-    return lambda s: float(max(1 - leg.K.dim + leg.H_in.dim
-                               for leg in s.legs))
+    return lambda s: np.max([1.0 - dims(leg.K) + dims(leg.H_in)
+                             for leg in s.legs], axis=0)
 
 
 def _commutation(dp):
@@ -164,7 +164,8 @@ def _commutation(dp):
     J = dp.source_pair
     brackets = [bracket_field(J, f, g) for f in dp.pullback_fields(0)
                 for g in dp.pullback_fields(1)]
-    return lambda s: max(abs(f.value(s.p)) for f in brackets)
+    return lambda s: np.array([max(abs(f.value(p)) for f in brackets)
+                               for p in s.p])
 
 
 def _curvature_orthogonality(dp):
@@ -172,7 +173,7 @@ def _curvature_orthogonality(dp):
     dimensions differ)."""
     def residual(s):
         H1, H2 = (leg.H_in for leg in s.legs)
-        comp = orth_complement_wrt(s.c, H1, full_space(s.H.dim))
+        comp = orth_complement_wrt(s.c, H1, full_space(s.c.ambient))
         return subspace_equal(comp, H2)[1]
     return residual
 
@@ -183,7 +184,7 @@ def _varpi_orthogonality(dp):
     def residual(s):
         D1, D2 = (leg.ker_D for leg in s.legs)
         comp = orth_complement_wrt(BilinearForm(s.varpi), D1,
-                                   full_space(s.p.size + 1))
+                                   full_space(s.varpi.shape[-1]))
         return subspace_equal(comp, D2)[1]
     return residual
 
@@ -208,19 +209,19 @@ _DEFINING = ("transversality", "commutation", "curvature_orthogonality")
 
 @timed
 def _evaluate(check_id, dp, points):
-    """The condition's report over the _points, and its verdict at each."""
+    """The condition's report over a _points snapshot, and its verdicts."""
     residual_of, tolerance, identity, notes = _CONDITIONS[check_id]
-    residual = residual_of(dp)
-    residuals = [(s.p, residual(s)) for s in points]
-    rep = residual_report(check_id, identity, residuals, tolerance,
-                          notes=notes)
-    return rep, [r < tolerance for _, r in residuals]
+    residuals = residual_of(dp)(points)
+    rep = residual_report(check_id, identity, list(zip(points.p, residuals)),
+                          tolerance, notes=notes)
+    return rep, residuals < tolerance
 
 
 def _defining_conditions(dp):
-    """_point -> do conditions 1-3 all hold there?"""
+    """_points snapshot -> do conditions 1-3 all hold, at each point?"""
     tests = [(_CONDITIONS[c][0](dp), _CONDITIONS[c][1]) for c in _DEFINING]
-    return lambda s: all(residual(s) < t for residual, t in tests)
+    return lambda s: np.logical_and.reduce([residual(s) < t
+                                            for residual, t in tests])
 
 
 @timed
@@ -235,9 +236,8 @@ def verify_dual_pair(dp, pts):
     reports, holds = {}, {}
     for check_id in _CONDITIONS:
         reports[check_id], holds[check_id] = _evaluate(check_id, dp, points)
-    three = [all(v) for v in zip(*(holds[c] for c in _DEFINING))]
-    mismatches = sum(v3 != v for v3, v in
-                     zip(three, holds["varpi_orthogonality"]))
+    three = np.logical_and.reduce([holds[c] for c in _DEFINING])
+    mismatches = int(np.sum(three != holds["varpi_orthogonality"]))
     status = PASS if mismatches == 0 else FAIL
     reports["equivalence"] = CheckReport(
         "equivalence",
@@ -252,23 +252,20 @@ def check_rank_relation(dp, pts):
     """Rank constancy, 1 + rank φ1 + rank φ2 = dim M, and the span
     identities ker Tφ1 = span{X_{Φ2-pullbacks}} (and symmetrically)."""
     n = dp.source.chart.dim
-    ranks = [set(), set()]
-    residuals = []
-    for s in dp.point_data(pts):
-        r = 0.0 if 1 + sum(leg.rank for leg in s.legs) == n else 1.0
-        for i, (leg, other) in enumerate(zip(s.legs, s.legs[::-1])):
-            ranks[i].add(leg.rank)
-            span = span_of(_hamiltonian(s, other.jets), n, normalize=True)
-            r = max(r, subspace_equal(leg.K, span)[1])
-        residuals.append((s.p, r))
+    s = dp.point_data(pts)
+    r = np.where(1 + sum(leg.rank for leg in s.legs) == n, 0.0, 1.0)
+    for leg, other in zip(s.legs, s.legs[::-1]):
+        span = span_of(_hamiltonian(s, other.jets), n, normalize=True)
+        r = np.maximum(r, subspace_equal(leg.K, span)[1])
     rep = residual_report(
         "rank_relation",
         "constant ranks; 1 + rank phi_1 + rank phi_2 = dim M; "
         "ker T phi_1 = span X over Phi_2-pullbacks (and symmetrically)",
-        residuals, ANGLE_TOL)
+        list(zip(s.p, r)), ANGLE_TOL)
+    ranks = [sorted(set(leg.rank.tolist())) for leg in s.legs]
     if len(ranks[0]) > 1 or len(ranks[1]) > 1:
         rep.status = FAIL
-        rep.notes = f"nonconstant ranks: {sorted(ranks[0])}, {sorted(ranks[1])}"
+        rep.notes = f"nonconstant ranks: {ranks[0]}, {ranks[1]}"
     return rep
 
 
@@ -280,24 +277,23 @@ def check_corollary_decomposition(dp, pts):
     and it equals the kernel (dimension and principal angles).
     """
     n = dp.source.chart.dim
-    residuals = []
-    for s in dp.point_data(pts):
-        r = 0.0
-        for leg, other in zip(s.legs, s.legs[::-1]):
-            comp_in_H = orth_complement_wrt(s.c, other.H_in,
-                                            full_space(s.H.dim))
-            comp_ambient = image(s.H.basis @ comp_in_H.basis)
-            line = span_of(_hamiltonian(s, np.append(other.da, other.a)),
-                           ambient=n)
-            total = sum_spaces(line, comp_ambient)
-            direct = total.dim == line.dim + comp_ambient.dim
-            r = max(r, subspace_equal(total, leg.K)[1] if direct
-                    else np.pi / 2)
-        residuals.append((s.p, r))
+    s = dp.point_data(pts)
+    r = np.zeros(len(s.p))
+    for leg, other in zip(s.legs, s.legs[::-1]):
+        comp_in_H = orth_complement_wrt(s.c, other.H_in,
+                                        full_space(s.c.ambient))
+        comp_ambient = image([h.basis @ c.basis
+                              for h, c in zip(s.H, comp_in_H)])
+        j_a = np.concatenate([other.da, other.a[:, None]], axis=1)
+        line = span_of(_hamiltonian(s, j_a[:, None]), ambient=n)
+        total = sum_spaces(line, comp_ambient)
+        direct = dims(total) == dims(line) + dims(comp_ambient)
+        r = np.maximum(r, np.where(direct, subspace_equal(total, leg.K)[1],
+                                   np.pi / 2))
     return residual_report(
         "corollary_decomposition",
         "ker T phi_1 = <X_{a_2}> (+) (H_2)^perp-c, and symmetrically",
-        residuals, ANGLE_TOL)
+        list(zip(s.p, r)), ANGLE_TOL)
 
 
 @timed
@@ -315,12 +311,12 @@ def centralizer_membership(dp, lam, pts):
                 "with the Phi_1-pullback frames")
     lam = as_field(dp.source.chart.dim, lam)
     hyp_resid, residuals = 0.0, []
-    for s in dp.point_data(pts):
-        j = lam(s.p, 1)
-        jet, K = np.append(j.grad, j.value), s.legs[1].ker_D
-        hyp_resid = max(hyp_resid,
-                        float(np.abs(jet @ s.M @ s.legs[0].jets.T).max()))
-        residuals.append((s.p, float(np.abs(jet @ K.basis).max())
+    s = dp.point_data(pts)
+    for p, M, frames, K in zip(s.p, s.M, s.legs[0].jets, s.legs[1].ker_D):
+        j = lam(p, 1)
+        jet = np.append(j.grad, j.value)
+        hyp_resid = max(hyp_resid, float(np.abs(jet @ M @ frames.T).max()))
+        residuals.append((p, float(np.abs(jet @ K.basis).max())
                           if K.dim else 0.0))
     tolerance = 1e-8
     if hyp_resid > tolerance:
@@ -336,9 +332,8 @@ def centralizer_membership(dp, lam, pts):
 def check_vertical_dim_sum(dp, pts):
     """dim H_1 + dim H_2 = dim M - 1 at every point (passing full specs)."""
     n = dp.source.chart.dim
-    residuals = [(s.p, float(abs(sum(leg.H_in.dim for leg in s.legs)
-                                 - (n - 1))))
-                 for s in dp.point_data(pts)]
+    s = dp.point_data(pts)
+    r = np.abs(sum(dims(leg.H_in) for leg in s.legs) - (n - 1.0))
     return residual_report("vertical_dim_sum",
                            "dim H_1 + dim H_2 = dim M - 1",
-                           residuals, 0.5)
+                           list(zip(s.p, r)), 0.5)

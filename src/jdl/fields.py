@@ -175,7 +175,7 @@ def point_memo(fn):
         key = p.tobytes()
         hit = cache.get(key)
         if hit is None:
-            if len(cache) > 4096:
+            if len(cache) >= 4096:
                 cache.clear()
             hit = cache[key] = fn(p)
         return hit

@@ -36,6 +36,7 @@ import itertools
 
 import numpy as np
 
+from .atiyah import _bordered
 from .calculus import KForm, cyclic, exterior_d_form, schouten_square
 from .chart import Chart, tangent_map
 from .contact import contact_to_jacobi
@@ -213,14 +214,14 @@ def check_symplectization_consistency(C, pts):
 def _lifted_form(varpi, s):
     """ω~ at (x, s) from ϖ(x) in closed form: [[s·dθ, -θ], [θᵀ, 0]]."""
     out = varpi.copy()
-    out[:-1, :-1] *= s
+    out[..., :-1, :-1] *= s
     return out
 
 
 def _lifted_tangent(T, a, da, s):
     """TΦ~ at (x, s) from Tφ(x), a(x) and da(x) in closed form:
     [[Tφ, 0], [s·da, a]]."""
-    return np.block([[T, np.zeros((len(T), 1))], [s * da, a]])
+    return _bordered(T, s * da, a)
 
 
 @timed
@@ -233,25 +234,21 @@ def check_homogeneous_sdp_equivalence(dp, pts):
     from ϖ(x), Tφ_i(x), a_i(x) and da_i(x); all but Tφ_i(x) come from the
     spec's shared point data at x.  ker TΦ~_i is taken after scaling its
     rows to unit length, which keeps the row of a small factor a_i."""
-    ambient = full_space(dp.source.chart.dim + 1)
-    residuals = []
-    mismatches = 0
-    holds = _defining_conditions(dp)
-    for base in dp.point_data(pts):
-        base_ok = holds(base)
-        Ts = [tangent_map(Phi.map, base.p) for _, Phi in dp.legs()]
-        worst = 0.0
-        lifted_ok = True
-        for s in S_SLICES:
-            K1, K2 = (kernel(_unit_rows(_lifted_tangent(
-                T, leg.a, leg.da, s))[0]) for T, leg in zip(Ts, base.legs))
-            W = BilinearForm(_lifted_form(base.varpi, s))
-            same, ang = subspace_equal(K1, orth_complement_wrt(W, K2, ambient))
-            lifted_ok = lifted_ok and same
-            worst = max(worst, ang)
-        if lifted_ok != base_ok:
-            mismatches += 1
-        residuals.append((base.p, worst if base_ok else 0.0))
+    base = dp.point_data(pts)
+    base_ok = _defining_conditions(dp)(base)
+    Ts = [np.stack([tangent_map(Phi.map, p) for p in base.p])
+          for _, Phi in dp.legs()]
+    worst, lifted_ok = 0.0, True
+    for s in S_SLICES:
+        K1, K2 = (kernel(_unit_rows(_lifted_tangent(T, leg.a, leg.da, s))[0])
+                  for T, leg in zip(Ts, base.legs))
+        W = BilinearForm(_lifted_form(base.varpi, s))
+        same, ang = subspace_equal(
+            K1, orth_complement_wrt(W, K2, full_space(W.ambient)))
+        lifted_ok = lifted_ok & same
+        worst = np.maximum(worst, ang)
+    mismatches = int(np.sum(lifted_ok != base_ok))
+    residuals = list(zip(base.p, np.where(base_ok, worst, 0.0)))
     rep = residual_report(
         "homogeneous_sdp_equivalence",
         "ker T Phi~1 = (ker T Phi~2)^perp-omega~ at lifted points iff the "

@@ -1,9 +1,20 @@
-"""Subspace arithmetic with tolerances.
+"""Subspace arithmetic with tolerances, stacked over a point set.
 
-Spans, sums, preimages, annihilators, orthogonal complements with
-respect to an antisymmetric bilinear form, and principal-angle equality
-tests.  All ambient dimensions in catalog use are <= 16, so dense SVD-based
-routines are the right tool.
+Spans, sums, preimages, annihilators, orthogonal complements with respect
+to an antisymmetric bilinear form, and principal-angle equality tests, by
+dense SVDs (numerical rank as in Golub & Van Loan, *Matrix Computations*).
+
+Every function takes a leading point axis: a matrix argument is a stack
+(N, m, n) or a list of N matrices, a subspace argument a list of N
+Subspaces, and the result is a list (or an array) over the points.  A 2-D
+matrix, one Subspace or a form of one matrix is a stack of one: beside
+stacks it stands for every point, and alone it gets its one result back.
+Rank groups: the points of a call are grouped by the shapes of their
+arrays, so by their subspace dimensions, and each group makes one
+``np.linalg.svd`` call; each point's rank is cut from its own singular
+values.  Stacked ``svd``, ``@`` and ``solve`` compute each matrix bit for
+bit as the 2-D call on a contiguous copy does, so a point's result does not
+depend on the points stacked with it.
 
 Two tolerances decide everything here: ``RANK_TOL``, relative to the
 largest singular value, cuts every SVD rank and :func:`nondegeneracy`, and
@@ -11,6 +22,8 @@ largest singular value, cuts every SVD rank and :func:`nondegeneracy`, and
 vector off the subspace) still read as equality.  No function takes its own.
 """
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,146 +44,175 @@ class Subspace:
     def dim(self):
         return self.basis.shape[1]
 
-    def contains_vector(self, v):
-        """|v - proj v| <= ANGLE_TOL · max(1, |v|)."""
-        v = np.asarray(v, dtype=float)
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            return True
-        resid = v - self.basis @ (self.basis.T @ v)
-        return np.linalg.norm(resid) <= ANGLE_TOL * max(1.0, nv)
-
-    def contains(self, other):
-        return all(self.contains_vector(other.basis[:, j])
-                   for j in range(other.dim))
-
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
 
-def span_of(vectors, ambient=None, normalize=False):
-    """Orthonormalized span of a sequence of vectors.
+class BilinearForm:
+    """An antisymmetric bilinear form on R^ambient by its Gram matrix, or a
+    stack of them (N, ambient, ambient)."""
 
-    A matrix is a sequence of its rows; for the span of its columns use
-    :func:`image`.  With ``normalize`` each vector is scaled to unit length
-    and zero vectors are dropped, so the rank does not depend on how each
-    vector of the family is scaled.
+    def __init__(self, matrix):
+        matrix = np.asarray(matrix, dtype=float)
+        if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+            raise DimensionMismatch("bilinear form matrix must be square")
+        resid = np.abs(matrix + matrix.swapaxes(-1, -2)).max(axis=(-2, -1))
+        scale = np.maximum(1.0, np.abs(matrix).max(axis=(-2, -1)))
+        if (resid > 1e-10 * scale).any():
+            raise DimensionMismatch(
+                f"matrix not antisymmetric (residual {resid.max():.2e})")
+        self.matrix = matrix
+        self.ambient = matrix.shape[-1]
+
+
+def _pointwise(fn):
+    """``fn``, which takes stacks of arrays that share shapes (a subspace
+    gives its basis) and returns one result per point, under the calling
+    convention of the module docstring: one call per group of points."""
+    @functools.wraps(fn)
+    def run(*args):
+        args = [getattr(a, "basis", getattr(a, "matrix", a)) for a in args]
+        one = [isinstance(a, np.ndarray) and a.ndim == 2 for a in args]
+        n = next((len(a) for a, o in zip(args, one) if not o), 1)
+        stacks = [np.broadcast_to(a, (n, *a.shape)) if o else
+                  [getattr(x, "basis", x) for x in a] if isinstance(a, list)
+                  else a for a, o in zip(args, one)]
+        groups = {}
+        for i, key in enumerate(zip(*([x.shape for x in s] if isinstance(
+                s, list) else [s.shape[1:]] * n for s in stacks))):
+            groups.setdefault(key, []).append(i)
+        out = [None] * n
+        for idx in groups.values():
+            part = fn(*(np.asarray(s) if len(groups) == 1 else
+                        np.stack([s[i] for i in idx]) for s in stacks))
+            for i, r in zip(idx, part):
+                out[i] = r
+        if all(one):
+            return out[0]
+        return np.array(out) if out and np.isscalar(out[0]) else out
+    return run
+
+
+def _rank(s):
+    """Each point's count of singular values above RANK_TOL times its first."""
+    return np.sum(s > RANK_TOL * s[..., :1], axis=-1)
+
+
+def span_of(vectors, ambient=None, normalize=False):
+    """Orthonormalized span of the rows of ``vectors`` (k, n), or of each
+    family of a stack (N, k, n); for the span of columns use :func:`image`.
+    With ``normalize`` each vector is scaled to unit length and zero vectors
+    are dropped, so the rank does not depend on how each vector is scaled.
     """
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    if normalize:
-        vs = [v / np.linalg.norm(v) for v in vs if np.linalg.norm(v) > 0]
-    if not vs:
+    V = np.asarray(vectors, dtype=float)
+    if V.ndim < 2:                        # an empty family
         if ambient is None:
             raise DimensionMismatch("empty span needs an explicit ambient dim")
-        return zero_space(ambient)
-    A = np.stack(vs, axis=1)
-    if ambient is not None and A.shape[0] != ambient:
+        V = V.reshape(0, ambient)
+    if ambient is not None and V.shape[-1] != ambient:
         raise DimensionMismatch("vector length differs from ambient dim")
-    return image(A)
+    if normalize:   # |v| as np.linalg.norm(v) takes it, from the dot v·v
+        norms = np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
+        V = V / np.where(norms > 0, norms, 1.0)[..., None]
+        if not (norms > 0).all():
+            V = V[norms > 0] if V.ndim == 2 else [
+                v[k > 0] for v, k in zip(V, norms)]
+    return image(V.swapaxes(-1, -2) if isinstance(V, np.ndarray)
+                 else [v.T for v in V])
+
+
+def dims(U):
+    """The dimension of each subspace of the list U, as an int array."""
+    return np.array([u.dim for u in U], dtype=int)
 
 
 def full_space(ambient):
     return Subspace(ambient, np.eye(ambient))
 
 
-def zero_space(ambient):
-    return Subspace(ambient, np.zeros((ambient, 0)))
-
-
+@_pointwise
 def sum_spaces(U, V):
-    if U.ambient != V.ambient:
+    if U.shape[-2] != V.shape[-2]:
         raise DimensionMismatch("ambient dims differ")
-    return image(np.hstack([U.basis, V.basis]))
+    return image(np.concatenate([U, V], axis=-1))
 
 
+def _complement(B):
+    """Orthonormal bases of the complements of a stack B of bases."""
+    a, k = B.shape[-2:]
+    u = np.linalg.svd(B)[0] if k else np.broadcast_to(np.eye(a), (len(B), a, a))
+    return u[..., k:]
+
+
+@_pointwise
 def annihilator(U):
     """Orthogonal complement under the standard inner product."""
-    u = np.linalg.svd(U.basis)[0] if U.dim else np.eye(U.ambient)
-    return Subspace(U.ambient, u[:, U.dim:])
+    return [Subspace(U.shape[-2], c) for c in _complement(U)]
 
 
+@_pointwise
 def kernel(A):
     """Null space of a matrix as a Subspace of its column domain."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[1]
-    if A.shape[0] == 0:
-        return full_space(n)
+    n = A.shape[-1]
+    if A.shape[-2] == 0:
+        return [full_space(n)] * len(A)
     _, s, vt = np.linalg.svd(A)
-    if s.size and s[0] > 0:
-        r = int(np.sum(s > RANK_TOL * s[0]))
-    else:
-        r = 0
-    return Subspace(n, vt[r:].T)
+    return [Subspace(n, v[r:].T) for v, r in zip(vt, _rank(s))]
 
 
+@_pointwise
 def image(A):
     """Column space of a matrix as a Subspace of its row codomain."""
-    A = np.asarray(A, dtype=float)
     u, s, _ = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return zero_space(A.shape[0])
-    r = int(np.sum(s > RANK_TOL * s[0]))
-    return Subspace(A.shape[0], u[:, :r])
+    return [Subspace(A.shape[-2], v[:, :r]) for v, r in zip(u, _rank(s))]
 
 
+@_pointwise
 def nondegeneracy(A):
     """σ_min/σ_max of a square A (0 if A = 0, 1 if A is empty): A counts as
     nondegenerate iff this exceeds RANK_TOL, whatever its scale."""
-    s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
-    return float(s[-1] / s[0]) if s.size and s[0] > 0 else float(not s.size)
+    s = np.linalg.svd(A, compute_uv=False)
+    if not s.shape[-1]:
+        return np.ones(len(A))
+    return np.divide(s[:, -1], s[:, 0], out=np.zeros(len(A)),
+                     where=s[:, 0] > 0)
 
 
 def _unit_rows(A):
     """(DA, D⁻¹ as a column), D scaling A's nonzero rows to unit length, so
-    that ker DA = ker A loses no row far smaller than the others to RANK_TOL."""
-    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    that ker DA = ker A loses no row far smaller than the others to RANK_TOL.
+    Over any leading axes."""
+    norms = np.linalg.norm(A, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0
     return A / norms, norms
 
 
+@_pointwise
 def preimage(A, S):
     """{v : A v ∈ S} = {v : DAv ∈ DS} as a Subspace of the domain of A, with
     D from :func:`_unit_rows`."""
-    A = np.asarray(A, dtype=float)
-    if S.ambient != A.shape[0]:
+    if S.shape[-2] != A.shape[-2]:
         raise DimensionMismatch("subspace ambient differs from codomain")
     DA, norms = _unit_rows(A)
-    comp = annihilator(Subspace(S.ambient, S.basis / norms))
-    return kernel(comp.basis.T @ DA)
+    return kernel(_complement(S / norms).swapaxes(-1, -2) @ DA)
 
 
-class BilinearForm:
-    """An antisymmetric bilinear form on R^ambient given by its Gram matrix."""
-
-    def __init__(self, matrix):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise DimensionMismatch("bilinear form matrix must be square")
-        resid = np.max(np.abs(matrix + matrix.T))
-        scale = max(1.0, np.max(np.abs(matrix)))
-        if resid > 1e-10 * scale:
-            raise DimensionMismatch(
-                f"matrix not antisymmetric (residual {resid:.2e})")
-        self.matrix = matrix
-        self.ambient = matrix.shape[0]
-
-    def __call__(self, u, v):
-        return float(np.asarray(u) @ self.matrix @ np.asarray(v))
-
-
+@_pointwise
 def orth_complement_wrt(B, U, within):
-    """{v in within : B(v, u) = 0 for all u in U}, as a kernel problem."""
-    if not within.contains(U):
+    """{v in within : B(v, u) = 0 for all u in U}, as a kernel problem; B is
+    a BilinearForm or its Gram matrix."""
+    off = U - within @ (within.swapaxes(-1, -2) @ U)   # |u - proj u|
+    if (np.linalg.norm(off, axis=-2) > ANGLE_TOL * np.maximum(
+            1.0, np.linalg.norm(U, axis=-2))).any():
         raise NotContained("U is not contained in the enclosing subspace")
-    W = within.basis                      # ambient x w
-    if U.dim == 0:
-        return within
-    G = U.basis.T @ B.matrix.T @ W        # rows: B(w_col, u_row) over U basis
-    K = kernel(G)                         # coords in the W basis
-    return Subspace(within.ambient, W @ K.basis)
+    if not U.shape[-1]:
+        return [Subspace(len(w), w) for w in within]
+    # rows: B(w_col, u_row) over U basis; the kernel is in W coordinates
+    G = U.swapaxes(-1, -2) @ B.swapaxes(-1, -2) @ within
+    return [Subspace(len(w), w @ K.basis) for w, K in zip(within, kernel(G))]
 
 
-def principal_angles(U, V):
+def _angles(U, V):
     """Principal angles between U and V, ascending.
 
     Cosines lose small angles (cos θ = 1 - θ²/2 rounds to 1 below ~1e-8),
@@ -178,27 +220,33 @@ def principal_angles(U, V):
     part of V's basis outside U (Knyazev & Argentati, SIAM J. Sci. Comput.
     23, 2002).
     """
-    if U.dim == 0 and V.dim == 0:
-        return np.zeros(0)
-    if U.dim == 0 or V.dim == 0:
-        return np.array([np.pi / 2])
-    if U.dim < V.dim:
+    ku, kv = U.shape[-1], V.shape[-1]
+    if not (ku and kv):
+        return np.full((len(U), min(1, ku + kv)), np.pi / 2)
+    if ku < kv:
         U, V = V, U
-    UtV = U.basis.T @ V.basis
+    UtV = U.swapaxes(-1, -2) @ V
     cos = np.clip(np.linalg.svd(UtV, compute_uv=False), -1.0, 1.0)
-    sin = np.clip(np.linalg.svd(V.basis - U.basis @ UtV, compute_uv=False),
-                  0.0, 1.0)[::-1]
-    return np.where(cos * cos < 0.5, np.arccos(cos), np.arcsin(sin))
+    sin = np.clip(np.linalg.svd(V - U @ UtV, compute_uv=False), 0.0, 1.0)
+    return np.where(cos * cos < 0.5, np.arccos(cos), np.arcsin(sin)[..., ::-1])
+
+
+principal_angles = _pointwise(_angles)
+
+
+@_pointwise
+def _worst_angle(U, V):
+    if U.shape[-2] != V.shape[-2]:
+        raise DimensionMismatch("ambient dims differ")
+    if U.shape[-1] != V.shape[-1]:
+        return np.full(len(U), np.pi / 2)
+    ang = _angles(U, V)
+    return ang.max(axis=-1) if ang.shape[-1] else np.zeros(len(U))
 
 
 def subspace_equal(U, V):
     """(equal?, worst principal angle).  Equality needs matching dims too,
     and the angle is π/2 when they differ, so it is the residual of the
     equality."""
-    if U.ambient != V.ambient:
-        raise DimensionMismatch("ambient dims differ")
-    if U.dim != V.dim:
-        return False, np.pi / 2
-    ang = principal_angles(U, V)
-    worst = float(ang.max()) if ang.size else 0.0
+    worst = _worst_angle(U, V)
     return worst < ANGLE_TOL, worst

@@ -4,11 +4,18 @@
 
     PYTHONPATH=src python tests/golden/regen.py
 
+With ``--check`` the file is not written: the lines are regenerated in
+memory and compared byte for byte with it.  If they differ, the first
+differing line of each is printed and the exit status is 1; otherwise 0.
+
+    PYTHONPATH=src python tests/golden/regen.py --check
+
 ``tests/test_golden.py`` compares the command's output with this file.
 """
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 from jdl import catalog
@@ -31,8 +38,29 @@ def verify_lines(spec_id):
     return lines
 
 
+def golden_text():
+    """The contents ``verify.jsonl`` should have."""
+    return "".join(json.dumps(line) + "\n" for spec_id in catalog.ENTRIES
+                   for line in verify_lines(spec_id))
+
+
+def check():
+    """0 if ``verify.jsonl`` equals :func:`golden_text` byte for byte;
+    otherwise print the first differing line of each and return 1."""
+    want = GOLDEN.read_bytes().decode()
+    got = golden_text()
+    if got == want:
+        return 0
+    old, new = want.splitlines(), got.splitlines()
+    k = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b),
+             min(len(old), len(new)))
+    print(f"verify.jsonl differs at line {k + 1}:")
+    print(f"  file:        {old[k] if k < len(old) else '<end of file>'}")
+    print(f"  regenerated: {new[k] if k < len(new) else '<end of output>'}")
+    return 1
+
+
 if __name__ == "__main__":
-    with open(GOLDEN, "w") as fh:
-        for spec_id in catalog.ENTRIES:
-            for line in verify_lines(spec_id):
-                fh.write(json.dumps(line) + "\n")
+    if sys.argv[1:] == ["--check"]:
+        sys.exit(check())
+    GOLDEN.write_text(golden_text())

@@ -28,8 +28,8 @@ def _jet(f, p):
 
 def _ker_dphi(Phi, p):
     """ker DΦ at p from Tφ(p), a(p) and da(p)."""
-    return ker_DPhi_from(kernel(tangent_map(Phi.map, p)),
-                         Phi.factor_value(p), Phi.factor(p, 1).grad)
+    return ker_DPhi_from([kernel(tangent_map(Phi.map, p))],
+                         [Phi.factor_value(p)], [Phi.factor(p, 1).grad])[0]
 
 
 @pytest.fixture

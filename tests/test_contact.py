@@ -75,8 +75,8 @@ def test_contact_verdicts_ignore_the_scale_of_theta(scale, pts):
     assert check_contact(C, pts).passed
     big = slit_chart(C.chart)
     assert check_symplectization(C, sample_points(big, 10, seed=68)).passed
-    for p in pts:
-        assert curvature_form(varpi_matrix(C, p))[0].dim == 2
+    H, _ = curvature_form(np.stack([varpi_matrix(C, p) for p in pts]))
+    assert [h.dim for h in H] == [2] * len(pts)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-4, 1e-6])
@@ -84,7 +84,7 @@ def test_closed_form_is_not_contact_at_any_scale(scale, pts):
     C = _flat(scale)
     assert not check_contact(C, pts).passed
     with pytest.raises(DegenerateCurvature):
-        curvature_form(varpi_matrix(C, pts[0]))
+        curvature_form(varpi_matrix(C, pts[0])[None])
 
 
 def test_check_contact_trivgpd(trivgpd):
@@ -126,30 +126,29 @@ def test_reeb_rejects_noncontact():
 
 
 def test_curvature_darboux_origin(darboux3):
-    H, c = curvature_form(varpi_matrix(darboux3, [0.0, 0.0, 0.0]))
+    (H,), c = curvature_form(varpi_matrix(darboux3, [0.0, 0.0, 0.0])[None])
     assert H.dim == 2
     # c = -(dθ)|_H is nondegenerate with |det| = 1 at the origin
-    assert abs(abs(np.linalg.det(c.matrix)) - 1.0) < 1e-12
+    assert abs(abs(np.linalg.det(c.matrix[0])) - 1.0) < 1e-12
     # the value c(∂x, ∂y) = -1 read in the (∂x, ∂y)-aligned H-basis
     ex = H.basis.T @ np.array([1.0, 0.0, 0.0])
     ey = H.basis.T @ np.array([0.0, 1.0, 0.0])
-    assert abs(float(ex @ c.matrix @ ey) + 1.0) < 1e-12
+    assert abs(float(ex @ c.matrix[0] @ ey) + 1.0) < 1e-12
 
 
 def test_curvature_nondegenerate_everywhere(darboux3):
     pts = sample_points(darboux3.chart, 100, seed=24)
-    for p in pts:
-        _, c = curvature_form(varpi_matrix(darboux3, p))
-        assert abs(np.linalg.det(c.matrix)) > 1e-8
+    _, c = curvature_form(np.stack([varpi_matrix(darboux3, p) for p in pts]))
+    assert (np.abs(np.linalg.det(c.matrix)) > 1e-8).all()
 
 
 def test_curvature_trivgpd_value(trivgpd):
     # c(∂p, ∂q - p∂u) = -1
     p = np.array([0.4, 0.7, -0.2])
-    H, c = curvature_form(varpi_matrix(trivgpd, p))
+    (H,), c = curvature_form(varpi_matrix(trivgpd, p)[None])
     v1 = H.basis.T @ np.array([0.0, 1.0, 0.0])
     v2 = H.basis.T @ np.array([1.0, 0.0, -p[1]])
-    assert abs(float(v1 @ c.matrix @ v2) + 1.0) < 1e-12
+    assert abs(float(v1 @ c.matrix[0] @ v2) + 1.0) < 1e-12
 
 
 def test_hamiltonian_fields_darboux(darboux3, pts):

@@ -390,3 +390,17 @@ def test_point_memo_keeps_every_point():
     for _ in range(2):
         assert [memo(p) for p in pts] == [float(p.sum()) for p in pts]
     assert sorted(calls) == sorted(set(calls)) and len(calls) == 5
+
+
+def test_point_memo_holds_at_most_its_cap():
+    from jdl.fields import point_memo
+    cap, calls = 4096, []
+    memo = point_memo(lambda p: calls.append(p.tobytes()) or len(calls))
+    pts = np.arange(cap + 1.0)[:, None]
+    for p in pts:
+        memo(p)
+    assert len(calls) == cap + 1
+    memo(pts[-1])                 # the newest point is kept
+    assert len(calls) == cap + 1
+    memo(pts[0])                  # the first went when the cap was passed
+    assert len(calls) == cap + 2

@@ -1,7 +1,8 @@
-"""The per-point first-order data of the dual-pair checks against the tree
-and lift routes they replace, and its sharing across checks.
+"""The first-order point data of the dual-pair checks against the tree and
+lift routes they replace, its sharing across checks, and the stacking of
+its linear algebra over the point set.
 
-``dualpair._point`` reads X_f = (Mᵀ j¹f)[:n] with M = ϖ⁻ᵀ, the pullback
+``dualpair._points`` reads X_f = (Mᵀ j¹f)[:n] with M = ϖ⁻ᵀ, the pullback
 jets by the chain rule and ker DΦ in closed form, and the bracket of two
 pullbacks is j¹f · M · j¹g; the homogenized check reads ω~ and TΦ~ in
 closed form.  Each is compared with its defining route to 1e-12 (ker DΦ
@@ -20,7 +21,7 @@ from jdl.atiyah import dphi_matrix, pullback_jets
 from jdl.catalog import ENTRIES, build
 from jdl.chart import sample_points, tangent_map
 from jdl.contact import contact_to_jacobi
-from jdl.dualpair import (_hamiltonian, _point, centralizer_membership,
+from jdl.dualpair import (_hamiltonian, _points, centralizer_membership,
                           check_corollary_decomposition, check_rank_relation,
                           check_vertical_dim_sum, verify_dual_pair)
 from jdl.fields import constant
@@ -36,7 +37,7 @@ ORACLE_TOL = 1e-12
 SPECS = ("trivgpd", "darboux5-product", "broken-comm", "broken-transv")
 
 
-def _points(dp, seed=91):
+def _sample(dp, seed=91):
     return sample_points(dp.source.chart, 6, seed=seed)
 
 
@@ -50,12 +51,12 @@ def _hamiltonian_error(dp, transpose_M=False):
     """Worst |X_f - tree X_f| over both legs' pullbacks and the points."""
     fields = [_tree_fields(dp, leg) for leg in (0, 1)]
     worst = 0.0
-    for s in dp.point_data(_points(dp)):
-        if transpose_M:
-            s = SimpleNamespace(**{**vars(s), "M": s.M.T})
-        for leg, tree in zip(s.legs, fields):
-            X = _hamiltonian(s, leg.jets)
-            worst = max(worst, max(np.abs(x - h.at(s.p)).max()
+    s = dp.point_data(_sample(dp))
+    if transpose_M:
+        s = SimpleNamespace(**{**vars(s), "M": s.M.swapaxes(-1, -2)})
+    for leg, tree in zip(s.legs, fields):
+        for p, X in zip(s.p, _hamiltonian(s, leg.jets)):
+            worst = max(worst, max(np.abs(x - h.at(p)).max()
                                    for x, h in zip(X, tree)))
     return worst
 
@@ -63,7 +64,7 @@ def _hamiltonian_error(dp, transpose_M=False):
 def _jet_error(dp, drop_da=False):
     """Worst |chain-rule j¹(Φ*λ) - jet of the pullback field|."""
     worst = 0.0
-    for p in _points(dp):
+    for p in _sample(dp):
         for i, (_, Phi) in enumerate(dp.legs()):
             a = Phi.factor(p, 1)
             da = np.zeros_like(a.grad) if drop_da else a.grad
@@ -83,24 +84,25 @@ def _bracket_error(dp, transpose_M=False):
     trees = [[bracket_field(J, f, g) for g in dp.pullback_fields(1)]
              for f in dp.pullback_fields(0)]
     worst = 0.0
-    for s in dp.point_data(_points(dp)):
-        M = s.M.T if transpose_M else s.M
-        tree = np.array([[b.value(s.p) for b in row] for row in trees])
-        worst = max(worst, np.abs(s.legs[0].jets @ M @ s.legs[1].jets.T
-                                  - tree).max())
+    s = dp.point_data(_sample(dp))
+    for p, M, up, down in zip(s.p, s.M, *(leg.jets for leg in s.legs)):
+        M = M.T if transpose_M else M
+        tree = np.array([[b.value(p) for b in row] for row in trees])
+        worst = max(worst, np.abs(up @ M @ down.T - tree).max())
     return worst
 
 
 def _lifted_form_error(dp, flip_theta=False):
     omega, _ = symplectize(dp.source)
     worst = 0.0
-    for point in dp.point_data(_points(dp)):
-        for s in S_SLICES:
-            W = _lifted_form(point.varpi, s)   # a copy
-            if flip_theta:
-                W[:-1, -1] *= -1
+    point = dp.point_data(_sample(dp))
+    for s in S_SLICES:
+        W = _lifted_form(point.varpi, s)   # a copy
+        if flip_theta:
+            W[..., :-1, -1] *= -1
+        for p, w in zip(point.p, W):
             worst = max(worst,
-                        np.abs(W - omega.dense(np.append(point.p, s))).max())
+                        np.abs(w - omega.dense(np.append(p, s))).max())
     return worst
 
 
@@ -137,7 +139,7 @@ def test_lifted_tangent_matches_the_lifted_map(spec_id):
     dp = build(spec_id)
     lifts = [homogenize_map(Phi) for _, Phi in dp.legs()]
     worst = 0.0
-    for p in _points(dp):
+    for p in _sample(dp):
         for (_, Phi), lift in zip(dp.legs(), lifts):
             T, factor = tangent_map(Phi.map, p), Phi.factor(p, 1)
             for s in S_SLICES:
@@ -150,19 +152,19 @@ def test_lifted_tangent_matches_the_lifted_map(spec_id):
 @pytest.mark.parametrize("spec_id", SPECS)
 def test_ker_dphi_matches_the_kernel_of_dphi(spec_id):
     dp = build(spec_id)
-    for s in dp.point_data(_points(dp)):
-        for leg, (_, Phi) in zip(s.legs, dp.legs()):
-            same, angle = subspace_equal(
-                leg.ker_D, kernel(dphi_matrix(Phi, s.p)))
+    s = dp.point_data(_sample(dp))
+    for leg, (_, Phi) in zip(s.legs, dp.legs()):
+        for p, ker_D in zip(s.p, leg.ker_D):
+            same, angle = subspace_equal(ker_D, kernel(dphi_matrix(Phi, p)))
             assert same and angle < ORACLE_TOL, (spec_id, angle)
 
 
 def test_point_chart_leg_has_full_kernel():
     dp = build("broken-transv")
-    for s in dp.point_data(_points(dp)):
-        leg = s.legs[1]
-        assert (leg.K.dim, leg.rank, leg.ker_D.dim) == (3, 0, 3)
-        assert leg.jets.shape == (1, 4)
+    leg = dp.point_data(_sample(dp)).legs[1]
+    for K, rank, ker_D in zip(leg.K, leg.rank, leg.ker_D):
+        assert (K.dim, rank, ker_D.dim) == (3, 0, 3)
+    assert leg.jets.shape == (6, 1, 4)
 
 
 @pytest.mark.parametrize("spec_id", SPECS)
@@ -199,37 +201,66 @@ def _first_order_checks(dp, pts):
 def test_a_job_builds_each_point_once(spec_id, monkeypatch):
     built = Counter()
 
-    def counting(dp, p):
-        built[np.asarray(p, dtype=float).tobytes()] += 1
-        return _point(dp, p)
+    def counting(dp, pts):
+        built.update(p.tobytes() for p in pts)
+        return _points(dp, pts)
 
-    monkeypatch.setattr(dualpair, "_point", counting)
-    monkeypatch.setattr(homogenize, "_point", counting, raising=False)
+    monkeypatch.setattr(dualpair, "_points", counting)
+    monkeypatch.setattr(homogenize, "_points", counting, raising=False)
     dp = build(spec_id)
-    pts = _points(dp)
+    pts = _sample(dp)
     _first_order_checks(dp, pts)
     assert sorted(built.values()) == [1] * len(pts)
 
 
 def test_a_second_point_set_reads_like_a_fresh_spec():
     dp = build("trivgpd")
-    first, second = _points(dp, seed=91), _points(dp, seed=92)
+    first, second = _sample(dp, seed=91), _sample(dp, seed=92)
     _first_order_checks(dp, first)
     assert (_first_order_checks(dp, second)
             == _first_order_checks(build("trivgpd"), second))
-    assert np.array_equal([s.p for s in dp.point_data(second)], second)
+    assert np.array_equal(dp.point_data(second).p, second)
     assert dp.point_data(second) is dp.point_data(list(second))
 
 
 def test_snapshot_arrays_are_read_only():
     dp = build("darboux5-product")
-    pts = np.array(_points(dp))
-    for s in dp.point_data(pts):
-        arrays = [s.p, s.varpi, s.M, s.H.basis, s.c.matrix]
-        for leg in s.legs:
-            arrays += [leg.da, leg.K.basis, leg.H_in.basis, leg.ker_D.basis,
-                       leg.jets]
-        for arr in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0.0
+    pts = np.array(_sample(dp))
+    s = dp.point_data(pts)
+    arrays = [s.p, s.varpi, s.M, s.c.matrix] + [h.basis for h in s.H]
+    for leg in s.legs:
+        arrays += [leg.a, leg.da, leg.rank, leg.jets] + [
+            U.basis for U in (*leg.K, *leg.H_in, *leg.ker_D)]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
     pts[0, 0] = 0.5   # the caller's points stay writable
+
+
+def _svd_calls(monkeypatch, n_points):
+    """np.linalg.svd calls of the stacked checks of one trivgpd job at
+    n_points, counted at the ``np.linalg`` attribute as the benchmark's
+    tracer counts them."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    dp = build("trivgpd")
+    pts = sample_points(dp.source.chart, n_points, seed=93)
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "svd", counting)
+        verify_dual_pair(dp, pts)
+        check_rank_relation(dp, pts)
+        check_corollary_decomposition(dp, pts)
+        check_homogeneous_sdp_equivalence(dp, pts)
+        check_pullback_distribution(dp, pts)
+    return len(calls)
+
+
+def test_svd_calls_do_not_grow_with_the_point_count(monkeypatch):
+    # one call per site and rank group: trivgpd's ranks are constant, so
+    # 10 and 40 points make the same calls, where a per-point loop makes 4×
+    assert _svd_calls(monkeypatch, 10) == _svd_calls(monkeypatch, 40) > 0
