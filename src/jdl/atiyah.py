@@ -83,12 +83,14 @@ def pullback_jets(T, a, da, frames, q):
 
 def leg_data(Phi, frames, pts, T):
     """A leg's a (raising ZeroConformalFactor where it vanishes), da, ker Tφ,
-    ker DΦ and pullback jets of ``frames`` at ``pts``, from the stack T of Tφ."""
+    ker DΦ, pullback jets of ``frames`` and image points q = φ(p) at
+    ``pts``, from the stack T of Tφ."""
     a, da = (np.array(x) for x in zip(*(_factor_jet(Phi, p) for p in pts)))
     K = kernel(T)
-    jets = np.stack([pullback_jets(t, x, d, frames, Phi.map(p))
-                     for t, x, d, p in zip(T, a, da, pts)])
-    return a, da, K, ker_DPhi_from(K, a, da), jets
+    q = np.array([Phi.map(p) for p in pts])
+    jets = np.stack([pullback_jets(t, x, d, frames, y)
+                     for t, x, d, y in zip(T, a, da, q)])
+    return a, da, K, ker_DPhi_from(K, a, da), jets, q
 
 
 def _factor_jet(Phi, p):
@@ -135,7 +137,7 @@ def check_technical_lemma(Phi, J, pts):
     frames = default_test_functions(Phi.map.target)
     n = Phi.map.source.dim
     T = np.stack([tangent_map(Phi.map, p) for p in pts])
-    _, _, _, ker_D, jets = leg_data(Phi, frames, pts, T)
+    _, _, _, ker_D, jets, _ = leg_data(Phi, frames, pts, T)
     ann = annihilator(ker_D)
     ang1 = subspace_equal(
         ann, span_of(jets, ambient=n + 1, normalize=True))[1]

@@ -76,7 +76,8 @@ class KForm(_Antisym):
 
 
 class Multivector(_Antisym):
-    """Multivector field of degree 1..3 with field components."""
+    """Multivector field with field components over increasing indices;
+    :meth:`_Antisym.jet` reads degrees 1 and 2."""
 
 
 class VectorField:

@@ -19,9 +19,11 @@ Since Φ_i* 1 = a_i, it includes {a1, a2} = 0; and since
 coordinate y, with a2 nowhere zero, it gives X_{a1} ∈ ker Tφ2, and
 symmetrically X_{a2} ∈ ker Tφ1.
 
-Each condition has one residual at a point.  Its report and both pointwise
-verdicts read that residual, and the condition holds at p when the residual
-is below the tolerance of its report.
+Each condition has one residual at a point, computed once per point set
+by :func:`_points`, which keeps its residuals, where it holds (below the
+tolerance of its report) and where conditions 1-3 all hold:
+:func:`verify_dual_pair` reports those arrays, the homogenized check reads
+the conjunction.
 
 Transversality, both orthogonalities, the rank relation, the corollary
 decomposition and the dimension sum are pointwise and first order: they read
@@ -31,14 +33,16 @@ Salazar 2015), once per point set: every check of a job on one point set
 reads the same snapshot (:meth:`DualPairSpec.point_data`).  It is stacked
 over the points (ϖ and M as (N, n+1, n+1) arrays, each subspace a list of
 N), and the checks read it with the stacked operations of :mod:`jdl.linalg`:
-one SVD call per site per point set, and one residual array per condition.
-The centralizer hypothesis reads its brackets {λ, Φ1*λ1}(p) = j¹λ · M ·
-j¹(Φ1*λ1) from the same snapshot.  Commutation and the legs' morphism
-check still walk bracket-field trees: their 1-jet route waits for the
-benchmark to stop holding every timed pass's import (ROADMAP items 1-2).
+one SVD call per site per point set.  Each leg keeps (H_i)^⊥c, (ker DΦ_i)^⊥ϖ
+and q = φ_i(p).  The centralizer hypothesis reads its brackets
+{λ, Φ1*λ1}(p) = j¹λ · M · j¹(Φ1*λ1) from the same snapshot.  Commutation
+(once per point set) and the legs' morphism check still walk bracket-field
+trees: their 1-jet route waits for the benchmark to stop holding every
+timed pass's import (ROADMAP items 1-2).
 """
 from __future__ import annotations
 
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,16 +68,13 @@ class DualPairSpec:
         self.J1, self.Phi1 = leg1
         self.J2, self.Phi2 = leg2
         self.name = name
-        self._source_pair = None
         self._point_data = None
         self._frames = [default_test_functions(J.chart)
                         for J, _ in self.legs()]
 
     @property
     def source_pair(self):
-        if self._source_pair is None:
-            self._source_pair = contact_to_jacobi(self.source)
-        return self._source_pair
+        return contact_to_jacobi(self.source)
 
     def legs(self):
         return (self.J1, self.Phi1), (self.J2, self.Phi2)
@@ -110,36 +111,52 @@ class DualPairSpec:
 
 def _frozen(**data):
     """``data`` as a namespace whose arrays, subspace bases and form
-    matrices, also those in lists, are read-only."""
+    matrices, also those in lists and dicts, are read-only."""
     for v in data.values():
-        for x in v if isinstance(v, list) else [v]:
+        for x in v.values() if isinstance(v, dict) else \
+                v if isinstance(v, list) else [v]:
             arr = getattr(x, "basis", getattr(x, "matrix", x))
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
     return SimpleNamespace(**data)
 
 
-def _leg(Phi, frames, pts, H):
+def _leg(Phi, frames, pts, H, c, W):
     """One leg's :func:`~jdl.atiyah.leg_data` from the stack T of Tφ, rank =
-    n - dim K from the same SVD, and H_in = H ∩ K in H coordinates."""
+    n - dim K from the same SVD, H_in = H ∩ K in H coordinates, and the
+    complements (H_in)^⊥c and (ker DΦ)^⊥ϖ."""
     T = np.stack([tangent_map(Phi.map, p) for p in pts])
-    a, da, K, ker_D, jets = leg_data(Phi, frames, pts, T)
+    a, da, K, ker_D, jets, q = leg_data(Phi, frames, pts, T)
+    H_in = kernel([t @ h.basis for t, h in zip(T, H)])
     return _frozen(
         a=a, da=da, K=K, rank=pts.shape[1] - dims(K), ker_D=ker_D, jets=jets,
-        H_in=kernel([t @ h.basis for t, h in zip(T, H)]))
+        q=q, H_in=H_in,
+        H_perp=orth_complement_wrt(c, H_in, full_space(c.ambient)),
+        D_perp=orth_complement_wrt(W, ker_D, full_space(W.ambient)))
 
 
 def _points(dp, pts):
     """A dual pair's first-order float data stacked over the points ``pts``,
     read-only, as every check of a point set shares it: ϖ, which holds θ
-    and dθ; H = ker θ with c = -dθ|_H; M = ϖ⁻ᵀ from one solve; the legs."""
+    and dθ; H = ker θ with c = -dθ|_H; M = ϖ⁻ᵀ from one solve; the legs;
+    and per condition its residuals, the seconds they took and where it
+    holds, with ``dual_pair`` where conditions 1-3 all hold."""
     varpi = np.stack([varpi_matrix(dp.source, p) for p in pts])
     H, c = curvature_form(varpi)
-    return _frozen(
+    W = BilinearForm(varpi)
+    s = SimpleNamespace(
         p=pts, varpi=varpi, H=H, c=c,
         M=np.linalg.solve(varpi, np.eye(varpi.shape[-1])).swapaxes(-1, -2),
-        legs=[_leg(Phi, frames, pts, H)
-              for (_, Phi), frames in zip(dp.legs(), dp._frames)])
+        legs=[_leg(Phi, frames, pts, H, c, W)
+              for (_, Phi), frames in zip(dp.legs(), dp._frames)],
+        residual={}, seconds={}, holds={})
+    for check_id, (condition, tolerance, *_) in _CONDITIONS.items():
+        t0 = time.perf_counter()
+        r = s.residual[check_id] = condition(dp, s)
+        s.seconds[check_id] = time.perf_counter() - t0
+        s.holds[check_id] = r < tolerance
+    s.dual_pair = np.logical_and.reduce([s.holds[k] for k in _DEFINING])
+    return _frozen(**vars(s))
 
 
 def _hamiltonian(s, jets):
@@ -147,49 +164,26 @@ def _hamiltonian(s, jets):
     return (jets @ s.M)[..., :-1]
 
 
-# Each condition is a function of the spec that returns its residual at each
-# point as a function of a _points snapshot.  Per-spec set-up, such as the
-# bracket fields, is then built once per check and freed with it rather than
-# kept on the spec.
+# Each condition maps the spec and a _points snapshot under construction
+# (its point data built, its conditions not) to its residual at each point.
 
-def _transversality(dp):
+def _transversality(dp, s):
     """max over i of dim M - dim(H + ker Tφ_i) = 1 - dim K_i + dim H_i;
     0 iff transversal."""
-    return lambda s: np.max([1.0 - dims(leg.K) + dims(leg.H_in)
-                             for leg in s.legs], axis=0)
+    return np.max([1.0 - dims(leg.K) + dims(leg.H_in) for leg in s.legs],
+                  axis=0)
 
 
-def _commutation(dp):
+def _commutation(dp, s):
     """max |{Φ1*λ1, Φ2*λ2}(p)| over the test sections."""
     J = dp.source_pair
     brackets = [bracket_field(J, f, g) for f in dp.pullback_fields(0)
                 for g in dp.pullback_fields(1)]
-    return lambda s: np.array([max(abs(f.value(p)) for f in brackets)
-                               for p in s.p])
+    return np.array([max(abs(f.value(p)) for f in brackets) for p in s.p])
 
 
-def _curvature_orthogonality(dp):
-    """Worst principal angle between (H_1)^⊥c and H_2 (π/2 if their
-    dimensions differ)."""
-    def residual(s):
-        H1, H2 = (leg.H_in for leg in s.legs)
-        comp = orth_complement_wrt(s.c, H1, full_space(s.c.ambient))
-        return subspace_equal(comp, H2)[1]
-    return residual
-
-
-def _varpi_orthogonality(dp):
-    """Worst principal angle between (ker DΦ1)^⊥ϖ and ker DΦ2 (π/2 if
-    their dimensions differ)."""
-    def residual(s):
-        D1, D2 = (leg.ker_D for leg in s.legs)
-        comp = orth_complement_wrt(BilinearForm(s.varpi), D1,
-                                   full_space(s.varpi.shape[-1]))
-        return subspace_equal(comp, D2)[1]
-    return residual
-
-
-# check id -> (residual of a spec, report tolerance, identity, notes)
+# check id -> (residual, report tolerance, identity, notes); an angle
+# residual is π/2 where the dimensions of the two sides differ
 _CONDITIONS = {
     "transversality": (_transversality, 0.5, "H + ker T phi_i = TM",
                        "residual counts missing dimensions"),
@@ -197,31 +191,15 @@ _CONDITIONS = {
                     "{Phi_1* f, Phi_2* g} = 0 for f, g in {1, coordinates}",
                     ""),
     "curvature_orthogonality": (
-        _curvature_orthogonality, ANGLE_TOL,
-        "(H cap ker T phi_1)^perp-c = H cap ker T phi_2",
+        lambda dp, s: subspace_equal(s.legs[0].H_perp, s.legs[1].H_in)[1],
+        ANGLE_TOL, "(H cap ker T phi_1)^perp-c = H cap ker T phi_2",
         "residual is the worst principal angle"),
-    "varpi_orthogonality": (_varpi_orthogonality, ANGLE_TOL,
-                            "(ker D Phi_1)^perp-varpi = ker D Phi_2",
-                            "residual is the worst principal angle"),
+    "varpi_orthogonality": (
+        lambda dp, s: subspace_equal(s.legs[0].D_perp, s.legs[1].ker_D)[1],
+        ANGLE_TOL, "(ker D Phi_1)^perp-varpi = ker D Phi_2",
+        "residual is the worst principal angle"),
 }
 _DEFINING = ("transversality", "commutation", "curvature_orthogonality")
-
-
-@timed
-def _evaluate(check_id, dp, points):
-    """The condition's report over a _points snapshot, and its verdicts."""
-    residual_of, tolerance, identity, notes = _CONDITIONS[check_id]
-    residuals = residual_of(dp)(points)
-    rep = residual_report(check_id, identity, list(zip(points.p, residuals)),
-                          tolerance, notes=notes)
-    return rep, residuals < tolerance
-
-
-def _defining_conditions(dp):
-    """_points snapshot -> do conditions 1-3 all hold, at each point?"""
-    tests = [(_CONDITIONS[c][0](dp), _CONDITIONS[c][1]) for c in _DEFINING]
-    return lambda s: np.logical_and.reduce([residual(s) < t
-                                            for residual, t in tests])
 
 
 @timed
@@ -229,15 +207,17 @@ def verify_dual_pair(dp, pts):
     """All three defining conditions, the ϖ-orthogonality equivalent, and
     the pointwise agreement flag between the two verdicts.
 
-    Each condition is evaluated once per point, and its report and the
-    verdicts read the same residuals.
+    Each condition's report reads the residuals of the point set's
+    snapshot, and its wall time is the seconds they took there.
     """
-    points = dp.point_data(pts)
-    reports, holds = {}, {}
-    for check_id in _CONDITIONS:
-        reports[check_id], holds[check_id] = _evaluate(check_id, dp, points)
-    three = np.logical_and.reduce([holds[c] for c in _DEFINING])
-    mismatches = int(np.sum(three != holds["varpi_orthogonality"]))
+    s = dp.point_data(pts)
+    reports = {}
+    for check_id, (_, tolerance, identity, notes) in _CONDITIONS.items():
+        reports[check_id] = residual_report(
+            check_id, identity, list(zip(s.p, s.residual[check_id])),
+            tolerance, notes=notes)
+        reports[check_id].wall_time = s.seconds[check_id]
+    mismatches = int(np.sum(s.dual_pair != s.holds["varpi_orthogonality"]))
     status = PASS if mismatches == 0 else FAIL
     reports["equivalence"] = CheckReport(
         "equivalence",
@@ -280,10 +260,8 @@ def check_corollary_decomposition(dp, pts):
     s = dp.point_data(pts)
     r = np.zeros(len(s.p))
     for leg, other in zip(s.legs, s.legs[::-1]):
-        comp_in_H = orth_complement_wrt(s.c, other.H_in,
-                                        full_space(s.c.ambient))
         comp_ambient = image([h.basis @ c.basis
-                              for h, c in zip(s.H, comp_in_H)])
+                              for h, c in zip(s.H, other.H_perp)])
         j_a = np.concatenate([other.da, other.a[:, None]], axis=1)
         line = span_of(_hamiltonian(s, j_a[:, None]), ambient=n)
         total = sum_spaces(line, comp_ambient)

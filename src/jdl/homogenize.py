@@ -40,7 +40,6 @@ from .atiyah import _bordered
 from .calculus import KForm, cyclic, exterior_d_form, schouten_square
 from .chart import Chart, tangent_map
 from .contact import contact_to_jacobi
-from .dualpair import _defining_conditions
 from .errors import OracleMismatch
 from .fields import as_field, compose, constant, coordinate
 from .jacobi import JacobiPair, bracket_field, default_test_functions
@@ -229,13 +228,12 @@ def check_homogeneous_sdp_equivalence(dp, pts):
     """Lifted symplectic orthogonality agrees with the base verdict.
 
     At each lifted point (x, s): ker TΦ~1 = (ker TΦ~2)^⊥ω~, compared with
-    the base 3-condition verdict at x, read from the same per-point
-    residuals as verify_dual_pair.  ω~ and TΦ~_i are read in closed form
-    from ϖ(x), Tφ_i(x), a_i(x) and da_i(x); all but Tφ_i(x) come from the
-    spec's shared point data at x.  ker TΦ~_i is taken after scaling its
+    the base 3-condition verdict at x, which the spec's point data holds
+    from the same per-point residuals that verify_dual_pair reports.  ω~
+    and TΦ~_i are read in closed form from ϖ(x), Tφ_i(x), a_i(x) and
+    da_i(x); all but Tφ_i(x) come from the spec's shared point data at x.  ker TΦ~_i is taken after scaling its
     rows to unit length, which keeps the row of a small factor a_i."""
     base = dp.point_data(pts)
-    base_ok = _defining_conditions(dp)(base)
     Ts = [np.stack([tangent_map(Phi.map, p) for p in base.p])
           for _, Phi in dp.legs()]
     worst, lifted_ok = 0.0, True
@@ -247,8 +245,8 @@ def check_homogeneous_sdp_equivalence(dp, pts):
             K1, orth_complement_wrt(W, K2, full_space(W.ambient)))
         lifted_ok = lifted_ok & same
         worst = np.maximum(worst, ang)
-    mismatches = int(np.sum(lifted_ok != base_ok))
-    residuals = list(zip(base.p, np.where(base_ok, worst, 0.0)))
+    mismatches = int(np.sum(lifted_ok != base.dual_pair))
+    residuals = list(zip(base.p, np.where(base.dual_pair, worst, 0.0)))
     rep = residual_report(
         "homogeneous_sdp_equivalence",
         "ker T Phi~1 = (ker T Phi~2)^perp-omega~ at lifted points iff the "

@@ -24,8 +24,7 @@ from .chart import tangent_map
 from .errors import StepOutOfDomain
 from .fields import as_field
 from .jacobi import jacobi_bidiff_matrix
-from .linalg import (ANGLE_TOL, BilinearForm, full_space, image,
-                     orth_complement_wrt, preimage, subspace_equal, sum_spaces)
+from .linalg import ANGLE_TOL, image, preimage, subspace_equal, sum_spaces
 from .report import residual_report, timed
 
 RANK_EVERY = 100
@@ -140,28 +139,26 @@ def check_pullback_distribution(dp, pts):
     derivation level:  (DΦ_i)⁻¹(im J_i♯) = ker DΦ_i + (ker DΦ_i)^⊥ϖ,
     tangent level:     ker Tφ1 + ker Tφ2 = (Tφ_i)⁻¹(C_i) for i = 1, 2.
 
-    ϖ and each leg's a_i, da_i, ker Tφ_i and ker DΦ_i come from the spec's
-    shared point data; Tφ_i is read once per point, and DΦ_i follows in
-    closed form.  Each identity is read over the stacked point set.
+    Each leg's a_i, da_i, ker Tφ_i, ker DΦ_i, (ker DΦ_i)^⊥ϖ and q = φ_i(p)
+    come from the spec's shared point data; Tφ_i is read once per point,
+    and DΦ_i follows in closed form.  J_i♯ = Mᵀ is read at q, and
+    C_i = σ(im J_i♯) is the image of its first n rows.  Each identity is
+    read over the stacked point set.
     """
     s = dp.point_data(pts)
     D = sum_spaces(*(leg.K for leg in s.legs))
-    W = BilinearForm(s.varpi)
-    whole = full_space(s.varpi.shape[-1])
     r = np.zeros(len(s.p))
     for (J, Phi), leg in zip(dp.legs(), s.legs):
         T = np.stack([tangent_map(Phi.map, p) for p in s.p])
-        q = np.array([Phi.map(p) for p in s.p])
+        sharp = np.stack([jacobi_bidiff_matrix(J, x)
+                          for x in leg.q]).swapaxes(-1, -2)   # J♯ = Mᵀ
         # derivation level
-        M = np.stack([jacobi_bidiff_matrix(J, x) for x in q])
-        im = image(M.swapaxes(-1, -2))   # im J♯, J♯ = Mᵀ
-        lhs = preimage(dphi_from(T, leg.a, leg.da), im)
-        perp = orth_complement_wrt(W, leg.ker_D, whole)
-        r = np.maximum(r, subspace_equal(lhs, sum_spaces(leg.ker_D, perp))[1])
+        lhs = preimage(dphi_from(T, leg.a, leg.da), image(sharp))
+        r = np.maximum(r, subspace_equal(
+            lhs, sum_spaces(leg.ker_D, leg.D_perp))[1])
         # tangent level
-        C = image(np.stack([characteristic_vectors(J, x) for x in q]))
-        lhs_t = preimage(T, C)
-        r = np.maximum(r, subspace_equal(lhs_t, D)[1])
+        r = np.maximum(r, subspace_equal(
+            preimage(T, image(sharp[..., :-1, :])), D)[1])
     return residual_report(
         "pullback_distribution",
         "(D Phi_i)^{-1}(im J_i-sharp) = ker D Phi_i + (ker D Phi_i)^perp-"

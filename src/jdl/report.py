@@ -52,11 +52,18 @@ class CheckReport:
         return self.status == PASS
 
 
+def _worst(pairs, badness):
+    """The (point, value) pair of ``pairs`` with the largest badness of its
+    value; a NaN value is worse than any number, wherever it sits."""
+    return max(pairs, key=lambda t: (bool(np.isnan(t[1])), badness(t[1])),
+               default=(np.zeros(0), 0.0))
+
+
 def residual_report(check_id, identity, residuals_by_point, tolerance,
                     notes=""):
-    """Aggregate (point, residual) pairs into a pass/fail report."""
-    worst = max(residuals_by_point, key=lambda t: t[1]) if residuals_by_point \
-        else (np.zeros(0), 0.0)
+    """Aggregate (point, residual) pairs into a pass/fail report; a NaN
+    residual is the worst point and fails."""
+    worst = _worst(residuals_by_point, lambda r: r)
     status = PASS if worst[1] < tolerance else FAIL
     return CheckReport(check_id, identity, status, float(worst[1]),
                        tolerance, len(residuals_by_point),
@@ -66,9 +73,9 @@ def residual_report(check_id, identity, residuals_by_point, tolerance,
 
 def threshold_report(check_id, identity, values_by_point, threshold,
                      notes=""):
-    """Pass iff min |value| over points stays above the threshold."""
-    worst = min(values_by_point, key=lambda t: abs(t[1])) if values_by_point \
-        else (np.zeros(0), 0.0)
+    """Pass iff min |value| over points stays above the threshold; a NaN
+    value is the worst point and fails."""
+    worst = _worst(values_by_point, lambda v: -abs(v))
     status = PASS if abs(worst[1]) > threshold else FAIL
     return CheckReport(check_id, identity, status, float(abs(worst[1])),
                        threshold, len(values_by_point),

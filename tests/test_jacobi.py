@@ -57,6 +57,19 @@ def test_broken_e_pi_half_fails():
     assert not rep.passed and rep.max_residual == 2.0
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_a_nan_residual_fails_wherever_it_sits(order):
+    # Π = 1e160·x²y ∂x∧∂y overflows to a NaN residual at (0.5, 0.5) and not
+    # at (1e-3, 1e-3): both orders of the two points must fail there
+    c = Chart("box2", 2, [(-2, 2)] * 2)
+    J = JacobiPair(c, {(0, 1): lambda x, y: 1e160 * x**2 * y}, [0.0, 0.0])
+    pts = [np.array([0.5, 0.5]), np.array([1e-3, 1e-3])][::order]
+    with np.errstate(all="ignore"):
+        rep = check_jacobi_pair(J, pts)
+    assert not rep.passed and np.isnan(rep.max_residual)
+    assert rep.worst_point == [0.5, 0.5]
+
+
 def test_point_chart_pair_is_jacobi():
     J = zero_pair(Chart("pt", 0, []))
     rep = check_jacobi_pair(J, [np.zeros(0)])

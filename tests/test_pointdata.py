@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from jdl import dualpair, homogenize
+from jdl import dualpair
 from jdl.atiyah import dphi_matrix, pullback_jets
 from jdl.catalog import ENTRIES, build
 from jdl.chart import sample_points, tangent_map
@@ -206,11 +206,26 @@ def test_a_job_builds_each_point_once(spec_id, monkeypatch):
         return _points(dp, pts)
 
     monkeypatch.setattr(dualpair, "_points", counting)
-    monkeypatch.setattr(homogenize, "_points", counting, raising=False)
     dp = build(spec_id)
     pts = _sample(dp)
     _first_order_checks(dp, pts)
     assert sorted(built.values()) == [1] * len(pts)
+
+
+@pytest.mark.parametrize("spec_id", ("trivgpd", "broken-comm"))
+def test_a_job_walks_the_commutation_brackets_once(spec_id, monkeypatch):
+    # one bracket tree per pair of test sections, built and walked once per
+    # point set, though verify_dual_pair and the homogenized check read it
+    built = []
+
+    def counting(J, f, g):
+        built.append(1)
+        return bracket_field(J, f, g)
+
+    monkeypatch.setattr(dualpair, "bracket_field", counting)
+    dp = build(spec_id)
+    _first_order_checks(dp, _sample(dp))
+    assert len(built) == len(dp._frames[0]) * len(dp._frames[1])
 
 
 def test_a_second_point_set_reads_like_a_fresh_spec():
@@ -227,10 +242,13 @@ def test_snapshot_arrays_are_read_only():
     dp = build("darboux5-product")
     pts = np.array(_sample(dp))
     s = dp.point_data(pts)
-    arrays = [s.p, s.varpi, s.M, s.c.matrix] + [h.basis for h in s.H]
+    arrays = [s.p, s.varpi, s.M, s.c.matrix, s.dual_pair] + [
+        h.basis for h in s.H] + [*s.residual.values(), *s.holds.values()]
     for leg in s.legs:
-        arrays += [leg.a, leg.da, leg.rank, leg.jets] + [
-            U.basis for U in (*leg.K, *leg.H_in, *leg.ker_D)]
+        arrays += [leg.a, leg.da, leg.rank, leg.jets, leg.q] + [
+            U.basis for U in (*leg.K, *leg.H_in, *leg.ker_D, *leg.H_perp,
+                              *leg.D_perp)]
+    assert len(s.residual) == len(s.holds) == 4
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
