@@ -38,7 +38,7 @@ from .contact import sharp_inverse_residual, varpi_matrix
 from .jacobi import default_test_functions, jacobi_bidiff_matrix
 from .linalg import (ANGLE_TOL, annihilator, image, kernel, span_of,
                      subspace_equal)
-from .report import residual_report, timed
+from .report import require_points, residual_report, timed
 
 
 @timed
@@ -98,11 +98,6 @@ def _factor_jet(Phi, p):
     return Phi.factor_value(p), Phi.factor(p, 1).grad
 
 
-def dphi_matrix(Phi, p):
-    """Matrix of DΦ at p; raises ZeroConformalFactor where a vanishes."""
-    return dphi_from(tangent_map(Phi.map, p), *_factor_jet(Phi, p))
-
-
 def one_perp_varpi(C, p):
     """⟨1⟩^⊥ϖ at p; equals σ⁻¹(H) = {(X,g): θ(X) = 0}."""
     W = varpi_matrix(C, p)
@@ -134,6 +129,7 @@ def check_technical_lemma(Phi, J, pts):
     is sign-robust.  Both spans are normalized, so their ranks do not
     depend on the scale of the target coordinates.
     """
+    require_points(pts, "technical_lemma")
     frames = default_test_functions(Phi.map.target)
     n = Phi.map.source.dim
     T = np.stack([tangent_map(Phi.map, p) for p in pts])

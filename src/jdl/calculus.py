@@ -10,8 +10,8 @@ cyclic sum, d of a 1-form is dA - dAᵀ, d of a 2-form is cyclic(dA), and
 
 :func:`exterior_d_form` is the one tree operator: it returns dω as a form
 with exact jet-evaluable components, for a form whose derivatives are read
-again (the symplectization ω~ = d(s·π*θ)).  Pullbacks are trees too, so d
-commutes with them exactly (a naturality test).
+again (the symplectization ω~ = d(s·π*θ)).  The pullback oracle of the
+tests is a tree too, so d commutes with it exactly (a naturality test).
 
 Sign conventions, pinned by unit tests: dα(X,Y) = X(α(Y)) - Y(α(X)) -
 α([X,Y]), and the Schouten square of a bivector is normalized as
@@ -25,7 +25,7 @@ import itertools
 import numpy as np
 
 from .errors import DegreeUnsupported, DimensionMismatch
-from .fields import as_field, compose, constant
+from .fields import as_field, constant
 
 
 class _Antisym:
@@ -38,12 +38,6 @@ class _Antisym:
         for k in self.comps:
             if list(k) != sorted(k) or len(set(k)) != len(k):
                 raise DimensionMismatch(f"component index {k} not increasing")
-
-    def coeff(self, key, p):
-        """The component at the increasing index ``key`` at p, 0 if unset;
-        it reads forms of any degree."""
-        f = self.comps.get(tuple(key))
-        return 0.0 if f is None else f.value(p)
 
     def jet(self, p):
         """Dense value and first derivatives at p, (A, dA) with
@@ -64,11 +58,6 @@ class _Antisym:
     def dense(self, p):
         """Dense antisymmetric value array at p, the value part of :meth:`jet`."""
         return self.jet(p)[0]
-
-
-def _perm_sign(perm):
-    """+1 or -1 by the parity of the inversions of ``perm``."""
-    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
 
 
 class KForm(_Antisym):
@@ -133,78 +122,6 @@ def exterior_d_form(omega):
             acc = acc + f * s
         comps[key] = acc
     return KForm(omega.chart, k + 1, comps)
-
-
-def wedge_form(alpha, beta):
-    """α ∧ β as a derived form, convention (dx∧dy)(∂x,∂y) = 1; the tests
-    read θ∧(dθ)ⁿ from it as the volume oracle of the contact check."""
-    k, l = alpha.degree, beta.degree
-    comps = {}
-    for key in itertools.combinations(range(alpha.chart.dim), k + l):
-        terms = []
-        for pick in itertools.combinations(range(k + l), k):
-            rest = tuple(a for a in range(k + l) if a not in pick)
-            fa = alpha.comps.get(tuple(key[a] for a in pick))
-            fb = beta.comps.get(tuple(key[a] for a in rest))
-            if fa is not None and fb is not None:
-                terms.append(fa * fb * _perm_sign(pick + rest))
-        if terms:
-            comps[key] = sum(terms[1:], terms[0])
-    return KForm(alpha.chart, k + l, comps)
-
-
-def lie_derivative(X, alpha, p):
-    """L_X α of a 1-form at p from the 1-jets of X and α:
-    (L_X α)_j = X^i ∂_i α_j + α_i ∂_j X^i."""
-    x, dx = X.jet(p)
-    a, da = alpha.jet(p)
-    return x @ da + dx @ a
-
-
-def pullback_form(F, omega):
-    """F*ω as a derived KForm on the source chart.
-
-    Components are exact jet-evaluable fields, so d commutes with the
-    pullback up to jet round-off (naturality is a test, not an assumption).
-    """
-    if omega.chart.dim != F.target.dim:
-        raise DimensionMismatch("form lives on a different chart than F's target")
-    n = F.source.dim
-    k = omega.degree
-    if k == 0:
-        return KForm(F.source, 0, {(): compose(omega.comps[()], F.components)})
-    partials = [[F.components[j].partial(a) for a in range(n)]
-                for j in range(F.target.dim)]
-    comps = {}
-    for key in itertools.combinations(range(n), k):
-        terms = []
-        for jkey in itertools.combinations(range(F.target.dim), k):
-            wfield = compose(omega.comps[jkey], F.components) \
-                if jkey in omega.comps else None
-            if wfield is None:
-                continue
-            # det of the (jkey, key) minor of the Jacobian, as a field
-            det = _det_field(partials, jkey, key, n)
-            terms.append(wfield * det)
-        if terms:
-            acc = terms[0]
-            for t in terms[1:]:
-                acc = acc + t
-            comps[key] = acc
-    return KForm(F.source, k, comps)
-
-
-def _det_field(partials, rows, cols, dim):
-    k = len(rows)
-    acc = None
-    for perm in itertools.permutations(range(k)):
-        sgn = _perm_sign(perm)
-        prod = partials[rows[0]][cols[perm[0]]]
-        for a in range(1, k):
-            prod = prod * partials[rows[a]][cols[perm[a]]]
-        term = prod * sgn
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else constant(dim, 0.0)
 
 
 # -- Schouten-Nijenhuis square ----------------------------------------------

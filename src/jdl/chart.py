@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, DomainViolation, SamplingExhausted
-from .fields import as_field, compose, coordinate
+from .fields import as_field
 
 
 class Chart:
@@ -99,19 +99,6 @@ class SmoothMap:
 
     def __repr__(self):
         return f"SmoothMap({self.source.name!r} -> {self.target.name!r})"
-
-
-def identity_map(chart):
-    return SmoothMap(chart, chart,
-                     [coordinate(chart.dim, i) for i in range(chart.dim)])
-
-
-def compose_maps(G, F):
-    """G∘F as a SmoothMap (components composed via exact jets)."""
-    if G.source.dim != F.target.dim:
-        raise DimensionMismatch("inner target dim must match outer source dim")
-    comps = [compose(c, F.components) for c in G.components]
-    return SmoothMap(F.source, G.target, comps)
 
 
 def tangent_map(F, p):

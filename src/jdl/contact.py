@@ -25,9 +25,10 @@ which extract a pair from the bracket they induce with the bracket
 extraction in ``tests/conftest.py`` and compare it with the closed form.
 There θ∧(dθ)ⁿ, a multiple of the Pfaffian of ϖ, checks :func:`check_contact`.
 
-The l.c.s. dictionary uses d∇f = df - f·η and ω♯ inverting X ↦ ω(·, X);
-this slot choice makes the even transitive dictionary reproduce both the
-bracket and the Hamiltonian fields of the underlying Jacobi pair.  With
+The l.c.s. dictionary, built in the tests (``tests/oracles.py``), uses
+d∇f = df - f·η and ω♯ inverting X ↦ ω(·, X); this slot choice makes the
+even transitive dictionary reproduce both the bracket and the Hamiltonian
+fields of the underlying Jacobi pair.  With
 d∇α = dα - η∧α on forms, (η, ω) is l.c.s. when dη = 0 and d∇ω = 0, that is
 dω = η∧ω (Vaisman, Int. J. Math. Math. Sci. 8, 1985), the sign that
 :func:`check_lcs` checks.
@@ -38,12 +39,12 @@ import itertools
 
 import numpy as np
 
-from .calculus import KForm, cyclic, lie_derivative
+from .calculus import KForm, cyclic
 from .chart import sample_points
 from .errors import (DegenerateCurvature, EvenDimension, OracleMismatch,
-                     SingularOmega, SingularSystem)
-from .fields import as_field, entry_field, jet_solve, point_memo
-from .jacobi import JacobiPair, hamiltonian_field, jacobi_bidiff_matrix
+                     SingularOmega)
+from .fields import entry_field, jet_solve, point_memo
+from .jacobi import JacobiPair, jacobi_bidiff_matrix
 from .linalg import RANK_TOL, BilinearForm, kernel, nondegeneracy
 from .report import residual_report, threshold_report, timed
 
@@ -73,20 +74,6 @@ def check_contact(C, pts):
     """Pass iff nondegeneracy(ϖ(p)) > RANK_TOL, i.e. θ∧(dθ)ⁿ ≠ 0, at all p."""
     vals = [(p, nondegeneracy(varpi_matrix(C, p))) for p in pts]
     return threshold_report("contact", CONTACT_IDENTITY, vals, RANK_TOL)
-
-
-def reeb(C, p):
-    """The unique E with θ(E) = 1 and i_E dθ = 0, by a linear solve on the
-    θ row and dθ block of :func:`varpi_matrix`."""
-    n = C.chart.dim
-    M = varpi_matrix(C, p)
-    A = np.vstack([M[-1, :-1], M[:-1, :-1].T])
-    b = np.zeros(n + 1)
-    b[0] = 1.0
-    sol, res, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-    if rank < n or np.abs(A @ sol - b).max() > 1e-8:
-        raise SingularSystem(f"no Reeb field at {p}: contact condition fails")
-    return sol
 
 
 def varpi_matrix(C, p):
@@ -184,23 +171,11 @@ def _closed_form_pair(C):
                                     for j in range(n)])
 
 
-class LcsStructure:
-    """Coorientable l.c.s. data (η, ω) on an even chart."""
-
-    def __init__(self, chart, eta, omega):
-        self.chart = chart
-        if isinstance(eta, dict):
-            eta = KForm(chart, 1, eta)
-        if isinstance(omega, dict):
-            omega = KForm(chart, 2, omega)
-        self.eta = eta
-        self.omega = omega
-
-
 @timed
 def check_lcs(L, pts):
-    """Residuals of dη = 0 and dω = η∧ω, read from the 1-jets (η, ∂η) and
-    (W, ∂W) of η and ω: dη = ∂η - ∂ηᵀ and dω - η∧ω = cyclic(∂W - η ⊗ W).
+    """Residuals of dη = 0 and dω = η∧ω for l.c.s. data ``L`` on an even
+    chart (``L.chart``, the 1-form ``L.eta`` and the 2-form ``L.omega``),
+    read from the 1-jets (η, ∂η) and (W, ∂W) of η and ω: dη = ∂η - ∂ηᵀ and dω - η∧ω = cyclic(∂W - η ⊗ W).
     Raises SingularOmega if ω degenerates."""
     residuals = []
     for p in pts:
@@ -215,62 +190,3 @@ def check_lcs(L, pts):
              "dim 2, so d omega = eta ^ omega is forced") \
         if L.chart.dim == 2 else ""
     return residual_report("lcs", LCS_IDENTITY, residuals, 1e-8, notes=notes)
-
-
-def lcs_hamiltonian_vf(L, f, p):
-    """X_f = ω♯(d∇f) with d∇f = df - f·η and ω♯ inverting X ↦ ω(·,X)."""
-    f = as_field(L.chart.dim, f)
-    W = L.omega.dense(p)
-    fj = f(p, 1)
-    rhs = fj.grad - fj.value * L.eta.dense(p)
-    try:
-        return np.linalg.solve(W, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularOmega(str(exc))
-
-
-def lcs_bracket(L, f, g, p):
-    """{f,g} = ω(X_f, X_g)."""
-    Xf = lcs_hamiltonian_vf(L, f, p)
-    Xg = lcs_hamiltonian_vf(L, g, p)
-    return float(Xf @ L.omega.dense(p) @ Xg)
-
-
-def lcs_from_even_pair(J):
-    """The l.c.s. structure of a transitive even Jacobi pair.
-
-    ω = -(Π-matrix)⁻¹ and η = -ω♭(E) = Π⁻¹E, both read off one
-    :func:`jet_solve` of Π against [id | E] per point, from the 1-jets of Π
-    and E, so they evaluate only to order 1.  Then X_f and {f,g} agree with
-    the pair's own Hamiltonian fields and bracket, and (η, ω) satisfies the
-    l.c.s. equations.
-    """
-    n = J.chart.dim
-    # columns :n are -ω, column n is η = Π⁻¹E (X_1 = E pins it in the tests)
-    sign = np.append(-np.ones(n), 1.0)
-
-    def solve(p):
-        (P, dP), (E, dE) = J.Pi.jet(p), J.E.jet(p)
-        X, dX = jet_solve(P, dP, np.column_stack([np.eye(n), E]),
-                          np.concatenate([np.zeros((n, n, n)),
-                                          dE[:, :, None]], axis=2))
-        return sign * X, sign * dX
-
-    solve = point_memo(solve)
-    omega = KForm(J.chart, 2, {(i, j): entry_field(n, solve, i, j)
-                               for i, j in itertools.combinations(range(n), 2)})
-    eta = KForm(J.chart, 1, {(j,): entry_field(n, solve, j, n)
-                             for j in range(n)})
-    return LcsStructure(J.chart, eta, omega)
-
-
-def contact_field_property(C, f, p):
-    """Rank-1 test on [θ_p; (L_{X_f}θ)_p]: X_f is a contact vector field.
-
-    Returns the singular-value ratio s₁/s₀, which is 0 for a contact field;
-    the caller compares it with its own tolerance.
-    """
-    Xf = hamiltonian_field(contact_to_jacobi(C), f)
-    M = np.vstack([C.theta.dense(p), lie_derivative(Xf, C.theta, p)])
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[1] / max(s[0], 1e-30)

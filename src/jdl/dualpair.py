@@ -57,7 +57,7 @@ from .linalg import (ANGLE_TOL, BilinearForm, dims, full_space, image,
                      kernel, orth_complement_wrt, span_of, subspace_equal,
                      sum_spaces)
 from .report import (FAIL, HYPOTHESIS_NOT_MET, PASS, CheckReport,
-                     residual_report, timed)
+                     require_points, residual_report, timed)
 
 
 class DualPairSpec:
@@ -82,7 +82,9 @@ class DualPairSpec:
     def point_data(self, pts):
         """The :func:`_points` snapshot of ``pts``, built once per point set:
         the spec keeps the last set's, keyed by the bytes and shape of the
-        point array, and another set replaces it."""
+        point array, and another set replaces it.  No points raise
+        SamplingExhausted."""
+        require_points(pts, "dual-pair snapshot")
         pts = np.array(pts, dtype=float)
         key = (pts.tobytes(), pts.shape)
         if self._point_data is None or self._point_data[0] != key:

@@ -18,7 +18,8 @@ class DimensionMismatch(JdlError):
 
 
 class SamplingExhausted(JdlError):
-    """Rejection sampling failed to find enough admissible points."""
+    """Rejection sampling failed to find enough admissible points, or a
+    check was given none."""
 
 
 class NotContained(JdlError):
@@ -44,10 +45,6 @@ class DegenerateCurvature(JdlError):
 
 class ZeroConformalFactor(JdlError):
     """A conformal factor vanishes at a sampled point."""
-
-
-class ChartIndexInvalid(JdlError):
-    """Affine chart index outside the Lie coalgebra dimension."""
 
 
 class OracleMismatch(JdlError):

@@ -27,7 +27,8 @@ class Field:
     the outermost call, and checks loop point by point, so the memo keeps
     the jets of one point, at every order, and drops them when another
     point arrives; a check's memory then does not grow with its sample
-    count.  Callers must not mutate returned jets.
+    count.  Callers must not mutate returned jets; coordinate jets, whose
+    arrays are read-only, enforce it.
     """
 
     __slots__ = ("dim", "_eval", "_cache")
@@ -63,7 +64,7 @@ class Field:
                 raise OrderUnsupported("∂_i reads one jet order more and jets "
                                        "stop at 2: only order 1")
             full = self(p, 2)
-            return Jet(self.dim, 1, full.grad[i], full.hess[i])
+            return Jet(self.dim, 1, float(full.grad[i]), full.hess[i])
         return Field(self.dim, ev)
 
     # pointwise ring structure; numbers promote to constants
@@ -192,7 +193,7 @@ def entry_field(dim, jet_of, *idx):
             raise OrderUnsupported("a jet solve reads first-order data: "
                                    "only order 1")
         X, dX = jet_of(p)
-        return Jet(dim, 1, X[idx], dX[(slice(None), *idx)])
+        return Jet(dim, 1, float(X[idx]), dX[(slice(None), *idx)])
     return Field(dim, ev)
 
 

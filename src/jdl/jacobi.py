@@ -22,9 +22,8 @@ import numpy as np
 
 from .calculus import Multivector, VectorField, schouten_square
 from .chart import Chart, tangent_map
-from .errors import ChartIndexInvalid, DimensionMismatch, ZeroConformalFactor
-from .fields import Field, ScalarFieldSpec, as_field, compose, constant, coordinate
-from .jets import Jet
+from .errors import DimensionMismatch, ZeroConformalFactor
+from .fields import ScalarFieldSpec, as_field, compose, constant, coordinate
 from .linalg import RANK_TOL
 from .report import residual_report, timed
 
@@ -46,12 +45,6 @@ class JacobiPair:
 
     def pi_matrix(self, p):
         return self.Pi.dense(p)
-
-    def negated(self):
-        """The opposite structure (-Π, -E)."""
-        neg_pi = {k: -f for k, f in self.Pi.comps.items()}
-        neg_e = [-c for c in self.E.comps]
-        return JacobiPair(self.chart, neg_pi, neg_e)
 
     def __repr__(self):
         return f"JacobiPair(chart={self.chart.name!r})"
@@ -233,10 +226,6 @@ def aff1():
     return LieAlgebraData(2, c)
 
 
-def abelian(dim):
-    return LieAlgebraData(dim, np.zeros((dim, dim, dim)))
-
-
 def lie_poisson(g):
     """Linear Poisson pair on the coalgebra chart: Π_ij(μ) = Σ_k c^k_ij μ_k."""
     chart = Chart(f"coalg{g.dim}", g.dim, [(-2.0, 2.0)] * g.dim)
@@ -254,57 +243,3 @@ def lie_poisson(g):
 
             comps[(i, j)] = ScalarFieldSpec(g.dim, fld)
     return JacobiPair(chart, comps, [constant(g.dim, 0.0)] * g.dim)
-
-
-def projective_chart(g, k):
-    """Affine chart {μ_k ≠ 0} of the projectivized coalgebra: w_i = μ_i/μ_k."""
-    if not 0 <= k < g.dim:
-        raise ChartIndexInvalid(f"chart index {k} not in [0, {g.dim})")
-    n = g.dim - 1
-    return Chart(f"proj{n}_chart{k}", n, [(-2.0, 2.0)] * n)
-
-
-def _homogeneous_extension(g, k, b):
-    """Degree-1 homogeneous B(μ) = μ_k · b(μ/μ_k) as a field on the coalgebra."""
-    n = g.dim
-    others = [i for i in range(n) if i != k]
-    ratios = [Field(n, lambda p, o, i=i, k=k:
-                    Jet.variable(i, p, o) / Jet.variable(k, p, o))
-              for i in others]
-    return coordinate(n, k) * compose(as_field(n - 1, b), ratios)
-
-
-def projectivized_bracket_field(g, k, b1, b2):
-    """The induced bracket of two affine-chart functions, as a chart field.
-
-    Extends b_i to degree-1 homogeneous functions, takes the linear Poisson
-    bracket on the coalgebra, and reads the (again degree-1 homogeneous)
-    result back on the slice μ_k = 1.
-    """
-    if not 0 <= k < g.dim:
-        raise ChartIndexInvalid(f"chart index {k} not in [0, {g.dim})")
-    lp = lie_poisson(g)
-    B1 = _homogeneous_extension(g, k, b1)
-    B2 = _homogeneous_extension(g, k, b2)
-    big = bracket_field(lp, B1, B2)
-    # embed chart point w into the slice μ_k = 1
-    n = g.dim
-    others = [i for i in range(n) if i != k]
-
-    slot_fields = []
-    for i in range(n):
-        if i == k:
-            slot_fields.append(constant(n - 1, 1.0))
-        else:
-            slot_fields.append(coordinate(n - 1, others.index(i)))
-    return compose(big, slot_fields)
-
-
-def conformal_change(J, c):
-    """The unique pair J' with {cf, cg}_J = c {f,g}_J' for nowhere-zero c.
-
-    In closed form J' = (cΠ, X_c), with X_c the Hamiltonian field of c.
-    """
-    c = as_field(J.chart.dim, c)
-    return JacobiPair(J.chart, {k: c * f for k, f in J.Pi.comps.items()},
-                      hamiltonian_field(J, c).comps)

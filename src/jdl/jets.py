@@ -5,8 +5,18 @@ A :class:`Jet` carries the Taylor data of a scalar quantity with respect to
 ``dim`` ambient coordinates, truncated at ``order``, 1 or 2, which every
 caller names.  Each checked identity is first order, and ∂_i of a field
 reads its 2-jet, so jets stop there.  Arithmetic on jets propagates
-derivatives exactly; no finite differences enter the main code path.  Plain
-Python numbers mix freely with jets in expressions.
+derivatives exactly; no finite differences enter the main code path.
+
+Each ring operation and analytic function builds one jet, a quotient by a
+jet two (a reciprocal and a product), and few arrays besides the ones it
+returns.  Plain Python numbers mix freely with jets in expressions, and a number
+operand never becomes a jet: c + u shares u's derivative arrays and c * u
+scales them.  Jets are immutable and share arrays: the coordinate jets of
+:func:`coordinate_jets` read their gradients off one read-only identity
+matrix, and an operation never writes into its operands.  The
+:class:`Jet` constructor trusts its arguments (an int dim, a Python float
+value, float64 arrays), so only :meth:`Jet.constant` and
+:func:`coordinate_jets` take arbitrary numbers and points.
 """
 from __future__ import annotations
 
@@ -34,84 +44,99 @@ class Jet:
     value : float
     grad : ndarray, shape (dim,)
     hess : ndarray, shape (dim, dim), present iff order == 2
+
+    The constructor trusts its arguments: an int ``dim``, a Python float
+    ``value`` and float64 arrays of the shapes above.  It checks only the
+    order, and fills in zeros for an omitted derivative.
+    :meth:`constant` and :func:`coordinate_jets` validate and convert their
+    input.  A jet is immutable and may share its arrays with other jets.
     """
 
     __slots__ = ("dim", "order", "value", "grad", "hess")
 
     def __init__(self, dim, order, value, grad=None, hess=None):
-        _check_order(order)
-        self.dim = int(dim)
-        self.order = int(order)
-        self.value = float(value)
-        self.grad = np.zeros(dim) if grad is None else np.asarray(grad, dtype=float)
+        if order != 1 and order != 2:
+            raise OrderUnsupported(f"jet order must be 1 or 2, got {order}")
+        self.dim = dim
+        self.order = order
+        self.value = value
+        self.grad = np.zeros(dim) if grad is None else grad
         if order == 2:
-            self.hess = np.zeros((dim, dim)) if hess is None else np.asarray(hess, dtype=float)
+            self.hess = np.zeros((dim, dim)) if hess is None else hess
         else:
             self.hess = None
 
-    # -- constructors -------------------------------------------------------
-
     @staticmethod
     def constant(c, dim, order):
-        return Jet(dim, order, c)
+        _check_order(order)
+        return Jet(int(dim), int(order), float(c))
 
-    @staticmethod
-    def variable(i, p, order):
-        """Jet of the i-th coordinate function at point p."""
-        p = np.asarray(p, dtype=float)
-        g = np.zeros(p.size)
-        g[i] = 1.0
-        return Jet(p.size, order, p[i], g)
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.dim != self.dim:
-                raise DimensionMismatch(
-                    f"jet dims differ: {self.dim} vs {other.dim}")
-            if other.order != self.order:
-                raise DimensionMismatch(
-                    f"jet orders differ: {self.order} vs {other.order}")
-            return other
-        return Jet.constant(float(other), self.dim, self.order)
+    def _checked(self, other):
+        """``other``, a jet, once its dim and order match this jet's."""
+        if other.dim != self.dim:
+            raise DimensionMismatch(
+                f"jet dims differ: {self.dim} vs {other.dim}")
+        if other.order != self.order:
+            raise DimensionMismatch(
+                f"jet orders differ: {self.order} vs {other.order}")
+        return other
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        out = Jet(self.dim, self.order, self.value + o.value, self.grad + o.grad)
-        if self.order == 2:
-            out.hess = self.hess + o.hess
-        return out
+        if not isinstance(other, Jet):
+            return Jet(self.dim, self.order, self.value + float(other),
+                       self.grad, self.hess)
+        o = self._checked(other)
+        return Jet(self.dim, self.order, self.value + o.value,
+                   self.grad + o.grad,
+                   self.hess + o.hess if self.order == 2 else None)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Jet(self.dim, self.order, -self.value, -self.grad)
-        if self.order == 2:
-            out.hess = -self.hess
-        return out
+        return Jet(self.dim, self.order, -self.value, -self.grad,
+                   -self.hess if self.order == 2 else None)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        if not isinstance(other, Jet):
+            return Jet(self.dim, self.order, self.value - float(other),
+                       self.grad, self.hess)
+        o = self._checked(other)
+        return Jet(self.dim, self.order, self.value - o.value,
+                   self.grad - o.grad,
+                   self.hess - o.hess if self.order == 2 else None)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return Jet(self.dim, self.order, float(other) - self.value,
+                   -self.grad, -self.hess if self.order == 2 else None)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        a, b = self, o
-        out = Jet(self.dim, self.order, a.value * b.value,
-                  a.value * b.grad + b.value * a.grad)
-        if self.order == 2:
-            cross = np.outer(a.grad, b.grad)
-            out.hess = a.value * b.hess + b.value * a.hess + cross + cross.T
-        return out
+        if not isinstance(other, Jet):
+            c = float(other)
+            return Jet(self.dim, self.order, self.value * c, c * self.grad,
+                       c * self.hess if self.order == 2 else None)
+        a, b = self, self._checked(other)
+        grad = a.value * b.grad
+        grad += b.value * a.grad
+        if self.order == 1:
+            return Jet(self.dim, 1, a.value * b.value, grad)
+        cross = np.outer(a.grad, b.grad)
+        hess = a.value * b.hess
+        hess += b.value * a.hess
+        hess += cross
+        hess += cross.T
+        return Jet(self.dim, 2, a.value * b.value, grad, hess)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o._reciprocal()
+        if isinstance(other, Jet):
+            return self * self._checked(other)._reciprocal()
+        c = float(other)
+        if c == 0.0:
+            raise DomainViolation("division of a jet by zero")
+        return self * (1.0 / c)
 
     def __rtruediv__(self, other):
         return self._reciprocal() * other
@@ -145,10 +170,13 @@ class Jet:
 
     def _lift(self, f0, f1, f2):
         """Compose with a scalar function given derivatives at self.value."""
-        out = Jet(self.dim, self.order, f0, f1 * self.grad)
-        if self.order == 2:
-            out.hess = f1 * self.hess + f2 * np.outer(self.grad, self.grad)
-        return out
+        g = self.grad
+        if self.order == 1:
+            return Jet(self.dim, 1, f0, f1 * g)
+        hess = np.outer(g, g)
+        hess *= f2
+        hess += f1 * self.hess
+        return Jet(self.dim, 2, f0, f1 * g, hess)
 
     def exp(self):
         e = math.exp(self.value)
@@ -226,11 +254,8 @@ def atan2(y, x):
     """
     if not isinstance(y, Jet) and not isinstance(x, Jet):
         return math.atan2(y, x)
-    if isinstance(y, Jet):
-        x = y._coerce(x)
-    else:
-        y = x._coerce(y)
-    x0, y0 = x.value, y.value
+    x0 = x.value if isinstance(x, Jet) else float(x)
+    y0 = y.value if isinstance(y, Jet) else float(y)
     if x0 == 0.0 and y0 == 0.0:
         raise DomainViolation("atan2 undefined at the origin")
     if abs(x0) >= abs(y0):
@@ -248,9 +273,19 @@ def atan2(y, x):
 # -- lifting and composition -------------------------------------------------
 
 def coordinate_jets(p, order):
-    """Jets of all coordinate functions at p."""
+    """Jets of all coordinate functions at p.  Their gradients are the rows
+    of one read-only identity matrix, and at order 2 they share one
+    read-only zero Hessian."""
+    _check_order(order)
     p = np.asarray(p, dtype=float)
-    return [Jet.variable(i, p, order) for i in range(p.size)]
+    eye = np.eye(p.size)
+    eye.flags.writeable = False
+    hess = None
+    if order == 2:
+        hess = np.zeros((p.size, p.size))
+        hess.flags.writeable = False
+    return [Jet(p.size, order, x, eye[i], hess)
+            for i, x in enumerate(p.tolist())]
 
 
 def jet_lift(f, p, order):
@@ -259,10 +294,10 @@ def jet_lift(f, p, order):
     ``f`` is anything callable on coordinate jets (a ``ScalarFieldSpec`` or a
     bare Python function of the coordinates).
     """
-    _check_order(order)
-    res = f(*coordinate_jets(p, order))
+    xs = coordinate_jets(p, order)
+    res = f(*xs)
     if not isinstance(res, Jet):
-        res = Jet.constant(float(res), len(np.asarray(p, dtype=float)), order)
+        res = Jet.constant(res, len(xs), order)
     return res
 
 
@@ -286,9 +321,9 @@ def taylor_compose(gjet, fjets):
             raise DimensionMismatch("component jets must share dim and order")
     g1 = gjet.grad
     grads = np.stack([f.grad for f in fjets])          # (m, n)
-    out = Jet(n, order, gjet.value, g1 @ grads)
-    if order == 2:
-        hesss = np.stack([f.hess for f in fjets])      # (m, n, n)
-        out.hess = (np.einsum("j,jab->ab", g1, hesss)
-                    + np.einsum("jl,ja,lb->ab", gjet.hess, grads, grads))
-    return out
+    if order == 1:
+        return Jet(n, 1, gjet.value, g1 @ grads)
+    hesss = np.stack([f.hess for f in fjets])          # (m, n, n)
+    return Jet(n, 2, gjet.value, g1 @ grads,
+               np.einsum("j,jab->ab", g1, hesss)
+               + np.einsum("jl,ja,lb->ab", gjet.hess, grads, grads))

@@ -68,10 +68,6 @@ class LeafProbe:
     def rank_constant(self):
         return len(set(self.ranks)) <= 1
 
-    @property
-    def parity(self):
-        return "odd" if self.dimension % 2 == 1 else "even"
-
 
 def _rk4_step(vf, p, dt):
     k1 = vf(p)

@@ -231,9 +231,6 @@ def _angles(U, V):
     return np.where(cos * cos < 0.5, np.arccos(cos), np.arcsin(sin)[..., ::-1])
 
 
-principal_angles = _pointwise(_angles)
-
-
 @_pointwise
 def _worst_angle(U, V):
     if U.shape[-2] != V.shape[-2]:

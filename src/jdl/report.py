@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import SamplingExhausted
+
 PASS = "pass"
 FAIL = "fail"
 HYPOTHESIS_NOT_MET = "hypothesis-not-met"
@@ -52,17 +54,25 @@ class CheckReport:
         return self.status == PASS
 
 
+def require_points(pts, what):
+    """Raise SamplingExhausted if ``pts`` is empty: a check of no points
+    would pass or fail vacuously."""
+    if len(pts) == 0:
+        raise SamplingExhausted(f"{what}: no sample points to check")
+
+
 def _worst(pairs, badness):
     """The (point, value) pair of ``pairs`` with the largest badness of its
     value; a NaN value is worse than any number, wherever it sits."""
-    return max(pairs, key=lambda t: (bool(np.isnan(t[1])), badness(t[1])),
-               default=(np.zeros(0), 0.0))
+    return max(pairs, key=lambda t: (bool(np.isnan(t[1])), badness(t[1])))
 
 
 def residual_report(check_id, identity, residuals_by_point, tolerance,
                     notes=""):
     """Aggregate (point, residual) pairs into a pass/fail report; a NaN
-    residual is the worst point and fails."""
+    residual is the worst point and fails, and no pairs raise
+    SamplingExhausted."""
+    require_points(residuals_by_point, check_id)
     worst = _worst(residuals_by_point, lambda r: r)
     status = PASS if worst[1] < tolerance else FAIL
     return CheckReport(check_id, identity, status, float(worst[1]),
@@ -74,7 +84,9 @@ def residual_report(check_id, identity, residuals_by_point, tolerance,
 def threshold_report(check_id, identity, values_by_point, threshold,
                      notes=""):
     """Pass iff min |value| over points stays above the threshold; a NaN
-    value is the worst point and fails."""
+    value is the worst point and fails, and no pairs raise
+    SamplingExhausted."""
+    require_points(values_by_point, check_id)
     worst = _worst(values_by_point, lambda v: -abs(v))
     status = PASS if abs(worst[1]) > threshold else FAIL
     return CheckReport(check_id, identity, status, float(abs(worst[1])),

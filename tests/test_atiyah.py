@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from jdl.atiyah import (check_one_perp_is_horizontal, check_sharp_inverse,
-                        check_technical_lemma, dphi_matrix, ker_DPhi_from,
-                        varpi_matrix)
-from jdl.chart import (Chart, SmoothMap, compose_maps, identity_map,
-                       sample_points, tangent_map)
+                        check_technical_lemma, ker_DPhi_from, varpi_matrix)
+from jdl.chart import Chart, SmoothMap, sample_points, tangent_map
 from jdl.contact import contact_to_jacobi
 from jdl.errors import ZeroConformalFactor
 from jdl.fields import ScalarFieldSpec, as_field, compose, constant, coordinate
@@ -13,6 +11,8 @@ from jdl.jacobi import (ConformalMap, JacobiPair, bracket_field,
                         default_test_functions, jacobi_bidiff_matrix)
 from jdl.jets import exp
 from jdl.linalg import kernel, span_of, subspace_equal
+
+from oracles import compose_maps, dphi_matrix, identity_map, negated
 
 # Derivations are coordinate vectors (X, g) and jets (α, c), as in the
 # module docstring of jdl.atiyah; a derivation pairs with a jet by the dot
@@ -262,7 +262,7 @@ def test_hamiltonian_derivation_oracle_mismatch(darboux3, pts):
     # the oracle's bracket is that of the opposite pair (-Π, -E)
     J = contact_to_jacobi(darboux3)
     assert _derivation_oracle_error(J, coordinate(3, 0), pts[0],
-                                    oracle=J.negated()) > 1e-3
+                                    oracle=negated(J)) > 1e-3
 
 
 def test_technical_lemma_trivgpd(trivgpd):

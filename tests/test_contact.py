@@ -5,23 +5,24 @@ import pytest
 import sympy
 
 from jdl import contact
-from jdl.calculus import VectorField, exterior_d_form, wedge_form
+from jdl.calculus import VectorField, exterior_d_form
 from jdl.catalog import build
 from jdl.chart import Chart, sample_points
-from jdl.contact import (ContactStructure, LcsStructure, check_contact,
-                         check_lcs, contact_field_property,
-                         contact_to_jacobi, curvature_form, lcs_bracket,
-                         lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
-                         varpi_jet, varpi_matrix)
+from jdl.contact import (ContactStructure, check_contact, check_lcs,
+                         contact_to_jacobi, curvature_form, varpi_jet,
+                         varpi_matrix)
 from jdl.errors import (DegenerateCurvature, EvenDimension, OracleMismatch,
                         OrderUnsupported, SingularOmega, SingularSystem)
 from jdl.fields import Field, ScalarFieldSpec, constant, coordinate, point_memo
 from jdl.homogenize import check_symplectization, slit_chart
 from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
-                        conformal_change, hamiltonian_field)
+                        hamiltonian_field)
 from jdl.jets import exp
 
 from conftest import extract_pair_from_bracket, reference_jet_solve
+from oracles import (LcsStructure, coeff, conformal_change,
+                     contact_field_property, lcs_bracket, lcs_from_even_pair,
+                     lcs_hamiltonian_vf, reeb, wedge_form)
 
 
 @pytest.fixture
@@ -35,7 +36,7 @@ def volume_coefficient(C, p):
     form, dtheta = C.theta, exterior_d_form(C.theta)
     for _ in range(C.n):
         form = wedge_form(form, dtheta)
-    return form.coeff(tuple(range(C.chart.dim)), p)
+    return coeff(form, tuple(range(C.chart.dim)), p)
 
 
 def _flat(scale=1.0):

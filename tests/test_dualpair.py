@@ -15,6 +15,7 @@ from jdl.leaves import check_pullback_distribution
 from jdl.report import HYPOTHESIS_NOT_MET
 
 from conftest import EXP_U, retrivialized
+from oracles import reeb
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +61,6 @@ def test_commutation_trivgpd(trivgpd_dp, tpts):
 
 def test_commutation_reeb_membership(trivgpd_dp, tpts):
     # strict case: X_{a_i} is the Reeb field, tangent to both fiber systems
-    from jdl.contact import reeb
     from jdl.chart import tangent_map
     for p in tpts[:5]:
         E = reeb(trivgpd_dp.source, p)

@@ -6,7 +6,7 @@ import pytest
 from jdl import homogenize
 from jdl.calculus import KForm
 from jdl.catalog import build, points
-from jdl.chart import Chart, SmoothMap, identity_map, sample_points
+from jdl.chart import Chart, SmoothMap, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
 from jdl.errors import OracleMismatch
 from jdl.fields import ScalarFieldSpec, compose, coordinate
@@ -21,6 +21,7 @@ from jdl.jacobi import (ConformalMap, JacobiPair, bracket_field,
                         lie_poisson, poissonization_jet, so3, zero_pair)
 
 from conftest import EXP_U, homogenize_map, retrivialized
+from oracles import identity_map
 
 
 def _equivariance_error(Phi, pts):

@@ -3,16 +3,17 @@ import pytest
 
 from jdl.catalog import build
 from jdl.chart import Chart, SmoothMap, sample_points
-from jdl.errors import ChartIndexInvalid, OracleMismatch
+from jdl.errors import OracleMismatch
 from jdl.fields import ScalarFieldSpec, constant, coordinate
-from jdl.jacobi import (ConformalMap, JacobiPair, aff1, abelian,
-                        bracket_field, check_jacobi_morphism,
-                        check_jacobi_pair, conformal_change,
+from jdl.jacobi import (ConformalMap, JacobiPair, aff1, bracket_field,
+                        check_jacobi_morphism, check_jacobi_pair,
                         hamiltonian_field, jacobi_bidiff_matrix, lie_poisson,
-                        projectivized_bracket_field, projective_chart, so3,
-                        zero_pair)
+                        so3, zero_pair)
 
 from conftest import extract_pair_from_bracket
+from oracles import (ChartIndexInvalid, abelian, conformal_change,
+                     homogeneous_extension, identity_map, projective_chart,
+                     projectivized_bracket_field)
 
 
 @pytest.fixture
@@ -175,7 +176,6 @@ def test_morphism_projection_to_zero_pair(darboux3_pair):
 
 
 def test_morphism_identity_map(darboux3_pair, pts):
-    from jdl.chart import identity_map
     J = darboux3_pair
     Phi = ConformalMap(identity_map(J.chart))
     assert _is_morphism(J, J, Phi, pts[:5])
@@ -199,7 +199,6 @@ def test_morphism_composition(darboux3_pair):
     Jp = conformal_change(darboux3_pair,
                           ScalarFieldSpec(3, lambda x, y, z: 2.0 + 0.0 * x))
     # identity with factor 2 both legs; composite has factor 4
-    from jdl.chart import identity_map
     two = ScalarFieldSpec(3, lambda x, y, z: 2.0 + 0.0 * x)
     Phi = ConformalMap(identity_map(c), two)
     pts = sample_points(c, 5, seed=9)
@@ -246,13 +245,12 @@ def test_projectivized_chart_index_guard():
 
 def test_projectivized_homogeneity_in_representative():
     # evaluating the coalgebra bracket at tμ scales the output by t
-    from jdl.jacobi import _homogeneous_extension, bracket_field
     g = so3()
     b1 = ScalarFieldSpec(2, lambda u, v: u * u / (1.0 + v * v) + u)
     b2 = ScalarFieldSpec(2, lambda u, v: v + 2.0 * u)
     lp = lie_poisson(g)
-    B1 = _homogeneous_extension(g, 2, b1)
-    B2 = _homogeneous_extension(g, 2, b2)
+    B1 = homogeneous_extension(g, 2, b1)
+    B2 = homogeneous_extension(g, 2, b2)
     br = bracket_field(lp, B1, B2)
     rng = np.random.default_rng(13)
     for t in (2.0, 1.0 / 3.0, -1.0):
@@ -314,7 +312,6 @@ def test_conformal_change_by_two(darboux3_pair, pts):
     assert np.abs(J.pi_matrix(p)
                   - 2.0 * darboux3_pair.pi_matrix(p)).max() < 1e-10
     assert np.abs(J.E.at(p) - 2.0 * darboux3_pair.E.at(p)).max() < 1e-10
-    from jdl.chart import identity_map
     Phi = ConformalMap(identity_map(darboux3_pair.chart), two)
     assert _is_morphism(darboux3_pair, J, Phi, pts[:5])
 
@@ -322,7 +319,6 @@ def test_conformal_change_by_two(darboux3_pair, pts):
 def test_conformal_change_defining_property(darboux3_pair, pts):
     c = ScalarFieldSpec(3, lambda x, y, z: 1.0 + 0.25 * x * x + 0.5 * z)
     J = conformal_change(darboux3_pair, c)
-    from jdl.chart import identity_map
     Phi = ConformalMap(identity_map(darboux3_pair.chart), c)
     assert _is_morphism(darboux3_pair, J, Phi, pts[:10])
 

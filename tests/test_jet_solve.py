@@ -15,7 +15,7 @@ from conftest import reference_jet_solve
 
 def _random_jet(rng, dim, value):
     """An order-1 jet with the given value and a random gradient."""
-    return Jet(dim, 1, value, rng.normal(size=dim))
+    return Jet(dim, 1, float(value), rng.normal(size=dim))
 
 
 def _mixed(rng, values, dim, number_share):

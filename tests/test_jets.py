@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import sympy
 
-from jdl import jets
+from jdl import catalog, jets
+from jdl.cli import main
 from jdl.errors import DimensionMismatch, DomainViolation, OrderUnsupported
 from jdl.fields import ScalarFieldSpec, compose, coordinate
 from jdl.jets import Jet, jet_lift, taylor_compose
@@ -335,6 +336,113 @@ def test_dim_mismatch_raises():
     b = jet_lift(lambda x: x, [1.0], 2)
     with pytest.raises(DimensionMismatch):
         _ = a + b
+
+
+# -- the kernel: number operands, shared read-only arrays, the constructor ---
+
+_NUMBER_OPS = {"u+c": lambda u, c: u + c, "c+u": lambda u, c: c + u,
+               "u-c": lambda u, c: u - c, "c-u": lambda u, c: c - u,
+               "u*c": lambda u, c: u * c, "c*u": lambda u, c: c * u,
+               "u/c": lambda u, c: u / c, "c/u": lambda u, c: c / u}
+
+
+def _same(a, b):
+    """Equal value, gradient and Hessian, compared with ``==``."""
+    return (a.order == b.order and a.value == b.value
+            and np.array_equal(a.grad, b.grad)
+            and (a.order == 1 or np.array_equal(a.hess, b.hess)))
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("c", (3, -0.75, np.float64(1.25)),
+                         ids=("int", "float", "float64"))
+@pytest.mark.parametrize("op", sorted(_NUMBER_OPS))
+def test_a_number_operand_acts_as_its_constant_jet(op, c, order):
+    # the number path never builds a constant jet, yet agrees exactly with
+    # the operation on one
+    u = jet_lift(lambda x, y: jets.sin(x) * y - x * x + 0.5, [0.3, -0.7],
+                 order)
+    fast = _NUMBER_OPS[op](u, c)
+    assert isinstance(fast, Jet) and type(fast.value) is float
+    assert _same(fast, _NUMBER_OPS[op](u, Jet.constant(c, 2, order)))
+
+
+def _frozen(jet):
+    """``jet`` with its arrays made read-only, as coordinate jets' are."""
+    for a in (jet.grad, jet.hess):
+        if a is not None:
+            a.flags.writeable = False
+    return jet
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_coordinate_jets_are_read_only(order):
+    x, y = jets.coordinate_jets([0.3, -0.7], order)
+    assert x.grad.base is y.grad.base
+    with pytest.raises(ValueError):
+        x.grad[1] = 2.0
+    with pytest.raises(ValueError):
+        y.grad += 1.0
+    if order == 2:
+        assert x.hess is y.hess
+        with pytest.raises(ValueError):
+            x.hess[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_no_operation_writes_into_its_operands(order):
+    # every operand is read-only, so an operation that wrote into one would
+    # raise; the operands also keep their values
+    x, y = jets.coordinate_jets([0.6, 1.3], order)
+    u = _frozen(jets.exp(x) * y + 1.5)
+    v = _frozen(x * x + y)
+    before = [(j.value, j.grad.copy(), None if j.hess is None else j.hess.copy())
+              for j in (x, y, u, v)]
+    results = [
+        u + v, u - v, u * v, u / v, -u, u + 2.0, 2.0 + u, u - 2.0, 2.0 - u,
+        u * 2.0, 2.0 * u, u / 2.0, 2.0 / u, x + 1, 1 - x, 3 * x, x / 4,
+        u ** 3, u ** -2, u ** 1.5, u ** 0, u ** v, x * y, x / y,
+        jets.exp(u), jets.log(u), jets.sin(u), jets.cos(u), jets.sqrt(u),
+        jets.atan(u), jets.atan2(u, v), jets.atan2(v, -u),
+        jets.atan2(u, 0.5), jets.atan2(-0.5, u), u._reciprocal(),
+        taylor_compose(v, [u, x]), taylor_compose(x, [x, y])]
+    assert all(isinstance(r, Jet) for r in results)
+    for j, (value, grad, hess) in zip((x, y, u, v), before):
+        assert j.value == value and np.array_equal(j.grad, grad)
+        assert hess is None or np.array_equal(j.hess, hess)
+
+
+def test_every_jet_of_a_verify_run_keeps_the_constructor_contract(
+        monkeypatch, capsys):
+    # Jet.__init__ trusts its arguments; every jet a ``jdl verify`` run
+    # builds must still have an int dim, a float value and float64 arrays
+    # of the right shapes
+    init = Jet.__init__
+    built, broken = [0], []
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[0] += 1
+        n = self.dim
+        grad_ok = (type(self.grad) is np.ndarray
+                   and self.grad.dtype == np.float64
+                   and self.grad.shape == (n,))
+        hess_ok = (self.hess is None if self.order == 1 else
+                   type(self.hess) is np.ndarray
+                   and self.hess.dtype == np.float64
+                   and self.hess.shape == (n, n))
+        if not (type(n) is int and type(self.value) is float
+                and type(self.order) is int and grad_ok and hess_ok):
+            broken.append(repr((type(n), type(self.value), self.order,
+                                getattr(self.grad, "shape", None),
+                                getattr(self.hess, "shape", None))))
+
+    monkeypatch.setattr(Jet, "__init__", checked)
+    for spec_id in catalog.ENTRIES:
+        main(["verify", spec_id, "--points", "5", "--seed", "1"])
+    capsys.readouterr()
+    assert built[0] > 10_000
+    assert sorted(set(broken)) == []
 
 
 # -- the Field memo holds one point; point_memo holds every point ------------

@@ -16,6 +16,8 @@ from jdl.leaves import (SWITCH_EVERY, characteristic_subspace,
                         characteristic_vectors, check_pullback_distribution,
                         leaf_trace, verify_leaf_correspondence)
 
+from oracles import parity
+
 CASIMIR_TOL = 1e-9
 SO3_CASIMIR = ScalarFieldSpec(3, lambda x, y, z: x * x + y * y + z * z)
 
@@ -80,7 +82,7 @@ def test_so3_trace_keeps_casimir_and_rank():
     assert len(probe.points) == 401
     assert probe.casimir_drift < CASIMIR_TOL
     assert probe.rank_constant and probe.dimension == 2
-    assert probe.parity == "even"
+    assert parity(probe) == "even"
     assert probe.rank_steps == [0, 100, 200, 300, 400, 400]
     # the trace moved: it is not a fixed point of the flow
     assert np.abs(probe.points[-1] - probe.points[0]).max() > 1e-2

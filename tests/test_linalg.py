@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from jdl.errors import NotContained
 from jdl.linalg import (RANK_TOL, BilinearForm, annihilator, full_space,
                         image, kernel, orth_complement_wrt, preimage,
-                        principal_angles, span_of, subspace_equal, sum_spaces)
+                        span_of, subspace_equal, sum_spaces)
+
+from oracles import principal_angles
 
 
 def e(i, n):

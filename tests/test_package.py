@@ -1,10 +1,10 @@
 """Hygiene of the ``jdl`` sources, read with ``ast``: every imported name
 is used (in the test modules too), every definition is referenced, every
 import sits at module level, every public function that builds a report
-is timed, every timed check is in the catalog's table of checks, a public
-definition that only tests reach is a named oracle, no function takes a
-tolerance parameter or a default jet order, no determinant decides
-nondegeneracy, and every typed error is raised by some test."""
+is timed, every timed check is in the catalog's table of checks, no public
+definition is reached only by tests, no function takes a tolerance
+parameter or a default jet order, no determinant decides nondegeneracy,
+and every typed error is raised by some test."""
 import ast
 import textwrap
 from functools import cache
@@ -174,41 +174,15 @@ def test_every_timed_check_is_in_the_catalog_table():
     assert sorted(_timed_checks() - called) == sorted(NOT_REGISTERED)
 
 
-# Public definitions of ``jdl`` that only tests reference, each with a test
-# module that uses it as an oracle or a control.  Everything else public is
-# reached from ``jdl`` itself or from the benchmark.
-ORACLES = {
-    "atiyah.dphi_matrix": "test_pointdata",
-    "calculus._Antisym.coeff": "test_calculus",
-    "calculus.pullback_form": "test_calculus",
-    "calculus.wedge_form": "test_contact",
-    "chart.compose_maps": "test_atiyah",
-    "chart.identity_map": "test_jacobi",
-    "contact.contact_field_property": "test_contact",
-    "contact.lcs_bracket": "test_contact",
-    "contact.lcs_from_even_pair": "test_contact",
-    "contact.reeb": "test_contact",
-    "jacobi.JacobiPair.negated": "test_atiyah",
-    "jacobi.abelian": "test_jacobi",
-    "jacobi.conformal_change": "test_jacobi",
-    "jacobi.projective_chart": "test_jacobi",
-    "jacobi.projectivized_bracket_field": "test_jacobi",
-    "leaves.LeafProbe.parity": "test_leaves",
-    "linalg.principal_angles": "test_linalg",
-}
-
-
 def test_definitions_only_tests_reach_are_named_oracles():
-    """A public definition that neither ``jdl`` nor the benchmark
-    references, timed checks aside, is on ORACLES, and the test module
-    named there references it; ORACLES names nothing else."""
+    """Every public definition of ``jdl`` is referenced by ``jdl`` itself or
+    by the benchmark, timed checks aside: the oracles, controls and helpers
+    that only tests use live in ``tests/oracles.py``."""
     reached = _referenced(SOURCES + BENCHMARK_SOURCES) | _timed_checks()
-    test_only = {f"{path.stem}.{qualified}": name for path in SOURCES
+    test_only = [f"{path.stem}.{qualified}" for path in SOURCES
                  for qualified, name in _definitions(_tree(path))
-                 if not name.startswith("_") and name not in reached}
-    assert sorted(test_only) == sorted(ORACLES)
-    for qualified, module in ORACLES.items():
-        assert test_only[qualified] in _referenced([TESTS / f"{module}.py"])
+                 if not name.startswith("_") and name not in reached]
+    assert test_only == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

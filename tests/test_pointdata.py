@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from jdl import dualpair
-from jdl.atiyah import dphi_matrix, pullback_jets
+from jdl.atiyah import pullback_jets
 from jdl.catalog import ENTRIES, build
 from jdl.chart import sample_points, tangent_map
 from jdl.contact import contact_to_jacobi
@@ -32,6 +32,7 @@ from jdl.leaves import check_pullback_distribution
 from jdl.linalg import kernel, subspace_equal
 
 from conftest import homogenize_map
+from oracles import dphi_matrix
 
 ORACLE_TOL = 1e-12
 SPECS = ("trivgpd", "darboux5-product", "broken-comm", "broken-transv")
