@@ -21,6 +21,9 @@ Each entry has a kind and a builder that returns fresh objects, so the lazy
 ``contact`` (a :class:`~jdl.contact.ContactStructure`):
 
 * ``darboux3``: θ = dz - y dx on the box [-2, 2]^3.
+* ``broken-contact``: θ = (1 + x²) dz on [-2, 2]^3; θ∧dθ = 0, so
+  ``contact`` and ``symplectization`` fail, and the checks that solve for
+  its Jacobi pair raise SingularSystem.
 
 ``jacobi`` (a :class:`~jdl.jacobi.JacobiPair`):
 
@@ -73,6 +76,7 @@ from .jacobi import (ConformalMap, JacobiPair, aff1, check_jacobi_pair,
                      lie_poisson, so3, zero_pair)
 from .jets import exp
 from .leaves import check_pullback_distribution, verify_leaf_correspondence
+from .report import require_points
 
 
 def _trivgpd(factor2=1.0, name="triv-gpd"):
@@ -140,6 +144,8 @@ ENTRIES = {
                     lambda: _darboux5(False, name="broken-orth")),
     "broken-transv": ("dual_pair", _broken_transv),
     "darboux3": ("contact", _darboux3),
+    "broken-contact": ("contact", lambda: ContactStructure(
+        Chart("r3", 3, [(-2, 2)] * 3), {(2,): lambda x, y, z: 1 + x * x})),
     "so3": ("jacobi", lambda: lie_poisson(so3())),
     "aff1": ("jacobi", lambda: lie_poisson(aff1())),
     "broken-jacobi": ("jacobi", _broken_jacobi),
@@ -169,6 +175,12 @@ def _technical_lemma(dp, pts):
     return reps
 
 
+def _pair(C, pts):
+    """C's Jacobi pair, built once ``pts`` is known not to be empty."""
+    require_points(pts, "contact_to_jacobi")
+    return contact_to_jacobi(C)
+
+
 def _poissonization(J, pts):
     """The Poissonization checks of J at points of chart × R^×."""
     P = lifted_pair(J)   # the oracle report certifies it
@@ -190,13 +202,13 @@ CHECKS = {
     "contact": (
         *_each(check_contact, check_one_perp_is_horizontal),
         ("check_sharp_inverse", lambda C, pts: [check_sharp_inverse(
-            C, contact_to_jacobi(C), _base(C, pts))]),
+            C, _pair(C, pts), _base(C, pts))]),
         ("check_symplectization",
          lambda C, pts: [check_symplectization(C, pts)]),
         ("check_symplectization_consistency",
          lambda C, pts: [check_symplectization_consistency(C, pts)]),
         ("check_jacobi_pair", lambda C, pts: [check_jacobi_pair(
-            contact_to_jacobi(C), _base(C, pts))]),
+            _pair(C, pts), _base(C, pts))]),
     ),
     "jacobi": (
         *_each(check_jacobi_pair),

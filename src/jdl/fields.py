@@ -27,26 +27,30 @@ class Field:
     the outermost call, and checks loop point by point, so the memo keeps
     the jets of one point, at every order, and drops them when another
     point arrives; a check's memory then does not grow with its sample
-    count.  Callers must not mutate returned jets; coordinate jets, whose
-    arrays are read-only, enforce it.
+    count: ``_point`` holds that point's bytes and ``_cache`` its jets at
+    both orders, keyed ``(p.tobytes(), order)``.  Callers must not mutate
+    returned jets; coordinate and constant jets, read-only, enforce it.
     """
 
-    __slots__ = ("dim", "_eval", "_cache")
+    __slots__ = ("dim", "_eval", "_cache", "_point")
 
     def __init__(self, dim, eval_jet):
         self.dim = dim
         self._eval = eval_jet
         self._cache = {}
+        self._point = None
 
     def __call__(self, p, order):
         p = np.asarray(p, dtype=float)
-        key = (p.tobytes(), order)
+        point = p.tobytes()
+        key = (point, order)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         out = self._eval(p, order)
-        if self._cache and next(iter(self._cache))[0] != key[0]:
+        if point != self._point:
             self._cache.clear()
+            self._point = point
         self._cache[key] = out
         return out
 
@@ -121,8 +125,14 @@ class ScalarFieldSpec(Field):
 
 
 def constant(dim, c):
-    c = float(c)
-    return Field(dim, lambda p, order: Jet.constant(c, dim, order))
+    """The field c on ``dim`` coordinates.  Its jets at orders 1 and 2 are
+    built once, with read-only arrays, and returned at every point; at
+    another order Jet.constant raises OrderUnsupported."""
+    built = {order: Jet.constant(c, dim, order) for order in (1, 2)}
+    for a in (built[1].grad, built[2].grad, built[2].hess):
+        a.flags.writeable = False
+    return Field(dim, lambda p, order: built[order] if order in built
+                 else Jet.constant(c, dim, order))
 
 
 def coordinate(dim, i):

@@ -46,7 +46,7 @@ from .jacobi import JacobiPair, bracket_field, default_test_functions
 from .linalg import (ANGLE_TOL, RANK_TOL, BilinearForm, _unit_rows,
                      full_space, kernel, nondegeneracy, orth_complement_wrt,
                      subspace_equal)
-from .report import FAIL, residual_report, timed
+from .report import FAIL, require_points, residual_report, timed
 
 S_SLICES = (1.0, 2.0, -1.0)
 
@@ -197,6 +197,7 @@ def check_symplectization_consistency(C, pts):
     """Invert ω~ pointwise and compare with the Poissonization of the
     induced Jacobi pair, certified at the same points: the two routes must
     agree componentwise."""
+    require_points(pts, "symplectization_consistency")
     omega, _ = symplectize(C)
     P = poissonize(contact_to_jacobi(C), pts)
     residuals = []

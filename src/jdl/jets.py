@@ -13,13 +13,16 @@ returns.  Plain Python numbers mix freely with jets in expressions, and a number
 operand never becomes a jet: c + u shares u's derivative arrays and c * u
 scales them.  Jets are immutable and share arrays: the coordinate jets of
 :func:`coordinate_jets` read their gradients off one read-only identity
-matrix, and an operation never writes into its operands.  The
+matrix per dimension, and an operation never writes into its operands.  A
+reciprocal, power or analytic function whose Taylor coefficient float64
+cannot hold raises :class:`DomainViolation`.  The
 :class:`Jet` constructor trusts its arguments (an int dim, a Python float
 value, float64 arrays), so only :meth:`Jet.constant` and
 :func:`coordinate_jets` take arbitrary numbers and points.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -142,15 +145,17 @@ class Jet:
         return self._reciprocal() * other
 
     def _reciprocal(self):
-        u = self.value
-        if u == 0.0:
+        if self.value == 0.0:
             raise DomainViolation("division by a jet with zero value")
-        return self._lift(1.0 / u, -1.0 / u**2, 2.0 / u**3)
+        return self._lift(lambda u: 1.0 / u, lambda u: -1.0 / u**2,
+                          lambda u: 2.0 / u**3)
 
     def __pow__(self, n):
         if isinstance(n, Jet):
             # u**v = exp(v*log(u)); requires u > 0
             return (n * self.log()).exp()
+        if not math.isfinite(n):
+            raise DomainViolation(f"x**{n} needs a finite exponent")
         if float(n) == int(n):
             k = int(n)
             if k == 0:
@@ -163,38 +168,44 @@ class Jet:
             return out
         if self.value <= 0.0:
             raise DomainViolation(f"x**{n} needs x > 0, got x = {self.value}")
-        u = self.value
-        return self._lift(u**n, n * u**(n - 1), n * (n - 1) * u**(n - 2))
+        return self._lift(lambda u: u**n, lambda u: n * u**(n - 1),
+                          lambda u: n * (n - 1) * u**(n - 2))
 
     # -- analytic functions -------------------------------------------------
 
-    def _lift(self, f0, f1, f2):
-        """Compose with a scalar function given derivatives at self.value."""
-        g = self.grad
-        if self.order == 1:
-            return Jet(self.dim, 1, f0, f1 * g)
-        hess = np.outer(g, g)
-        hess *= f2
-        hess += f1 * self.hess
-        return Jet(self.dim, 2, f0, f1 * g, hess)
+    def _lift(self, f, df, d2f):
+        """Compose with the scalar function f, given its derivatives df and
+        d2f as functions; d2f is called at order 2 only.  A coefficient at
+        self.value that overflows float64 or divides by zero raises
+        DomainViolation."""
+        u, g = self.value, self.grad
+        try:
+            if self.order == 1:
+                return Jet(self.dim, 1, f(u), df(u) * g)
+            f1 = df(u)
+            hess = np.outer(g, g)
+            hess *= d2f(u)
+            hess += f1 * self.hess
+            return Jet(self.dim, 2, f(u), f1 * g, hess)
+        except (OverflowError, ZeroDivisionError) as e:
+            raise DomainViolation(f"no float64 Taylor coefficient at {u}: "
+                                  f"{e}") from e
 
     def exp(self):
-        e = math.exp(self.value)
-        return self._lift(e, e, e)
+        return self._lift(math.exp, math.exp, math.exp)
 
     def log(self):
-        u = self.value
-        if u <= 0.0:
-            raise DomainViolation(f"log needs a positive argument, got {u}")
-        return self._lift(math.log(u), 1.0 / u, -1.0 / u**2)
+        if self.value <= 0.0:
+            raise DomainViolation(
+                f"log needs a positive argument, got {self.value}")
+        return self._lift(math.log, lambda u: 1.0 / u, lambda u: -1.0 / u**2)
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._lift(s, c, -s)
+        return self._lift(math.sin, math.cos, lambda u: -math.sin(u))
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._lift(c, -s, -c)
+        return self._lift(math.cos, lambda u: -math.sin(u),
+                          lambda u: -math.cos(u))
 
     def sqrt(self):
         u = self.value
@@ -202,13 +213,12 @@ class Jet:
             raise DomainViolation(f"sqrt needs a nonnegative argument, got {u}")
         if u == 0.0:
             raise DomainViolation("sqrt is not differentiable at 0")
-        r = math.sqrt(u)
-        return self._lift(r, 0.5 / r, -0.25 / (r * u))
+        return self._lift(math.sqrt, lambda u: 0.5 / math.sqrt(u),
+                          lambda u: -0.25 / (math.sqrt(u) * u))
 
     def atan(self):
-        u = self.value
-        d = 1.0 + u * u
-        return self._lift(math.atan(u), 1.0 / d, -2.0 * u / d**2)
+        return self._lift(math.atan, lambda u: 1.0 / (1.0 + u * u),
+                          lambda u: -2.0 * u / (1.0 + u * u)**2)
 
     def __repr__(self):
         return f"Jet(order={self.order}, value={self.value}, grad={self.grad})"
@@ -272,20 +282,24 @@ def atan2(y, x):
 
 # -- lifting and composition -------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _identity(dim, order):
+    """The rows of a read-only dim × dim identity and, at order 2, a
+    read-only zero Hessian, built once per (dim, order)."""
+    eye, zero = np.eye(dim), np.zeros((dim, dim))
+    eye.flags.writeable = zero.flags.writeable = False
+    return tuple(eye), zero if order == 2 else None
+
+
 def coordinate_jets(p, order):
-    """Jets of all coordinate functions at p.  Their gradients are the rows
-    of one read-only identity matrix, and at order 2 they share one
-    read-only zero Hessian."""
+    """Jets of all coordinate functions at p.  Their gradients are rows of
+    :func:`_identity` and at order 2 they share its zero Hessian, as do all
+    calls of one dimension and order."""
     _check_order(order)
     p = np.asarray(p, dtype=float)
-    eye = np.eye(p.size)
-    eye.flags.writeable = False
-    hess = None
-    if order == 2:
-        hess = np.zeros((p.size, p.size))
-        hess.flags.writeable = False
-    return [Jet(p.size, order, x, eye[i], hess)
-            for i, x in enumerate(p.tolist())]
+    rows, hess = _identity(p.size, order)
+    return [Jet(p.size, order, x, row, hess)
+            for x, row in zip(p.tolist(), rows)]
 
 
 def jet_lift(f, p, order):

@@ -6,7 +6,7 @@ import sympy
 
 from jdl import contact
 from jdl.calculus import VectorField, exterior_d_form
-from jdl.catalog import build
+from jdl.catalog import build, points
 from jdl.chart import Chart, sample_points
 from jdl.contact import (ContactStructure, check_contact, check_lcs,
                          contact_to_jacobi, curvature_form, varpi_jet,
@@ -58,6 +58,15 @@ def test_check_contact_darboux(darboux3, pts):
 
 def test_check_contact_fails_for_closed_form(pts):
     assert not check_contact(_flat(), pts).passed   # θ = dz, dθ = 0
+
+
+def test_broken_contact_fails_contact_and_symplectization():
+    # θ = (1 + x²) dz: dθ = 2x dx∧dz, so θ∧dθ = 0 on the whole box
+    C = build("broken-contact")
+    pts = points(C, 10, 1)
+    assert not check_contact(C, [p[:-1] for p in pts]).passed
+    rep = check_symplectization(C, pts)
+    assert not rep.passed and rep.max_residual == 1.0
 
 
 @pytest.mark.parametrize("name", ["darboux3", "trivgpd", "darboux5", "flat"])

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import sympy
 
-from jdl import catalog, jets
+from jdl import catalog, fields, jets
 from jdl.cli import main
 from jdl.errors import DimensionMismatch, DomainViolation, OrderUnsupported
-from jdl.fields import ScalarFieldSpec, compose, coordinate
+from jdl.fields import Field, ScalarFieldSpec, compose, coordinate
 from jdl.jets import Jet, jet_lift, taylor_compose
 
 from conftest import fd_gradient, fd_hessian
@@ -389,6 +389,67 @@ def test_coordinate_jets_are_read_only(order):
             x.hess[0, 0] = 1.0
 
 
+def test_coordinate_jets_share_one_identity_per_dimension_and_order():
+    x, y = jets.coordinate_jets([0.3, -0.7], 2)
+    _ = (x * y + 2.0 * x) / (y - 3.0)       # runs on the shared arrays
+    u, v = jets.coordinate_jets([5.0, 1e-3], 2)
+    assert u.grad is x.grad and v.grad is y.grad and u.hess is x.hess
+    assert np.array_equal(np.stack([u.grad, v.grad]), np.eye(2))
+    assert not u.hess.any()
+    for p, order in (([0.3, -0.7], 1), ([0.3, -0.7, 0.1], 2), ([0.3], 2)):
+        other = jets.coordinate_jets(p, order)
+        assert np.array_equal(np.stack([j.grad for j in other]),
+                              np.eye(len(p)))
+        for j in other:
+            assert j.grad.base is not x.grad.base and j.hess is not x.hess
+
+
+@pytest.mark.parametrize("order", (1, 2))
+def test_a_constant_field_returns_one_read_only_jet(order):
+    field = fields.constant(3, -2.5)
+    a = field([0.1, 0.2, 0.3], order)
+    assert field([1.0, -1.0, 0.5], order) is a
+    assert _same(a, Jet.constant(-2.5, 3, order))
+    for array in (a.grad, a.hess):
+        if array is not None:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+            with pytest.raises(ValueError):
+                array += 1.0
+    with pytest.raises(OrderUnsupported):
+        field([0.1, 0.2, 0.3], 3)
+
+
+_PROBES = {   # name: (jet function, values, float (value, derivative))
+    "1/x": (lambda x: 1.0 / x, (1e110, 1e-110),
+            lambda v: (1.0 / v, -1.0 / v**2)),
+    "x**-1": (lambda x: x ** -1, (1e110, 1e-110),
+              lambda v: (1.0 / v, -1.0 / v**2)),
+    "atan": (jets.atan, (1e100,), lambda v: (math.atan(v), 1.0 / (1 + v * v))),
+    "log": (jets.log, (1e200,), lambda v: (math.log(v), 1.0 / v)),
+    "exp": (jets.exp, (800.0,), None),               # e**800 overflows
+    "x**inf": (lambda x: x ** float("inf"), (1.5,), None),
+    "x**nan": (lambda x: x ** float("nan"), (1.5,), None),
+}
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("name,v", [(name, v) for name, (_, vs, _) in
+                                    _PROBES.items() for v in vs])
+def test_a_coefficient_outside_float64_raises_domain_violation(name, v, order):
+    # an order-1 jet with finite Taylor data is the float reference; every
+    # other probe has a coefficient that overflows or divides by zero
+    f, _, reference = _PROBES[name]
+    x = jets.coordinate_jets([v], order)[0]
+    want = reference(v) if reference and order == 1 else None
+    if want is not None and all(map(math.isfinite, want)):
+        got = f(x)
+        assert (got.value, got.grad.tolist()) == (want[0], [want[1]])
+    else:
+        with pytest.raises(DomainViolation):
+            f(x)
+
+
 @pytest.mark.parametrize("order", (1, 2))
 def test_no_operation_writes_into_its_operands(order):
     # every operand is read-only, so an operation that wrote into one would
@@ -482,6 +543,24 @@ def test_field_memo_revisit_matches_fresh_field():
         got, fresh = field(x, 1), _so3_bracket()[0](x, 1)
         assert got.value == fresh.value
         assert np.array_equal(got.grad, fresh.grad)
+
+
+def test_field_memo_keeps_the_keys_the_benchmark_tracer_reads():
+    """``perfbench/tracing.py`` counts ``fields.memo_hits`` by looking up
+    ``(p.tobytes(), order)`` in ``Field._cache``, and its tests need that
+    count positive; tier-1 cannot collect them (ROADMAP item 17), so this
+    pins the contract: one point, at both orders, each evaluated once."""
+    calls = []
+    field = Field(2, lambda p, order: calls.append(order)
+                  or Jet.constant(1.0, 2, order))
+    p, q = np.array([0.5, -1.0]), np.array([0.25, 2.0])
+    for order in (1, 2, 1):
+        field(p, order)
+    assert set(field._cache) == {(p.tobytes(), 1), (p.tobytes(), 2)}
+    assert calls == [1, 2]
+    field(q, 1)
+    assert set(field._cache) == {(q.tobytes(), 1)}
+    assert calls == [1, 2, 1]
 
 
 def test_point_memo_keeps_every_point():
