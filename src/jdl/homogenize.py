@@ -6,11 +6,12 @@ A Jacobi pair (Π, E) on a chart M lifts to the homogeneous bivector
     P = s⁻¹ Π + ∂s ∧ E
 
 on M × R^×, with s the extra fiber coordinate (last slot), as the Jacobi
-pair (P, 0) on the slit chart.  The closed form is re-derived here from the
-defining oracle {s·f∘π, s·g∘π}_P = s·({f,g}∘π) and that oracle test ships
-permanently.  A contact form θ lifts to the exact symplectic form
-ω~ = d(s·π*θ), and inverting ω~ pointwise reproduces the Poissonization of
-the induced Jacobi pair (two independent routes).
+pair (P, 0) on the slit chart.  Its fields, and ω~'s below, are homogeneous
+lifts s^k·(f∘π), π(x, s) = x, read in closed form from f's jet at x; P's
+defining oracle {s·f∘π, s·g∘π}_P = s·({f,g}∘π) ships permanently.  A contact
+form θ lifts to the exact symplectic form ω~ = d(s·π*θ), and inverting ω~
+pointwise reproduces the Poissonization of the induced Jacobi pair (two
+independent routes).
 :func:`check_schouten_square` checks [[P,P]] = 0 on the lifted fields, and
 :func:`jdl.jacobi.check_jacobi_pair` checks the same square at s = 1.
 
@@ -40,9 +41,10 @@ from .atiyah import _bordered
 from .calculus import KForm, cyclic, exterior_d_form, schouten_square
 from .chart import Chart, tangent_map
 from .contact import contact_to_jacobi
-from .errors import OracleMismatch
-from .fields import as_field, compose, constant, coordinate
+from .errors import DimensionMismatch, DomainViolation, OracleMismatch
+from .fields import Field, constant
 from .jacobi import JacobiPair, bracket_field, default_test_functions
+from .jets import Jet
 from .linalg import (ANGLE_TOL, RANK_TOL, BilinearForm, _unit_rows,
                      full_space, kernel, nondegeneracy, orth_complement_wrt,
                      subspace_equal)
@@ -68,24 +70,42 @@ def slit_chart(chart):
     return Chart(f"{chart.name}_slit", chart.dim + 1, box, excl)
 
 
-def _lift_field(f, n):
-    """f on the base, viewed on the slit chart (ignores s)."""
-    f = as_field(n, f)
-    base_slots = [coordinate(n + 1, i) for i in range(n)]
-    return compose(f, base_slots, source_dim=n + 1)
+def _lift_field(f, n, k):
+    """s^k·(f∘π) from the jet of f at x: gradient (s^k·df, k·s^(k-1)·f),
+    Hessian blocks s^k·∇²f, k·s^(k-1)·df and k(k-1)·s^(k-2)·f.  Raises
+    DimensionMismatch unless f is on n coordinates, DomainViolation for k < 0
+    at s = 0.  A negative power of s is a reciprocal, as in Jet."""
+    if f.dim != n:
+        raise DimensionMismatch(f"field on {f.dim} coordinates, not {n}")
+
+    def ev(p, order):
+        s = float(p[n])
+        if k < 0 and s == 0.0:
+            raise DomainViolation(f"s^{k} at s = 0")
+        c0, c1, c2 = (m * (s**(k - i) if k >= i else 1.0 / s**(i - k))
+                      if m else 0.0 for i, m in enumerate((1, k, k * (k - 1))))
+        j = f(p[:n], order)
+        grad = np.append(c0 * j.grad, c1 * j.value)
+        if order == 1:
+            return Jet(n + 1, 1, c0 * j.value, grad)
+        hess = np.empty((n + 1, n + 1))
+        hess[:n, :n] = c0 * j.hess
+        hess[n, :n] = hess[:n, n] = c1 * j.grad
+        hess[n, n] = c2 * j.value
+        return Jet(n + 1, 2, c0 * j.value, grad, hess)
+    return Field(n + 1, ev)
 
 
 def lifted_pair(J):
-    """The pair (P, 0), P = s⁻¹Π + ∂s∧E, on the slit chart, in closed form;
-    :func:`poissonize` certifies it."""
+    """The pair (P, 0), P = s⁻¹Π + ∂s∧E, on the slit chart: the lifts of Π
+    (k = -1) and E (k = 0); :func:`poissonize` certifies it."""
     n = J.chart.dim
     big = slit_chart(J.chart)
     comps = {}
-    s_field = coordinate(n + 1, n)
     for (i, j), f in J.Pi.comps.items():
-        comps[(i, j)] = _lift_field(f, n) / s_field
+        comps[(i, j)] = _lift_field(f, n, -1)
     for i in range(n):
-        comps[(i, n)] = -_lift_field(J.E.comps[i], n)   # (∂s∧E)^{i,s} = -E^i
+        comps[(i, n)] = -_lift_field(J.E.comps[i], n, 0)  # (∂s∧E)^{is} = -E^i
     return JacobiPair(big, comps, [constant(n + 1, 0.0)] * (n + 1))
 
 
@@ -105,15 +125,13 @@ def poissonize(J, pts):
 
 @timed
 def check_poissonization_oracle(P, J, pts):
-    """{s·f∘π, s·g∘π}_P = s·({f,g}_J ∘ π) on pairs of the test sections."""
+    """{s·f∘π, s·g∘π}_P = s·({f,g}_J∘π) on the test sections (k = 1 lifts)."""
     n = J.chart.dim
-    s_field = coordinate(n + 1, n)
     fields = []
     for f, g in itertools.combinations_with_replacement(
             default_test_functions(J.chart), 2):
-        lhs = bracket_field(P, s_field * _lift_field(f, n),
-                            s_field * _lift_field(g, n))
-        rhs = s_field * _lift_field(bracket_field(J, f, g), n)
+        lhs = bracket_field(P, _lift_field(f, n, 1), _lift_field(g, n, 1))
+        rhs = _lift_field(bracket_field(J, f, g), n, 1)
         fields.append(lhs - rhs)
     residuals = []
     for p in pts:
@@ -135,15 +153,12 @@ def check_homogeneity(P, pts):
     residuals = []
     for p in pts:
         r = 0.0
-        M = P.pi_matrix(p)
+        M = P.pi_matrix(p)[:n]
         for t in (2.0, 1.0 / 3.0, -1.0):
             q = np.array(p, dtype=float)
             q[-1] *= t
-            Mq = P.pi_matrix(q)
-            for i in range(n):
-                for j in range(n):
-                    r = max(r, abs(Mq[i, j] - M[i, j] / t))
-                r = max(r, abs(Mq[i, n] - M[i, n]))
+            expect = M / np.append(np.full(n, t), 1.0)
+            r = max(r, np.abs(P.pi_matrix(q)[:n] - expect).max(initial=0.0))
         residuals.append((p, r))
     return residual_report(
         "poissonization_homogeneity",
@@ -152,15 +167,14 @@ def check_homogeneity(P, pts):
 
 
 def symplectize(C):
-    """ω~ = d(s·π*θ) = ds∧π*θ + s·π*dθ on the slit chart."""
+    """ω~ = d(s·π*θ) = ds∧π*θ + s·π*dθ, from lifts of dθ (k = 1), θ (k = 0)."""
     n = C.chart.dim
     big = slit_chart(C.chart)
-    s_field = coordinate(n + 1, n)
     comps = {}
     for (i, j), f in exterior_d_form(C.theta).comps.items():
-        comps[(i, j)] = s_field * _lift_field(f, n)
+        comps[(i, j)] = _lift_field(f, n, 1)
     for (i,), th in C.theta.comps.items():
-        comps[(i, n)] = -_lift_field(th, n)   # ds∧θ has ω~(e_i, e_s) = -θ_i
+        comps[(i, n)] = -_lift_field(th, n, 0)   # ds∧θ has ω~(e_i, e_s) = -θ_i
     return KForm(big, 2, comps), big
 
 

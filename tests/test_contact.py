@@ -19,10 +19,10 @@ from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
                         hamiltonian_field)
 from jdl.jets import exp
 
-from conftest import extract_pair_from_bracket, reference_jet_solve
 from oracles import (LcsStructure, coeff, conformal_change,
-                     contact_field_property, lcs_bracket, lcs_from_even_pair,
-                     lcs_hamiltonian_vf, reeb, wedge_form)
+                     contact_field_property, extract_pair_from_bracket,
+                     lcs_bracket, lcs_from_even_pair, lcs_hamiltonian_vf,
+                     reeb, reference_jet_solve, wedge_form)
 
 
 @pytest.fixture

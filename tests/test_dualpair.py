@@ -14,8 +14,7 @@ from jdl.jacobi import ConformalMap, hamiltonian_field, zero_pair
 from jdl.leaves import check_pullback_distribution
 from jdl.report import HYPOTHESIS_NOT_MET
 
-from conftest import EXP_U, retrivialized
-from oracles import reeb
+from oracles import EXP_U, reeb, retrivialized
 
 
 @pytest.fixture(scope="module")

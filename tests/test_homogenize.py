@@ -8,7 +8,7 @@ from jdl.calculus import KForm
 from jdl.catalog import build, points
 from jdl.chart import Chart, SmoothMap, sample_points
 from jdl.contact import ContactStructure, contact_to_jacobi
-from jdl.errors import OracleMismatch
+from jdl.errors import DimensionMismatch, DomainViolation, OracleMismatch
 from jdl.fields import ScalarFieldSpec, compose, coordinate
 from jdl.homogenize import (_lift_field, check_homogeneity,
                             check_homogeneous_sdp_equivalence,
@@ -19,9 +19,10 @@ from jdl.homogenize import (_lift_field, check_homogeneity,
 from jdl.jacobi import (ConformalMap, JacobiPair, bracket_field,
                         check_jacobi_morphism, jacobi_bidiff_matrix,
                         lie_poisson, poissonization_jet, so3, zero_pair)
+from jdl.jets import exp, sin
 
-from conftest import EXP_U, homogenize_map, retrivialized
-from oracles import identity_map
+from oracles import (EXP_U, chain_rule_lift, homogenize_map, identity_map,
+                     retrivialized)
 
 
 def _equivariance_error(Phi, pts):
@@ -91,11 +92,44 @@ def test_poissonize_oracle_random_pairs(darboux3_pair):
         c = rng.normal(size=4)
         tests.append(ScalarFieldSpec(
             3, lambda x, y, z, c=c: c[0] * x + c[1] * y * z + c[2] * x * x + c[3]))
-    s = coordinate(4, 3)
     for f, g in itertools.combinations_with_replacement(tests, 2):
-        gap = (bracket_field(P, s * _lift_field(f, 3), s * _lift_field(g, 3))
-               - s * _lift_field(bracket_field(darboux3_pair, f, g), 3))
+        gap = (bracket_field(P, chain_rule_lift(f, 3, 1),
+                             chain_rule_lift(g, 3, 1))
+               - chain_rule_lift(bracket_field(darboux3_pair, f, g), 3, 1))
         assert max(abs(gap.value(p)) for p in pts) < 1e-9
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_closed_form_lift_matches_the_chain_rule(k, order):
+    # s^k·(f∘π) from f's jet at x against f composed with the base
+    # coordinates and multiplied or divided by s, on a nonlinear f
+    f = ScalarFieldSpec(2, lambda x, y: exp(0.7 * x * y) + sin(x - 2 * y))
+    base = Chart("plane", 2, [(-1, 1)] * 2)
+    pts = sample_points(slit_chart(base), 12, seed=77)
+    assert min(p[-1] for p in pts) < 0 < max(p[-1] for p in pts)
+    closed, oracle = _lift_field(f, 2, k), chain_rule_lift(f, 2, k)
+    for p in pts:
+        a, b = closed(p, order), oracle(p, order)
+        assert abs(a.value - b.value) < 1e-13
+        assert np.abs(a.grad - b.grad).max() < 1e-13
+        if order == 2:
+            assert np.abs(a.hess - b.hess).max() < 1e-13
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_a_negative_power_of_s_at_zero_is_a_domain_violation(order):
+    Pi = lifted_pair(lie_poisson(so3())).Pi.comps[(0, 1)]
+    with pytest.raises(DomainViolation):
+        Pi(np.array([0.3, 0.2, 0.1, 0.0]), order)
+    # a power k >= 0 is defined there
+    assert _lift_field(coordinate(3, 0), 3, 1)(
+        np.array([0.3, 0.2, 0.1, 0.0]), order).value == 0.0
+
+
+def test_lifting_a_field_of_another_dimension_is_a_mismatch():
+    with pytest.raises(DimensionMismatch):
+        _lift_field(coordinate(3, 0), 2, 1)
 
 
 def test_poissonize_so3(darboux3_pair):

@@ -10,9 +10,9 @@ from jdl.jacobi import (ConformalMap, JacobiPair, aff1, bracket_field,
                         hamiltonian_field, jacobi_bidiff_matrix, lie_poisson,
                         so3, zero_pair)
 
-from conftest import extract_pair_from_bracket
 from oracles import (ChartIndexInvalid, abelian, conformal_change,
-                     homogeneous_extension, identity_map, projective_chart,
+                     extract_pair_from_bracket, homogeneous_extension,
+                     identity_map, projective_chart,
                      projectivized_bracket_field)
 
 

@@ -1,5 +1,5 @@
 """The first-order ``jet_solve`` on dense arrays against the reference
-elimination in jet arithmetic (``conftest.reference_jet_solve``)."""
+elimination in jet arithmetic (``oracles.reference_jet_solve``)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,7 @@ from jdl.errors import SingularSystem
 from jdl.fields import jet_solve
 from jdl.jets import Jet
 
-from conftest import reference_jet_solve
+from oracles import reference_jet_solve
 
 
 def _random_jet(rng, dim, value):

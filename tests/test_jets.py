@@ -12,7 +12,7 @@ from jdl.errors import DimensionMismatch, DomainViolation, OrderUnsupported
 from jdl.fields import Field, ScalarFieldSpec, compose, coordinate
 from jdl.jets import Jet, jet_lift, taylor_compose
 
-from conftest import fd_gradient, fd_hessian
+from oracles import fd_gradient, fd_hessian
 
 
 def test_polynomial_by_hand():

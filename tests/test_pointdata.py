@@ -31,8 +31,7 @@ from jdl.jacobi import bracket_field, hamiltonian_field
 from jdl.leaves import check_pullback_distribution
 from jdl.linalg import kernel, subspace_equal
 
-from conftest import homogenize_map
-from oracles import dphi_matrix
+from oracles import dphi_matrix, homogenize_map
 
 ORACLE_TOL = 1e-12
 SPECS = ("trivgpd", "darboux5-product", "broken-comm", "broken-transv")
