@@ -15,8 +15,9 @@ the vector field X + g·s∂s, d_D is d and ι_1 is ι_{s∂s}.  So the Atiyah
 form ϖ = d_D(θ∘σ) is the symplectization ω~ = d(s·π*θ), and
 :func:`~jdl.contact.varpi_matrix` is ω~ at s = 1 on the frame (∂_i, s∂s).
 The der-complex identities have one home: d_D ϖ = 0 and the contracting
-homotopy are checked on ω~ by :func:`jdl.homogenize.check_symplectization`,
-and ι_1 ϖ = θ∘σ by :func:`check_one_perp_is_horizontal`.
+homotopy are checked by :func:`jdl.homogenize.check_symplectization` on ω~,
+which it reads with its 1-jet from ϖ's in closed form, and ι_1 ϖ = θ∘σ by
+:func:`check_one_perp_is_horizontal`.
 
 Both global signs of ϖ occur in the literature; every check here is
 invariant under the global sign, and the sharp-inverse check pins the slot

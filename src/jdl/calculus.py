@@ -6,12 +6,9 @@ pointwise reader: it returns the dense antisymmetric value and first
 derivatives of a degree-1 or degree-2 object at a point, and every
 first-order identity is read from it.  With :func:`cyclic`, the three-slot
 cyclic sum, d of a 1-form is dA - dAᵀ, d of a 2-form is cyclic(dA), and
-ω∧η is cyclic(η ⊗ ω) for a 2-form ω and a 1-form η.
-
-:func:`exterior_d_form` is the one tree operator: it returns dω as a form
-with exact jet-evaluable components, for a form whose derivatives are read
-again (the symplectization ω~ = d(s·π*θ)).  The pullback oracle of the
-tests is a tree too, so d commutes with it exactly (a naturality test).
+ω∧η is cyclic(η ⊗ ω) for a 2-form ω and a 1-form η.  No operator here
+builds a derived form: the tree operators d, ∧ and the pullback are the
+oracles of the tests (``tests/oracles.py``).
 
 Sign conventions, pinned by unit tests: dα(X,Y) = X(α(Y)) - Y(α(X)) -
 α([X,Y]), and the Schouten square of a bivector is normalized as
@@ -19,8 +16,6 @@ Sign conventions, pinned by unit tests: dα(X,Y) = X(α(Y)) - Y(α(X)) -
 Poisson exactly when [[P,P]] = 0.
 """
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -98,30 +93,6 @@ class VectorField:
         for t in terms[1:]:
             out = out + t
         return out
-
-
-# -- exterior derivative ------------------------------------------------------
-
-def exterior_d_form(omega):
-    """dω as a derived KForm with exact component fields."""
-    n = omega.chart.dim
-    k = omega.degree
-    comps = {}
-    for key in itertools.combinations(range(n), k + 1):
-        terms = []
-        for a in range(k + 1):
-            sub = key[:a] + key[a + 1:]
-            f = omega.comps.get(sub)
-            if f is None:
-                continue
-            terms.append(((-1) ** a, f.partial(key[a])))
-        if not terms:
-            continue
-        acc = terms[0][1] * terms[0][0]
-        for s, f in terms[1:]:
-            acc = acc + f * s
-        comps[key] = acc
-    return KForm(omega.chart, k + 1, comps)
 
 
 # -- Schouten-Nijenhuis square ----------------------------------------------

@@ -10,11 +10,13 @@ runs the checks of the catalog entry ``<id>``'s kind, the table
 exception instead; today those are ``check_morphisms``,
 ``check_pullback_distribution`` and ``verify_leaf_correspondence`` on
 broken-transv, whose leg onto a point chart leaves them empty arrays to
-reduce.  The exit status is 0 when every report passes, 1 when one fails, a
-check raises or standard output closes before the last line (``jdl verify
-... | head -1``; that ends quietly, without a traceback), and 2 on a usage
-error such as an unknown id, ``--points`` below 1 or ``--seed`` below 0,
-with a one-line message.
+reduce, and ``check_sharp_inverse``, ``check_symplectization_consistency``
+and ``check_jacobi_pair`` on broken-contact, whose ϖ is singular
+(``SingularSystem``).  The exit status is 0 when every report passes, 1
+when one fails, a check raises or standard output closes before the last
+line (``jdl verify ... | head -1``; that ends quietly, without a
+traceback), and 2 on a usage error such as an unknown id, ``--points``
+below 1 or ``--seed`` below 0, with a one-line message.
 """
 from __future__ import annotations
 

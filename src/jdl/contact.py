@@ -22,7 +22,7 @@ the darboux3 entry:
 
 The defining equations are kept as an independent oracle in the tests,
 which extract a pair from the bracket they induce with the bracket
-extraction in ``tests/conftest.py`` and compare it with the closed form.
+extraction in ``tests/oracles.py`` and compare it with the closed form.
 There θ∧(dθ)ⁿ, a multiple of the Pfaffian of ϖ, checks :func:`check_contact`.
 
 The l.c.s. dictionary, built in the tests (``tests/oracles.py``), uses

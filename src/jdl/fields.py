@@ -57,9 +57,6 @@ class Field:
     def value(self, p):
         return self(p, 1).value
 
-    def grad(self, p):
-        return self(p, 1).grad
-
     def partial(self, i):
         """Exact ∂_i of this field, to order 1 only: it reads the field's
         2-jet, and jets stop at order 2."""

@@ -20,13 +20,11 @@ bundle, with d_D = d and ι_1 = ι_{s∂s} on homogeneous forms (see
 :mod:`jdl.atiyah`).  So :func:`check_symplectization` carries the
 der-complex identities: dω~ = 0 is d_D ϖ = 0, and dω~ = 0 with the
 construction ω~ = d(s·π*θ) is the contracting homotopy
-(d_D ι_1 + ι_1 d_D) ϖ = ϖ.  It reads dω~ = cyclic(dA) from the 1-jet
-(A, dA) of ω~, so it evaluates θ to second order and builds no dω~ field.
-
-The homogenized dual-pair check reads ω~ = [[s·dθ, -θ], [θᵀ, 0]] and
-TΦ~ = [[Tφ, 0], [s·da, a]] in closed form from first-order data at x;
-:func:`symplectize`, which keeps its own checks, and the lifted map
-(x, s) ↦ (φ(x), a(x)·s) of the tests are the oracles of both.
+(d_D ι_1 + ι_1 d_D) ϖ = ϖ.  ω~ has one route, the closed form
+[[s·dθ, -θ], [θᵀ, 0]] of ϖ(x): the symplectization checks read it and its
+1-jet from :func:`jdl.contact.varpi_jet` at x, and the dual-pair check reads
+it, and TΦ~ = [[Tφ, 0], [s·da, a]], from the spec's point data at x.  The
+tree d(s·π*θ) and the lifted map (x, s) ↦ (φ(x), a(x)·s) are their oracles.
 
 R^× is modeled as the punctured fiber coordinate s, sampled in
 [-2, -0.5] ∪ [0.5, 2] so both components are exercised.
@@ -38,9 +36,9 @@ import itertools
 import numpy as np
 
 from .atiyah import _bordered
-from .calculus import KForm, cyclic, exterior_d_form, schouten_square
+from .calculus import cyclic, schouten_square
 from .chart import Chart, tangent_map
-from .contact import contact_to_jacobi
+from .contact import contact_to_jacobi, varpi_jet, varpi_matrix
 from .errors import DimensionMismatch, DomainViolation, OracleMismatch
 from .fields import Field, constant
 from .jacobi import JacobiPair, bracket_field, default_test_functions
@@ -166,16 +164,18 @@ def check_homogeneity(P, pts):
         residuals, 1e-9)
 
 
-def symplectize(C):
-    """ω~ = d(s·π*θ) = ds∧π*θ + s·π*dθ, from lifts of dθ (k = 1), θ (k = 0)."""
-    n = C.chart.dim
-    big = slit_chart(C.chart)
-    comps = {}
-    for (i, j), f in exterior_d_form(C.theta).comps.items():
-        comps[(i, j)] = _lift_field(f, n, 1)
-    for (i,), th in C.theta.comps.items():
-        comps[(i, n)] = -_lift_field(th, n, 0)   # ds∧θ has ω~(e_i, e_s) = -θ_i
-    return KForm(big, 2, comps), big
+def _lifted_form(varpi, s):
+    """ω~ at (x, s) from ϖ(x) in closed form: [[s·dθ, -θ], [θᵀ, 0]]."""
+    out = varpi.copy()
+    out[..., :-1, :-1] *= s
+    return out
+
+
+def _lifted_jet(varpi, dvarpi, s):
+    """(ω~, ∂ω~) at (x, s) from ϖ's 1-jet at x: ∂_x ω~ lifts ∂ϖ, and ω~ is
+    affine in s, so ∂_s ω~ is its lift at s = 1 less its lift at s = 0."""
+    ds = _lifted_form(varpi, 1.0) - _lifted_form(varpi, 0.0)
+    return _lifted_form(varpi, s), np.vstack([_lifted_form(dvarpi, s), [ds]])
 
 
 @timed
@@ -183,19 +183,19 @@ def check_symplectization(C, pts):
     """dω~ = 0, ω~ nondegenerate (else residual 1), h_t* ω~ = t ω~.
 
     With ω~ = ϖ (module docstring), dω~ = 0 is d_D ϖ = 0, and together with
-    ω~ = d(s·π*θ), which :func:`symplectize` builds, it is the contracting
-    homotopy ϖ = d_D ι_1 ϖ with ι_1 ϖ = θ∘σ; h_t* ω~ = t ω~ says ω~ is
-    homogeneous, so that it is an Atiyah form.
+    ω~ = d(s·π*θ) it is the contracting homotopy ϖ = d_D ι_1 ϖ with
+    ι_1 ϖ = θ∘σ; h_t* ω~ = t ω~ says ω~ is homogeneous, so that it is an
+    Atiyah form.
     """
-    omega, _ = symplectize(C)
     residuals = []
     for p in pts:
-        M, dM = omega.jet(p)
+        varpi, dvarpi = varpi_jet(C, p[:-1])
+        M, dM = _lifted_jet(varpi, dvarpi, p[-1])
         r = float(np.abs(cyclic(dM)).max())
         if nondegeneracy(M) <= RANK_TOL:
             r = max(r, 1.0)
         for t in (2.0, -1.0):
-            Mq = omega.dense(np.append(p[:-1], p[-1] * t))
+            Mq = _lifted_form(varpi, p[-1] * t)
             # base entries scale by t, mixed entries ω~(e_i, e_s) do not
             expect = np.hstack([t * M[:-1, :-1], M[:-1, -1:]])
             r = max(r, float(np.abs(Mq[:-1] - expect).max()))
@@ -212,24 +212,16 @@ def check_symplectization_consistency(C, pts):
     induced Jacobi pair, certified at the same points: the two routes must
     agree componentwise."""
     require_points(pts, "symplectization_consistency")
-    omega, _ = symplectize(C)
     P = poissonize(contact_to_jacobi(C), pts)
     residuals = []
     for p in pts:
-        P_from_omega = -np.linalg.inv(omega.dense(p))
-        r = float(np.abs(P_from_omega - P.pi_matrix(p)).max())
+        omega = _lifted_form(varpi_matrix(C, p[:-1]), p[-1])
+        r = float(np.abs(-np.linalg.inv(omega) - P.pi_matrix(p)).max())
         residuals.append((p, r))
     return residual_report(
         "symplectization_consistency",
         "-(omega~)^{-1} equals the lifted bivector of the induced pair",
         residuals, 1e-8)
-
-
-def _lifted_form(varpi, s):
-    """ω~ at (x, s) from ϖ(x) in closed form: [[s·dθ, -θ], [θᵀ, 0]]."""
-    out = varpi.copy()
-    out[..., :-1, :-1] *= s
-    return out
 
 
 def _lifted_tangent(T, a, da, s):

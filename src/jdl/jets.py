@@ -15,7 +15,9 @@ scales them.  Jets are immutable and share arrays: the coordinate jets of
 :func:`coordinate_jets` read their gradients off one read-only identity
 matrix per dimension, and an operation never writes into its operands.  A
 reciprocal, power or analytic function whose Taylor coefficient float64
-cannot hold raises :class:`DomainViolation`.  The
+cannot hold raises :class:`DomainViolation`, and so does :func:`jet_lift`
+when an expression's value is inf or nan, as a ring operation may leave it;
+a derivative that overflows under a finite value is not caught.  The
 :class:`Jet` constructor trusts its arguments (an int dim, a Python float
 value, float64 arrays), so only :meth:`Jet.constant` and
 :func:`coordinate_jets` take arbitrary numbers and points.
@@ -306,12 +308,15 @@ def jet_lift(f, p, order):
     """Exact Taylor data of the scalar field f at p to the requested order.
 
     ``f`` is anything callable on coordinate jets (a ``ScalarFieldSpec`` or a
-    bare Python function of the coordinates).
+    bare Python function of the coordinates).  Raises DomainViolation when
+    the expression's value is not finite.
     """
     xs = coordinate_jets(p, order)
     res = f(*xs)
     if not isinstance(res, Jet):
         res = Jet.constant(res, len(xs), order)
+    if not math.isfinite(res.value):
+        raise DomainViolation(f"expression value {res.value} at {p}")
     return res
 
 

@@ -3,13 +3,14 @@ constructions they need, and small helpers of the test modules.
 
 ``jdl`` keeps the closed form of each object in its main path; the forms,
 maps and structures here are the independent routes the tests compare it
-with (the wedge volume, the pullback tree, the Reeb field from a linear
-solve, the l.c.s. dictionary, the projectivized coalgebra bracket, the
-chain-rule lift to the slit chart, finite differences, a jet solve in jet
-arithmetic, a Jacobi pair tabulated from its bracket), or the inputs of a
-control (an opposite pair, a conformal change, an abelian Lie algebra, a
-change of trivialization).  The test modules import them from here, so
-``conftest.py`` holds only fixtures.
+with (the exterior derivative tree, the wedge volume, the pullback tree,
+the Reeb field from a linear solve, the l.c.s. dictionary, the
+projectivized coalgebra bracket, the chain-rule lift to the slit chart, the
+symplectization ω~ = d(s·π*θ) built from those two, finite differences, a
+jet solve in jet arithmetic, a Jacobi pair tabulated from its bracket), or
+the inputs of a control (an opposite pair, a conformal change, an abelian
+Lie algebra, a change of trivialization).  The test modules import them
+from here, so ``conftest.py`` holds only fixtures.
 """
 import itertools
 
@@ -117,6 +118,29 @@ def reference_jet_solve(A, b):
 
 
 # -- forms ---------------------------------------------------------------
+
+def exterior_d_form(omega):
+    """dω as a derived KForm with exact component fields: the tree route
+    for d, against which ``jdl`` reads d from a form's 1-jet."""
+    n = omega.chart.dim
+    k = omega.degree
+    comps = {}
+    for key in itertools.combinations(range(n), k + 1):
+        terms = []
+        for a in range(k + 1):
+            sub = key[:a] + key[a + 1:]
+            f = omega.comps.get(sub)
+            if f is None:
+                continue
+            terms.append(((-1) ** a, f.partial(key[a])))
+        if not terms:
+            continue
+        acc = terms[0][1] * terms[0][0]
+        for s, f in terms[1:]:
+            acc = acc + f * s
+        comps[key] = acc
+    return KForm(omega.chart, k + 1, comps)
+
 
 def coeff(form, key, p):
     """The component of ``form`` at the increasing index ``key`` at p, 0 if
@@ -242,6 +266,18 @@ def chain_rule_lift(f, n, k):
     for _ in range(abs(k)):
         lifted = lifted * s if k > 0 else lifted / s
     return lifted
+
+
+def symplectize(C):
+    """(ω~, slit chart): ω~ = d(s·π*θ) by its defining equation, the
+    :func:`exterior_d_form` of the 1-form s·π*θ, whose components are
+    :func:`chain_rule_lift`; the oracle of the closed form
+    ``homogenize._lifted_form`` and of its 1-jet."""
+    n = C.chart.dim
+    big = slit_chart(C.chart)
+    s_theta = KForm(big, 1, {k: chain_rule_lift(f, n, 1)
+                             for k, f in C.theta.comps.items()})
+    return exterior_d_form(s_theta), big
 
 
 def homogenize_map(Phi):

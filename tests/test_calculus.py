@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from jdl.calculus import (KForm, Multivector, VectorField, cyclic,
-                          exterior_d_form, schouten_square)
+                          schouten_square)
 from jdl.chart import Chart, SmoothMap
 from jdl.errors import DegreeUnsupported
 from jdl.jets import sin
 
-from oracles import coeff, lie_derivative, pullback_form, wedge_form
+from oracles import (coeff, exterior_d_form, lie_derivative, pullback_form,
+                     wedge_form)
 
 
 @pytest.fixture

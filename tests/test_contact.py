@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from jdl import contact
-from jdl.calculus import VectorField, exterior_d_form
+from jdl.calculus import VectorField
 from jdl.catalog import build, points
 from jdl.chart import Chart, sample_points
 from jdl.contact import (ContactStructure, check_contact, check_lcs,
@@ -20,9 +20,10 @@ from jdl.jacobi import (JacobiPair, bracket_field, check_jacobi_pair,
 from jdl.jets import exp
 
 from oracles import (LcsStructure, coeff, conformal_change,
-                     contact_field_property, extract_pair_from_bracket,
-                     lcs_bracket, lcs_from_even_pair, lcs_hamiltonian_vf,
-                     reeb, reference_jet_solve, wedge_form)
+                     contact_field_property, exterior_d_form,
+                     extract_pair_from_bracket, lcs_bracket,
+                     lcs_from_even_pair, lcs_hamiltonian_vf, reeb,
+                     reference_jet_solve, wedge_form)
 
 
 @pytest.fixture

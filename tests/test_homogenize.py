@@ -4,25 +4,24 @@ import numpy as np
 import pytest
 
 from jdl import homogenize
-from jdl.calculus import KForm
 from jdl.catalog import build, points
 from jdl.chart import Chart, SmoothMap, sample_points
-from jdl.contact import ContactStructure, contact_to_jacobi
+from jdl.contact import ContactStructure, contact_to_jacobi, varpi_jet
 from jdl.errors import DimensionMismatch, DomainViolation, OracleMismatch
 from jdl.fields import ScalarFieldSpec, compose, coordinate
-from jdl.homogenize import (_lift_field, check_homogeneity,
+from jdl.homogenize import (_lift_field, _lifted_jet, check_homogeneity,
                             check_homogeneous_sdp_equivalence,
                             check_poissonization_oracle, check_schouten_square,
                             check_symplectization,
                             check_symplectization_consistency, lifted_pair,
-                            poissonize, slit_chart, symplectize)
+                            poissonize, slit_chart)
 from jdl.jacobi import (ConformalMap, JacobiPair, bracket_field,
                         check_jacobi_morphism, jacobi_bidiff_matrix,
                         lie_poisson, poissonization_jet, so3, zero_pair)
 from jdl.jets import exp, sin
 
 from oracles import (EXP_U, chain_rule_lift, homogenize_map, identity_map,
-                     retrivialized)
+                     retrivialized, symplectize)
 
 
 def _equivariance_error(Phi, pts):
@@ -181,6 +180,16 @@ def test_poissonize_rejects_a_closed_form_its_oracle_refutes(
         poissonize(darboux3_pair, _slit_points(darboux3_pair))
 
 
+# the contact sources of the catalog entries: each entry's own contact
+# structure or its dual pair's source (the broken pairs share these)
+CONTACT_SOURCES = ("darboux3", "trivgpd", "darboux5-product")
+
+
+def _contact_source(spec_id):
+    obj = build(spec_id)
+    return obj if isinstance(obj, ContactStructure) else obj.source
+
+
 def test_symplectize_darboux3(darboux3):
     omega, big = symplectize(darboux3)
     # ω~ = ds∧dz - y ds∧dx - s dy∧dx
@@ -189,8 +198,6 @@ def test_symplectize_darboux3(darboux3):
     assert abs(M[3, 2] - 1.0) < 1e-12        # ds∧dz
     assert abs(M[3, 0] + p[1]) < 1e-12       # -y ds∧dx
     assert abs(M[0, 1] - p[3]) < 1e-12       # s dx∧dy
-    pts = sample_points(big, 20, seed=68)
-    assert check_symplectization(darboux3, pts).passed
 
 
 def test_symplectize_trivgpd_form(trivgpd):
@@ -203,37 +210,57 @@ def test_symplectize_trivgpd_form(trivgpd):
     assert abs(M[1, 0] - p[3]) < 1e-12
 
 
-# the contact sources of the catalog entries: each entry's own contact
-# structure or its dual pair's source (the broken pairs share these)
-CONTACT_SOURCES = ("darboux3", "trivgpd", "darboux5-product")
-_symplectize = homogenize.symplectize
+@pytest.mark.parametrize("spec_id", CONTACT_SOURCES)
+def test_lifted_jet_matches_the_symplectization(spec_id):
+    # ω~ and its 1-jet in closed form from ϖ's 1-jet, ∂_s included, against
+    # the tree d(s·π*θ) of the chain-rule lifts
+    C = _contact_source(spec_id)
+    omega, big = symplectize(C)
+    for p in sample_points(big, 10, seed=68):
+        M, dM = _lifted_jet(*varpi_jet(C, p[:-1]), p[-1])
+        A, dA = omega.jet(p)
+        assert np.abs(M - A).max() < 1e-12
+        assert np.abs(dM - dA).max() < 1e-12
 
 
-def _contact_source(spec_id):
-    obj = build(spec_id)
-    return obj if isinstance(obj, ContactStructure) else obj.source
+_closed_form = homogenize._lifted_form
 
 
-def _doubled_dtheta(C):
+def _doubled_dtheta(varpi, s):
     """ω~ with its s·dθ block doubled: dω~ = ds∧dθ ≠ 0."""
-    omega, big = _symplectize(C)
-    n = C.chart.dim
-    return KForm(big, 2, {k: 2.0 * f if k[1] < n else f
-                          for k, f in omega.comps.items()}), big
+    out = _closed_form(varpi, s)
+    out[..., :-1, :-1] *= 2.0
+    return out
 
 
-def _theta_column_times_s(C):
+def _theta_column_times_s(varpi, s):
     """ω~ with s·ds∧θ for ds∧θ: not closed, and not homogeneous."""
-    omega, big = _symplectize(C)
-    n = C.chart.dim
-    s = coordinate(n + 1, n)
-    return KForm(big, 2, {k: f * s if k[1] == n else f
-                          for k, f in omega.comps.items()}), big
+    out = _closed_form(varpi, s)
+    out[..., :-1, -1] *= s
+    out[..., -1, :-1] *= s
+    return out
 
 
-def _theta_is_dz(C):
-    """ω~ = d(s·dz) = ds∧dz: closed and homogeneous, but of rank 2."""
-    return _symplectize(ContactStructure(C.chart, {(C.chart.dim - 1,): 1.0}))
+def _theta_is_dz(C, x):
+    """ϖ of θ = dz, so ω~ = d(s·dz) = ds∧dz: closed and homogeneous, but
+    of rank 2."""
+    return varpi_jet(ContactStructure(C.chart, {(C.chart.dim - 1,): 1.0}), x)
+
+
+def _flipped_theta_column(varpi, s):
+    """ω~ with its θ column negated, D·ω~·D for D = diag(1, ..., 1, -1):
+    still invertible, but its inverse flips the sign of the ∂s∧E column of
+    P."""
+    out = _closed_form(varpi, s)
+    out[..., :-1, -1] *= -1.0
+    out[..., -1, :-1] *= -1.0
+    return out
+
+
+# where each mutant is planted: the closed form, or the ϖ jet it reads
+_PLANTED_IN = {_doubled_dtheta: "_lifted_form",
+               _theta_column_times_s: "_lifted_form",
+               _theta_is_dz: "varpi_jet"}
 
 
 @pytest.mark.parametrize("spec_id", CONTACT_SOURCES)
@@ -243,11 +270,10 @@ def test_symplectization_of_every_contact_source(spec_id):
     assert check_symplectization(C, pts).passed
 
 
-@pytest.mark.parametrize("broken", (_doubled_dtheta, _theta_column_times_s,
-                                    _theta_is_dz), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("broken", tuple(_PLANTED_IN), ids=lambda f: f.__name__)
 @pytest.mark.parametrize("spec_id", CONTACT_SOURCES)
 def test_symplectization_catches_a_broken_form(spec_id, broken, monkeypatch):
-    monkeypatch.setattr(homogenize, "symplectize", broken)
+    monkeypatch.setattr(homogenize, _PLANTED_IN[broken], broken)
     C = _contact_source(spec_id)
     pts = sample_points(slit_chart(C.chart), 10, seed=68)
     rep = check_symplectization(C, pts)
@@ -257,14 +283,12 @@ def test_symplectization_catches_a_broken_form(spec_id, broken, monkeypatch):
 
 
 def test_symplectization_consistency(darboux3):
-    omega, big = symplectize(darboux3)
-    pts = sample_points(big, 20, seed=69)
+    pts = sample_points(slit_chart(darboux3.chart), 20, seed=69)
     assert check_symplectization_consistency(darboux3, pts).passed
 
 
 def test_symplectization_consistency_trivgpd(trivgpd):
-    omega, big = symplectize(trivgpd)
-    pts = sample_points(big, 20, seed=70)
+    pts = sample_points(slit_chart(trivgpd.chart), 20, seed=70)
     assert check_symplectization_consistency(trivgpd, pts).passed
 
 
@@ -273,9 +297,22 @@ def test_symplectization_consistency_scaled(darboux3):
     chart = darboux3.chart
     C2 = ContactStructure(chart, {(0,): lambda x, y, z: -3.0 * y,
                                   (2,): 3.0})
-    omega, big = symplectize(C2)
-    pts = sample_points(big, 10, seed=71)
+    pts = sample_points(slit_chart(chart), 10, seed=71)
     assert check_symplectization_consistency(C2, pts).passed
+
+
+@pytest.mark.parametrize("spec_id", CONTACT_SOURCES)
+def test_symplectization_consistency_catches_a_flipped_theta_column(
+        spec_id, monkeypatch):
+    # -(D ω~ D)⁻¹ differs from P by 2|E| in the ∂s∧E column, and no
+    # SingularSystem hides it
+    C = _contact_source(spec_id)
+    pts = sample_points(slit_chart(C.chart), 10, seed=69)
+    monkeypatch.setattr(homogenize, "_lifted_form", _flipped_theta_column)
+    rep = check_symplectization_consistency(C, pts)
+    assert not rep.passed and rep.max_residual > 1e-3
+    E = np.array([contact_to_jacobi(C).E.at(p[:-1]) for p in pts])
+    assert abs(rep.max_residual - 2.0 * np.abs(E).max()) < 1e-9
 
 
 def test_homogenize_map_forms():

@@ -450,6 +450,27 @@ def test_a_coefficient_outside_float64_raises_domain_violation(name, v, order):
             f(x)
 
 
+_NOT_FINITE = {   # name: (expression, point)
+    "x*x": (lambda x: x * x, 1e200),                  # value inf
+    "(x*x)/(x*x)": (lambda x: (x * x) / (x * x), 1e200),   # value nan
+    "float inf": (lambda x: math.inf, 0.5),           # a number, not a jet
+    "float nan": (lambda x: x + math.nan, 0.5),
+}
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("name", _NOT_FINITE)
+def test_an_expression_value_that_is_not_finite_raises_domain_violation(
+        name, order):
+    # ring operations overflow silently; the field's jet does not
+    expr, v = _NOT_FINITE[name]
+    with np.errstate(all="ignore"):
+        with pytest.raises(DomainViolation):
+            ScalarFieldSpec(1, expr)([v], order)
+        with pytest.raises(DomainViolation):
+            jet_lift(expr, [v], order)
+
+
 @pytest.mark.parametrize("order", (1, 2))
 def test_no_operation_writes_into_its_operands(order):
     # every operand is read-only, so an operation that wrote into one would

@@ -2,9 +2,10 @@
 is used (in the test modules too), every definition is referenced, every
 import sits at module level, every public function that builds a report
 is timed, every timed check is in the catalog's table of checks, no public
-definition is reached only by tests, no function takes a tolerance
-parameter or a default jet order, no determinant decides nondegeneracy,
-and every typed error is raised by some test."""
+definition is reached only by tests (a method is reached by a call, a
+string naming it or, for a property, an attribute read), no function takes
+a tolerance parameter or a default jet order, no determinant decides
+nondegeneracy, and every typed error is raised by some test."""
 import ast
 import textwrap
 from functools import cache
@@ -174,15 +175,90 @@ def test_every_timed_check_is_in_the_catalog_table():
     assert sorted(_timed_checks() - called) == sorted(NOT_REGISTERED)
 
 
+def _methods(node, prefix="", in_class=False):
+    """{qualified name: whether it is a property} of each method under
+    ``node``, qualified as :func:`_definitions` qualifies it."""
+    found = {}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if in_class:
+                found[prefix + child.name] = any(
+                    getattr(d, "id", None) == "property"
+                    for d in child.decorator_list)
+            found |= _methods(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            found |= _methods(child, f"{prefix}{child.name}.", True)
+        else:
+            found |= _methods(child, prefix, in_class)
+    return found
+
+
+def _method_reach(paths):
+    """The names a method is reached by in ``paths``: the attribute of a
+    call ``x.name(...)`` and a string argument of a call, as ``getattr(x,
+    "name")`` takes it.  An attribute read alone reaches a property only:
+    it may be a data attribute that shares the method's name, and so may a
+    string elsewhere, such as a ``__slots__`` entry."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Call):
+                found |= {a.value for a in node.args
+                          if isinstance(a, ast.Constant)
+                          and isinstance(a.value, str)}
+                if isinstance(node.func, ast.Attribute):
+                    found.add(node.func.attr)
+    return found
+
+
+def _unreached(sources, paths):
+    """The public definitions of ``sources`` that ``paths`` do not reach:
+    a function or class by :func:`_names`, a method by
+    :func:`_method_reach`, a property by either, timed checks aside."""
+    names = _referenced(paths) | _timed_checks()
+    calls = _method_reach(paths)
+    out = []
+    for path in sources:
+        methods = _methods(_tree(path))
+        for qualified, name in _definitions(_tree(path)):
+            if qualified not in methods:
+                reached = name in names
+            else:
+                reached = name in calls or (methods[qualified]
+                                            and name in names)
+            if not (name.startswith("_") or reached):
+                out.append(f"{path.stem}.{qualified}")
+    return out
+
+
+def test_a_method_is_reached_by_a_call_a_string_or_a_property_read(
+        tmp_path):
+    # reading ``j.grad`` does not reach the method ``Field.grad``: a data
+    # attribute of another class may share its name
+    module = tmp_path / "synthetic.py"
+    module.write_text(textwrap.dedent("""
+        class Jet:
+            __slots__ = ("grad",)
+        class Field:
+            def grad(self): ...
+            def value(self): ...
+            def atan(self): ...
+            @property
+            def degree(self): ...
+            def dense(self): ...
+        def read(f, j):
+            return j.grad, f.value(), getattr(f, "atan"), f.degree, f.dense
+        read(Field(), Jet())
+        """))
+    assert _unreached([module], [module]) == ["synthetic.Field.grad",
+                                              "synthetic.Field.dense"]
+
+
 def test_definitions_only_tests_reach_are_named_oracles():
-    """Every public definition of ``jdl`` is referenced by ``jdl`` itself or
+    """Every public definition of ``jdl`` is reached by ``jdl`` itself or
     by the benchmark, timed checks aside: the oracles, controls and helpers
     that only tests use live in ``tests/oracles.py``."""
-    reached = _referenced(SOURCES + BENCHMARK_SOURCES) | _timed_checks()
-    test_only = [f"{path.stem}.{qualified}" for path in SOURCES
-                 for qualified, name in _definitions(_tree(path))
-                 if not name.startswith("_") and name not in reached]
-    assert test_only == []
+    assert _unreached(SOURCES, SOURCES + BENCHMARK_SOURCES) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

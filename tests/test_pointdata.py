@@ -26,12 +26,12 @@ from jdl.dualpair import (_hamiltonian, _points, centralizer_membership,
                           check_vertical_dim_sum, verify_dual_pair)
 from jdl.fields import constant
 from jdl.homogenize import (S_SLICES, _lifted_form, _lifted_tangent,
-                            check_homogeneous_sdp_equivalence, symplectize)
+                            check_homogeneous_sdp_equivalence)
 from jdl.jacobi import bracket_field, hamiltonian_field
 from jdl.leaves import check_pullback_distribution
 from jdl.linalg import kernel, subspace_equal
 
-from oracles import dphi_matrix, homogenize_map
+from oracles import dphi_matrix, homogenize_map, symplectize
 
 ORACLE_TOL = 1e-12
 SPECS = ("trivgpd", "darboux5-product", "broken-comm", "broken-transv")
