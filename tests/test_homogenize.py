@@ -198,6 +198,8 @@ def test_symplectize_darboux3(darboux3):
     assert abs(M[3, 2] - 1.0) < 1e-12        # ds∧dz
     assert abs(M[3, 0] + p[1]) < 1e-12       # -y ds∧dx
     assert abs(M[0, 1] - p[3]) < 1e-12       # s dx∧dy
+    pts = sample_points(big, 20, seed=68)
+    assert check_symplectization(darboux3, pts).passed
 
 
 def test_symplectize_trivgpd_form(trivgpd):

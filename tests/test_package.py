@@ -2,10 +2,11 @@
 is used (in the test modules too), every definition is referenced, every
 import sits at module level, every public function that builds a report
 is timed, every timed check is in the catalog's table of checks, no public
-definition is reached only by tests (a method is reached by a call, a
-string naming it or, for a property, an attribute read), no function takes
-a tolerance parameter or a default jet order, no determinant decides
-nondegeneracy, and every typed error is raised by some test."""
+definition is reached only by tests (a method is reached by a call, by
+``getattr`` or ``jets._as_method`` given its name or, for a property, by
+an attribute read), no function takes a tolerance parameter or a default
+jet order, no determinant decides nondegeneracy, and every typed error is
+raised by some test."""
 import ast
 import textwrap
 from functools import cache
@@ -193,21 +194,29 @@ def _methods(node, prefix="", in_class=False):
     return found
 
 
+# the calls that look a method up by the string they are given second
+_LOOKUPS = ("getattr", "_as_method")
+
+
 def _method_reach(paths):
     """The names a method is reached by in ``paths``: the attribute of a
-    call ``x.name(...)`` and a string argument of a call, as ``getattr(x,
-    "name")`` takes it.  An attribute read alone reaches a property only:
-    it may be a data attribute that shares the method's name, and so may a
-    string elsewhere, such as a ``__slots__`` entry."""
+    call ``x.name(...)`` and the string of a lookup ``getattr(x, "name")``
+    or ``jets._as_method(x, "name")``.  An attribute read alone reaches a
+    property only: it may be a data attribute that shares the method's
+    name, and so may a string elsewhere, such as a ``__slots__`` entry, a
+    report id or an error message."""
     found = set()
     for path in paths:
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Call):
-                found |= {a.value for a in node.args
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in _LOOKUPS:
+                found |= {a.value for a in node.args[1:2]
                           if isinstance(a, ast.Constant)
                           and isinstance(a.value, str)}
-                if isinstance(node.func, ast.Attribute):
-                    found.add(node.func.attr)
+            if isinstance(node.func, ast.Attribute):
+                found.add(node.func.attr)
     return found
 
 
@@ -234,7 +243,8 @@ def _unreached(sources, paths):
 def test_a_method_is_reached_by_a_call_a_string_or_a_property_read(
         tmp_path):
     # reading ``j.grad`` does not reach the method ``Field.grad``: a data
-    # attribute of another class may share its name
+    # attribute of another class may share its name; nor does a string
+    # that only a report id or a message shares with a method
     module = tmp_path / "synthetic.py"
     module.write_text(textwrap.dedent("""
         class Jet:
@@ -243,15 +253,21 @@ def test_a_method_is_reached_by_a_call_a_string_or_a_property_read(
             def grad(self): ...
             def value(self): ...
             def atan(self): ...
+            def sqrt(self): ...
+            def exp(self): ...
             @property
             def degree(self): ...
             def dense(self): ...
+            def residual(self): ...
         def read(f, j):
-            return j.grad, f.value(), getattr(f, "atan"), f.degree, f.dense
+            report("residual", f"{f.dense}")
+            return (j.grad, f.value(), getattr(f, "atan"), f.degree,
+                    _as_method(f, "sqrt"), jets._as_method(f, "exp"))
         read(Field(), Jet())
         """))
     assert _unreached([module], [module]) == ["synthetic.Field.grad",
-                                              "synthetic.Field.dense"]
+                                              "synthetic.Field.dense",
+                                              "synthetic.Field.residual"]
 
 
 def test_definitions_only_tests_reach_are_named_oracles():
